@@ -316,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="comma-separated fixed part sizes, e.g. 2,2")
     p_construct.add_argument("--t", type=int, required=True, help="final part size")
     p_construct.add_argument("--verify", action="store_true",
-                             help="check every pair intersection (quadratic)")
+                             help="check that every pair intersection contains the "
+                                  "target (pairs of minimal members when up-closed)")
     p_construct.add_argument("--target-t", type=int, default=None,
                              help="final part size of the verification target "
                                   "(default: the construction's t)")
@@ -339,13 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, Graph6Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # InputError and Graph6Error included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,8 +14,8 @@ import sys
 from dataclasses import dataclass, field
 
 from .density import DyadicDensity
-from .detect import contains_p4, contains_subgraph
-from .graphs import Graph, canonical_key, iter_bits, path
+from .detect import containment_check
+from .graphs import Graph, iter_bits
 
 PAIR_TABLE_MAX_EDGES = 16
 
@@ -60,21 +60,6 @@ class CliqueResult:
     density: DyadicDensity = DyadicDensity(0, 0)
 
 
-def _is_p4(target: Graph) -> bool:
-    return target.n == 4 and canonical_key(target) == canonical_key(path(4))
-
-
-def target_checker(target: Graph):
-    """Containment predicate on edge bitsets, with a fast path for P4."""
-    if _is_p4(target):
-        def check(n: int, edges: int) -> bool:
-            return contains_p4(Graph(n, edges))
-    else:
-        def check(n: int, edges: int) -> bool:
-            return contains_subgraph(Graph(n, edges), target)
-    return check
-
-
 def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     """Compatibility graph of all target-containing edge subsets of the host.
 
@@ -86,7 +71,7 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     e = host.edge_count
     if e > 20:
         raise ValueError(f"compatibility graphs capped at 20 host edges, got {e}")
-    check = target_checker(target)
+    check = containment_check(target)
     positions = list(iter_bits(host.edges))
 
     def expand(compact: int) -> int:
@@ -100,7 +85,7 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
         # one containment test per subset; pair tests become table lookups
         table = bytearray(1 << e)
         for compact in range(1 << e):
-            table[compact] = check(host.n, expand(compact))
+            table[compact] = check(Graph(host.n, expand(compact)))
         cands = [c for c in range(1 << e) if c.bit_count() >= min_edges and table[c]]
         adjacency = [0] * len(cands)
         for a in range(len(cands)):
@@ -111,12 +96,12 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     else:
         cands = [
             c for c in range(1 << e)
-            if c.bit_count() >= min_edges and check(host.n, expand(c))
+            if c.bit_count() >= min_edges and check(Graph(host.n, expand(c)))
         ]
         adjacency = [0] * len(cands)
         for a in range(len(cands)):
             for b in range(a + 1, len(cands)):
-                if check(host.n, expand(cands[a] & cands[b])):
+                if check(Graph(host.n, expand(cands[a] & cands[b]))):
                     adjacency[a] |= 1 << b
                     adjacency[b] |= 1 << a
     labels = [expand(c) for c in cands]

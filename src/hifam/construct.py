@@ -11,15 +11,13 @@ one part-step smaller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from .density import DyadicDensity
-from .detect import MultipartiteTarget, contains_multipartite, contains_p4, contains_subgraph
+from .detect import MultipartiteTarget, TargetLike, containment_check
 from .graphs import Graph, complete_multipartite, iter_bits, pair_count
 
 MAX_SPARE_EDGES = 20
-
-TargetLike = Union[Graph, MultipartiteTarget]
 
 
 @dataclass(frozen=True)
@@ -139,12 +137,7 @@ def check_seeds(host: Graph, seeds: Sequence[int], target: TargetLike) -> SeedCh
     for s in seeds:
         if s & ~host.edges:
             raise ValueError(f"seed {s:#x} is not an edge subset of the host")
-    check = _containment_check(target)
-    intersection_property = all(
-        check(Graph(host.n, seeds[i] & seeds[j]))
-        for i in range(len(seeds))
-        for j in range(i, len(seeds))
-    )
+    intersection_property = _all_pairs_contain(host.n, seeds, containment_check(target))
     disjoint_complement = all(
         seeds[i] | seeds[j] == host.edges
         for i in range(len(seeds))
@@ -155,14 +148,36 @@ def check_seeds(host: Graph, seeds: Sequence[int], target: TargetLike) -> SeedCh
     return SeedCheck(intersection_property, disjoint_complement, family_size)
 
 
-def _containment_check(target: TargetLike) -> Callable[[Graph], bool]:
-    if isinstance(target, MultipartiteTarget):
-        return lambda g: contains_multipartite(g, target)
-    if target.n == 4 and target.edge_count == 3 and sorted(
-        target.degree_sequence()
-    ) == [1, 1, 2, 2]:
-        return contains_p4
-    return lambda g: contains_subgraph(g, target)
+def _all_pairs_contain(n: int, masks: Sequence[int], check: Callable[[Graph], bool]) -> bool:
+    """True iff every pair i <= j of masks intersects in a target copy."""
+    return all(
+        check(Graph(n, masks[i] & masks[j]))
+        for i in range(len(masks))
+        for j in range(i, len(masks))
+    )
+
+
+def _minimal_members(family: SubgraphFamily) -> list[int] | None:
+    """Minimal members in member order, or None if the family is not up-closed.
+
+    Up-closed within the host: X | b is a member for every member X and host
+    edge b outside X.  A member is minimal when removing any one of its edges
+    leaves the family.
+    """
+    present = set(family.members)
+    host_bits = [1 << b for b in iter_bits(family.host.edges)]
+    minimal = []
+    for x in family.members:
+        is_minimal = True
+        for bit in host_bits:
+            if not x & bit:
+                if x | bit not in present:
+                    return None
+            elif is_minimal and x ^ bit in present:
+                is_minimal = False
+        if is_minimal:
+            minimal.append(x)
+    return minimal
 
 
 def verify_intersecting(
@@ -173,8 +188,30 @@ def verify_intersecting(
     Distinct pairs are always checked; with require_self each member is also
     checked on its own.  Returns the first failing index pair in member
     order ((i, i) for a self failure).
+
+    Fast path, taken when the family is up-closed within its host: if every
+    pair i <= j of its minimal members holds the target, so does every pair
+    of members and every member, since each member contains a minimal one
+    and containment is monotone; the answer is None.  For two or more
+    members the converse holds too, so no passing family misses the fast
+    path: no minimal member A is the host, so A + e is a member for some
+    edge e, and the distinct pair (A, A + e) already asks A to hold the
+    target, with or without require_self.  Any other family, and any family
+    that fails, goes through the quadratic scan for the first failing pair.
     """
-    check = _containment_check(target)
+    minimal = _minimal_members(family)
+    if minimal is not None and _all_pairs_contain(
+        family.host.n, minimal, containment_check(target)
+    ):
+        return None
+    return _verify_pairwise(family, target, require_self)
+
+
+def _verify_pairwise(
+    family: SubgraphFamily, target: TargetLike, require_self: bool = False
+) -> tuple[int, int] | None:
+    """The quadratic scan behind verify_intersecting: every pair, in order."""
+    check = containment_check(target)
     members = family.members
     n = family.host.n
     for i in range(len(members)):

@@ -10,7 +10,7 @@ matter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence, Union
 
 from .graphs import Graph, iter_bits
 
@@ -34,6 +34,9 @@ class MultipartiteTarget:
     def edge_count(self) -> int:
         total = self.vertex_count
         return (total * total - sum(p * p for p in self.parts)) // 2
+
+
+TargetLike = Union[Graph, MultipartiteTarget]
 
 
 def intersection(f: Graph, f2: Graph) -> Graph:
@@ -143,3 +146,17 @@ def contains_multipartite(g: Graph, target: MultipartiteTarget) -> bool:
         return pick(sizes[k], allowed, allowed)
 
     return fill_part(0, (1 << g.n) - 1)
+
+
+def containment_check(target: TargetLike) -> Callable[[Graph], bool]:
+    """Containment predicate for one target: the one dispatch to the tests above.
+
+    Complete multipartite patterns go to contains_multipartite; a 4-vertex
+    3-edge graph with degrees 1, 1, 2, 2 (only P4 has them) goes to the
+    contains_p4 scan; any other graph to the generic backtracking test.
+    """
+    if isinstance(target, MultipartiteTarget):
+        return lambda g: contains_multipartite(g, target)
+    if target.n == 4 and target.edge_count == 3 and target.degree_sequence() == [1, 1, 2, 2]:
+        return contains_p4
+    return lambda g: contains_subgraph(g, target)

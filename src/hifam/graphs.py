@@ -229,11 +229,12 @@ def canonical_key(g: Graph) -> CanonicalKey:
 
 
 def emit_graph6(g: Graph) -> str:
-    """Encode in graph6 (single-byte size form, n <= 62)."""
-    if g.n > 62:
-        raise ValueError(f"graph6 single-byte size form needs n <= 62, got {g.n}")
+    """Encode in graph6 (single-byte size form up to n = 62, else '~' + 3 bytes)."""
     k = pair_count(g.n)
-    out = [chr(63 + g.n)]
+    if g.n <= 62:
+        out = [chr(63 + g.n)]
+    else:
+        out = ["~"] + [chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)]
     for start in range(0, k, 6):
         value = 0
         for offset in range(6):

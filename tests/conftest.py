@@ -10,8 +10,8 @@ def pytest_addoption(parser):
         "--run-large-verify",
         action="store_true",
         default=False,
-        help="also run the quadratic intersecting-property checks on the "
-             "largest construction instances (minutes)",
+        help="also check that the quadratic pairwise oracle agrees with "
+             "verify_intersecting on the largest construction instances (minutes)",
     )
 
 

@@ -14,6 +14,8 @@ from hifam import (
     check_seeds,
     complete,
     complete_multipartite,
+    contains_multipartite,
+    contains_subgraph,
     from_edges,
     improvement_margin,
     lifted_count_string,
@@ -22,6 +24,9 @@ from hifam import (
     trivial_density,
     verify_intersecting,
 )
+from hifam import detect
+from hifam.construct import _minimal_members, _verify_pairwise
+from hifam.graphs import iter_bits
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +165,26 @@ def test_intersecting_property_on_hosts_up_to_14_vertices(parts, t, target_parts
 
 @pytest.mark.parametrize("parts,t", [((4,), 16), ((5,), 32)])
 def test_intersecting_property_on_large_hosts(request, parts, t):
-    if not request.config.getoption("--run-large-verify"):
-        pytest.skip("quadratic check on hundreds of members; pass --run-large-verify")
     built = multipartite_family(ConstructionSpec(parts, t))
-    failure = verify_intersecting(
-        built.family, MultipartiteTarget(parts + (t,)), require_self=True
-    )
+    target = MultipartiteTarget(parts + (t,))
+    failure = verify_intersecting(built.family, target, require_self=True)
     assert failure is None
+    if request.config.getoption("--run-large-verify"):
+        assert _verify_pairwise(built.family, target, require_self=True) == failure
+
+
+def test_up_closed_verification_checks_only_minimal_pairs(monkeypatch):
+    # the t + 2 seeds are the minimal members: (t+2)(t+3)/2 pairs i <= j
+    calls = []
+
+    def counting(g, target):
+        calls.append(g)
+        return contains_multipartite(g, target)
+
+    monkeypatch.setattr(detect, "contains_multipartite", counting)
+    built = multipartite_family(ConstructionSpec((4,), 16))
+    assert verify_intersecting(built.family, MultipartiteTarget((4, 16)), True) is None
+    assert len(calls) == 18 * 19 // 2
 
 
 def test_construction_caps():
@@ -221,6 +239,22 @@ def test_verify_reports_first_failing_pair():
     assert verify_intersecting(family, path(2), require_self=False) == (0, 1)
 
 
+def test_family_that_is_not_up_closed_goes_straight_to_the_scan(monkeypatch):
+    calls = []
+
+    def counting(g, h):
+        calls.append(g)
+        return contains_subgraph(g, h)
+
+    monkeypatch.setattr(detect, "contains_subgraph", counting)
+    host = complete(4)
+    triangle = from_edges(4, [(0, 1), (0, 2), (1, 2)])
+    lone_edge = from_edges(4, [(0, 3)])
+    family = SubgraphFamily(host, [triangle.edges, lone_edge.edges])
+    assert verify_intersecting(family, path(2)) == (0, 1)
+    assert len(calls) == 1  # the minimal-member pairs would test (0, 0) first
+
+
 def test_verify_self_check_catches_weak_members():
     host = path(4)  # edge slots {0, 2, 5}
     short = 0b101  # edges (0,1) and (1,2): contains P3, not P4
@@ -229,6 +263,48 @@ def test_verify_self_check_catches_weak_members():
     assert verify_intersecting(
         SubgraphFamily(host, [short, host.edges]), path(4), require_self=True
     ) == (0, 0)
+
+
+def _host_subsets(host):
+    positions = list(iter_bits(host.edges))
+    return [sum(1 << positions[i] for i in iter_bits(c)) for c in range(1 << len(positions))]
+
+
+def _random_family(rng, host, kind):
+    subsets = _host_subsets(host)
+    if kind == "up-closed":
+        gens = rng.sample(subsets, rng.randint(1, 3))
+        members = [x for x in subsets if any(x & g == g for g in gens)]
+    elif kind == "above-core":  # supersets of one core, usually not up-closed
+        core = rng.choice(subsets)
+        members = [x for x in subsets if x & core == core and rng.random() < 0.5]
+    else:
+        most = min(len(subsets), 2 if kind == "tiny" else 12)
+        members = rng.sample(subsets, rng.randint(0, most))
+    rng.shuffle(members)
+    return SubgraphFamily(host, members)
+
+
+def test_up_closure_path_matches_quadratic_oracle():
+    rng = random.Random(2024)
+    targets = [path(2), path(3), path(4), complete(3), MultipartiteTarget([1, 2])]
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(3, 6)
+        host = Graph(n, 0)
+        while not 2 <= host.edge_count <= 7:
+            host = Graph(n, rng.getrandbits(n * (n - 1) // 2))
+        family = _random_family(rng, host, rng.choice(["up-closed", "above-core", "tiny", "any"]))
+        target = rng.choice(targets)
+        for require_self in (False, True):
+            got = verify_intersecting(family, target, require_self)
+            assert got == _verify_pairwise(family, target, require_self), (family, target)
+            up_closed = _minimal_members(family) is not None
+            seen.add((up_closed, got is None, min(len(family), 3)))
+    # every size (3 standing for "3 or more") up-closed or not, passing or failing;
+    # the empty family is up-closed and passes
+    cases = {(u, ok, size) for u in (True, False) for ok in (True, False) for size in (1, 2, 3)}
+    assert seen == cases | {(True, True, 0)}
 
 
 def test_family_validation():

@@ -14,6 +14,7 @@ from hifam import (
     contains_multipartite,
     contains_p4,
     contains_subgraph,
+    containment_check,
     cycle,
     from_edges,
     intersection,
@@ -180,3 +181,20 @@ def test_specialized_engines_match_generic_exhaustively():
             for parts, target_graph in targets:
                 assert contains_multipartite(g, MultipartiteTarget(parts)) == \
                     contains_subgraph(g, target_graph)
+
+
+def test_containment_check_dispatch():
+    # P4 in any labeling takes the scan; the other 4-vertex 3-edge graphs do not
+    for perm in ([0, 1, 2, 3], [2, 0, 3, 1], [3, 1, 0, 2]):
+        assert containment_check(apply_permutation(path(4), perm)) is contains_p4
+    star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    triangle_plus_isolated = from_edges(4, [(0, 1), (0, 2), (1, 2)])
+    rng = random.Random(7)
+    for target in (star, triangle_plus_isolated, complete(3), path(5)):
+        check = containment_check(target)
+        assert check is not contains_p4
+        for _ in range(50):
+            g = _random_graph(rng, 5)
+            assert check(g) == contains_subgraph(g, target)
+    check = containment_check(MultipartiteTarget([1, 2]))
+    assert check(path(3)) and not check(Graph(3, 1))

@@ -227,9 +227,17 @@ def test_emit_agrees_with_networkx():
         assert emit_graph6(g) == expected
 
 
-def test_emit_size_cap():
-    with pytest.raises(ValueError):
-        emit_graph6(Graph(63, 0))
+def test_emit_four_byte_size_form_round_trips():
+    # n = 63 and n = 64 need the '~' + 3-byte size form
+    rng = random.Random(63)
+    for n in (63, 64):
+        for g in (Graph(n, 0), complete(n), _random_graph(rng, n)):
+            G = nx.Graph()
+            G.add_nodes_from(range(n))
+            G.add_edges_from(g.edge_pairs())
+            text = emit_graph6(g)
+            assert text == nx.to_graph6_bytes(G, header=False).decode().strip()
+            assert text.startswith("~") and parse_graph6(text) == g
 
 
 # ---------------------------------------------------------------------------
