@@ -9,7 +9,6 @@ search driver with JSONL persistence.
 from .clique import (
     CliqueResult,
     CompatibilityGraph,
-    brute_force_clique,
     build_compatibility,
     max_clique,
 )
@@ -34,7 +33,7 @@ from .detect import (
     containment_check,
     intersection,
 )
-from .enumeration import HostClass, candidate_subgraphs, connected_graphs, is_connected
+from .enumeration import HostClass, connected_graphs, is_connected
 from .graphs import (
     CanonicalKey,
     Graph,
@@ -80,9 +79,7 @@ __all__ = [
     "SeedCheck",
     "SubgraphFamily",
     "apply_permutation",
-    "brute_force_clique",
     "build_compatibility",
-    "candidate_subgraphs",
     "canonical_key",
     "check_seeds",
     "christofides_host",

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 from .density import DyadicDensity
 from .detect import containment_check
-from .graphs import Graph, iter_bits
+from .graphs import Graph, iter_bits, submasks
 
-PAIR_TABLE_MAX_EDGES = 16
+MAX_HOST_EDGES = 16
 
 
 @dataclass
@@ -25,15 +25,13 @@ class CompatibilityGraph:
     """Auxiliary graph: candidate edge subsets plus adjacency bitsets.
 
     ``labels[i]`` is the i-th candidate as a bitset over the host's edge
-    indexing; ``adjacency[i]`` is a bitset over candidate indices.  The
-    host/target are kept for density bookkeeping and witness verification;
-    synthetic instances (e.g. solver tests) may leave them None.
+    indexing; ``adjacency[i]`` is a bitset over candidate indices;
+    ``host_edges`` is the host's edge count, the density exponent.
+    Synthetic instances (e.g. solver tests) may leave it 0.
     """
 
     labels: list[int]
     adjacency: list[int]
-    host: Graph | None = None
-    target: Graph | None = None
     host_edges: int = 0
 
     @property
@@ -63,49 +61,30 @@ class CliqueResult:
 def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     """Compatibility graph of all target-containing edge subsets of the host.
 
-    Candidates are the edge subsets that contain the target themselves (a
-    strictly stronger filter than the minimum edge count, and one that any
-    clique of size >= 2 satisfies automatically); two candidates are
-    adjacent when their intersection contains the target.
+    Candidates are the edge subsets that contain the target themselves (any
+    clique of size >= 2 satisfies that automatically), in ascending order of
+    their bitsets; two candidates are adjacent when their intersection
+    contains the target.  Each of the host's 2^e edge subsets gets one
+    containment test, stored in a table by compact index: the subset's
+    position in ascending order, whose bit i picks the host's i-th edge, so
+    the AND of two indices is the index of the intersection and every pair
+    test is a table lookup.  Hosts with more than MAX_HOST_EDGES edges raise
+    ValueError: the pair loop over up to 2^e candidates would not finish.
     """
     e = host.edge_count
-    if e > 20:
-        raise ValueError(f"compatibility graphs capped at 20 host edges, got {e}")
+    if e > MAX_HOST_EDGES:
+        raise ValueError(f"compatibility graphs capped at {MAX_HOST_EDGES} host edges, got {e}")
     check = containment_check(target)
-    positions = list(iter_bits(host.edges))
-
-    def expand(compact: int) -> int:
-        full = 0
-        for i in iter_bits(compact):
-            full |= 1 << positions[i]
-        return full
-
-    min_edges = target.edge_count
-    if e <= PAIR_TABLE_MAX_EDGES:
-        # one containment test per subset; pair tests become table lookups
-        table = bytearray(1 << e)
-        for compact in range(1 << e):
-            table[compact] = check(Graph(host.n, expand(compact)))
-        cands = [c for c in range(1 << e) if c.bit_count() >= min_edges and table[c]]
-        adjacency = [0] * len(cands)
-        for a in range(len(cands)):
-            for b in range(a + 1, len(cands)):
-                if table[cands[a] & cands[b]]:
-                    adjacency[a] |= 1 << b
-                    adjacency[b] |= 1 << a
-    else:
-        cands = [
-            c for c in range(1 << e)
-            if c.bit_count() >= min_edges and check(Graph(host.n, expand(c)))
-        ]
-        adjacency = [0] * len(cands)
-        for a in range(len(cands)):
-            for b in range(a + 1, len(cands)):
-                if check(Graph(host.n, expand(cands[a] & cands[b]))):
-                    adjacency[a] |= 1 << b
-                    adjacency[b] |= 1 << a
-    labels = [expand(c) for c in cands]
-    return CompatibilityGraph(labels, adjacency, host, target, e)
+    subsets = list(submasks(host.edges))
+    table = bytes(check(Graph(host.n, s)) for s in subsets)
+    cands = [c for c in range(len(subsets)) if table[c]]
+    adjacency = [0] * len(cands)
+    for a, ca in enumerate(cands):
+        for b in range(a + 1, len(cands)):
+            if table[ca & cands[b]]:
+                adjacency[a] |= 1 << b
+                adjacency[b] |= 1 << a
+    return CompatibilityGraph([subsets[c] for c in cands], adjacency, e)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +95,8 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
 def _color_sort(p_mask: int, adj: list[int]) -> list[tuple[int, int]]:
     """Greedy-color the candidate set; returns (vertex, color) ascending by color.
 
-    The color count bounds the clique size within p_mask: a clique meets
-    each color class at most once.
+    The last color, the color count, bounds the clique size within p_mask:
+    a clique meets each color class at most once.
     """
     out = []
     color = 0
@@ -134,19 +113,6 @@ def _color_sort(p_mask: int, adj: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _color_count(p_mask: int, adj: list[int]) -> int:
-    count = 0
-    rest = p_mask
-    while rest:
-        count += 1
-        avail = rest
-        while avail:
-            low = avail & -avail
-            avail = (avail ^ low) & ~adj[low.bit_length() - 1]
-            rest ^= low
-    return count
-
-
 def max_clique(cg: CompatibilityGraph) -> CliqueResult:
     """Exact maximum clique; witness is the lexicographically smallest one.
 
@@ -159,8 +125,6 @@ def max_clique(cg: CompatibilityGraph) -> CliqueResult:
     n = cg.size
     if n == 0:
         return CliqueResult(0, [], DyadicDensity(0, cg.host_edges))
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 1000))
-
     order = sorted(range(n), key=lambda v: (-cg.adjacency[v].bit_count(), v))
     rank = {v: r for r, v in enumerate(order)}
     adj = [0] * n
@@ -185,9 +149,14 @@ def max_clique(cg: CompatibilityGraph) -> CliqueResult:
             expand(p_mask & adj[v], size + 1)
             p_mask &= ~(1 << v)
 
-    expand((1 << n) - 1, 0)
-
-    witness = _lex_min_clique(cg.adjacency, n, best)
+    # both phases recurse once per clique vertex; the old limit comes back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * n + 1000))
+    try:
+        expand((1 << n) - 1, 0)
+        witness = _lex_min_clique(cg.adjacency, n, best)
+    finally:
+        sys.setrecursionlimit(limit)
     return CliqueResult(best, witness, DyadicDensity(best, cg.host_edges))
 
 
@@ -200,7 +169,7 @@ def _lex_min_clique(adjacency: list[int], n: int, k: int) -> list[int]:
     def search(p_mask: int, need: int) -> bool:
         if need == 0:
             return True
-        if p_mask.bit_count() < need or _color_count(p_mask, adjacency) < need:
+        if p_mask.bit_count() < need or _color_sort(p_mask, adjacency)[-1][1] < need:
             return False
         q = p_mask
         while q:
@@ -216,28 +185,3 @@ def _lex_min_clique(adjacency: list[int], n: int, k: int) -> list[int]:
     if not search((1 << n) - 1, k):
         raise AssertionError("no clique of the optimum size found")
     return chosen
-
-
-def brute_force_clique(cg: CompatibilityGraph) -> int:
-    """Independent oracle: maximum clique size by enumerating every clique.
-
-    Plain depth-first extension in index order with no vertex ordering and
-    no bounding; shares nothing with the branch-and-bound path beyond the
-    adjacency representation.  Capped at 25 vertices.
-    """
-    if cg.size > 25:
-        raise ValueError(f"brute-force oracle capped at 25 vertices, got {cg.size}")
-    adjacency = cg.adjacency
-    best = 0
-
-    def grow(cand: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            grow(cand & adjacency[low.bit_length() - 1], size + 1)
-
-    grow((1 << cg.size) - 1, 0)
-    return best

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .density import DyadicDensity
 from .detect import MultipartiteTarget, TargetLike, containment_check
-from .graphs import Graph, complete_multipartite, iter_bits, pair_count
+from .graphs import Graph, complete_multipartite, iter_bits, pair_count, submasks
 
 MAX_SPARE_EDGES = 20
 
@@ -41,9 +41,6 @@ class SubgraphFamily:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def member_graphs(self) -> list[Graph]:
-        return [Graph(self.host.n, m) for m in self.members]
 
 
 @dataclass(frozen=True)
@@ -95,19 +92,9 @@ def multipartite_family(spec: ConstructionSpec) -> MultipartiteFamily:
     if spec.m > MAX_SPARE_EDGES:
         raise ValueError(f"fixed parts drop {spec.m} edges per seed; cap is {MAX_SPARE_EDGES}")
     host = complete_multipartite(spec.host_parts)  # raises past the vertex cap
-    final_part = range(spec.m, host.n)
-    seeds = []
-    members = {host.edges}
-    for w in final_part:
-        incident = host.incident_edge_mask(w)
-        seed = host.edges & ~incident
-        seeds.append(seed)
-        positions = list(iter_bits(incident))
-        for extra in range((1 << len(positions)) - 1):  # all but the full set
-            added = 0
-            for i in iter_bits(extra):
-                added |= 1 << positions[i]
-            members.add(seed | added)
+    seeds = [host.edges & ~host.incident_edge_mask(w) for w in range(spec.m, host.n)]
+    # every supergraph of every seed; the full extension is the host itself
+    members = {seed | added for seed in seeds for added in submasks(host.edges ^ seed)}
     family = SubgraphFamily(host, sorted(members))
     density = DyadicDensity(len(members), host.edge_count)
     return MultipartiteFamily(host, tuple(seeds), family, density)

@@ -1,4 +1,4 @@
-"""Search-space generators: host graph classes and candidate edge subsets.
+"""Host-class enumeration: one representative per isomorphism class.
 
 Host classes are enumerated by brute force over all labeled edge sets with
 the requested edge count, deduplicated by canonical key.  At the sizes this
@@ -71,23 +71,3 @@ def connected_graphs(spec: HostClass) -> tuple[Graph, ...]:
         keys.add(canonical_key(g).key)
     return tuple(Graph(spec.n, key) for key in sorted(keys))
 
-
-def candidate_subgraphs(host: Graph, target_edge_min: int) -> list[int]:
-    """All edge subsets of the host with at least target_edge_min edges.
-
-    Returned as bitsets over the host's edge indexing, in ascending integer
-    order of the subset mask.
-    """
-    e = host.edge_count
-    if e > 20:
-        raise ValueError(f"candidate enumeration capped at 20 host edges, got {e}")
-    positions = list(iter_bits(host.edges))
-    out = []
-    for compact in range(1 << e):
-        if compact.bit_count() < target_edge_min:
-            continue
-        subset = 0
-        for i in iter_bits(compact):
-            subset |= 1 << positions[i]
-        out.append(subset)
-    return out

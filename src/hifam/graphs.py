@@ -62,6 +62,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def submasks(mask: int) -> Iterator[int]:
+    """Yield every subset of mask's bits, from 0 up to mask, in ascending order."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph: vertex count plus edge bitset."""
@@ -93,9 +103,6 @@ class Graph:
             adj[j] |= 1 << i
         return adj
 
-    def degree(self, v: int) -> int:
-        return self.adjacency()[v].bit_count()
-
     def degree_sequence(self) -> list[int]:
         return sorted(a.bit_count() for a in self.adjacency())
 
@@ -107,10 +114,6 @@ class Graph:
             if v in (i, j):
                 mask |= 1 << b
         return mask
-
-    def subgraph_of(self, other: "Graph") -> bool:
-        """Edge-subset test on the shared labeled vertex set."""
-        return self.n == other.n and self.edges & ~other.edges == 0
 
 
 def from_edges(n: int, pairs: Sequence[tuple[int, int]]) -> Graph:

@@ -16,7 +16,6 @@ from hifam import (
     Graph,
     MultipartiteTarget,
     apply_permutation,
-    brute_force_clique,
     canonical_key,
     check_seeds,
     christofides_host,
@@ -39,6 +38,7 @@ from hifam.cli import main
 from hifam.graphs import pair_count
 
 from conftest import record_acceptance
+from oracles import brute_force_clique
 
 
 @contextmanager

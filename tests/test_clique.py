@@ -1,22 +1,26 @@
 """Compatibility graph construction and the exact clique solver."""
 
 import random
+import sys
 
 import pytest
 
 from hifam import (
     CompatibilityGraph,
     Graph,
-    brute_force_clique,
     build_compatibility,
     christofides_host,
     complete,
+    complete_multipartite,
     contains_subgraph,
     intersection,
     max_clique,
     path,
 )
-from hifam.clique import _color_count
+from hifam import clique
+from hifam.clique import MAX_HOST_EDGES, _color_sort
+
+from oracles import brute_force_clique
 
 
 def _instance(adjacency: list[int]) -> CompatibilityGraph:
@@ -74,6 +78,16 @@ def test_christofides_compatibility_structure():
                 Graph(host.n, cg.labels[i] & cg.labels[j]), target
             )
             assert bool(cg.adjacency[i] >> j & 1) == expected
+
+
+@pytest.mark.parametrize("host", [
+    Graph(7, (1 << 17) - 1),  # 17 edges
+    complete_multipartite([2, 9]),  # K_{2,9}: 18 edges
+])
+def test_compatibility_cap(host):
+    assert host.edge_count > MAX_HOST_EDGES == 16
+    with pytest.raises(ValueError, match=f"capped at {MAX_HOST_EDGES} host edges"):
+        build_compatibility(host, path(4))
 
 
 def test_christofides_maximum_family_size():
@@ -154,7 +168,7 @@ def test_root_coloring_bound_is_sound():
     for _ in range(20):
         size = rng.randint(2, 16)
         cg = _random_instance(rng, size, 0.5)
-        bound = _color_count((1 << size) - 1, cg.adjacency)
+        bound = _color_sort((1 << size) - 1, cg.adjacency)[-1][1]
         assert bound >= max_clique(cg).size
 
 
@@ -178,6 +192,25 @@ def test_witness_is_lexicographically_smallest():
         grow([], (1 << size) - 1)
         assert best, "solver size not reachable by enumeration"
         assert result.witness == min(sorted(w) for w in best)
+
+
+def test_solver_restores_recursion_limit(monkeypatch):
+    before = sys.getrecursionlimit()
+    real = build_compatibility(christofides_host(), path(4))
+    synthetic = _instance([0] * 300)
+    assert 4 * synthetic.size + 1000 > before  # the solver does raise the limit
+    assert max_clique(real).size == 17
+    assert sys.getrecursionlimit() == before
+    assert max_clique(synthetic).witness == [0]
+    assert sys.getrecursionlimit() == before
+
+    def broken(adjacency, n, k):
+        raise AssertionError("phase 2 failed")
+
+    monkeypatch.setattr(clique, "_lex_min_clique", broken)
+    with pytest.raises(AssertionError, match="phase 2 failed"):
+        max_clique(synthetic)
+    assert sys.getrecursionlimit() == before
 
 
 def test_brute_force_size_cap():

@@ -1,4 +1,4 @@
-"""Host-class enumeration and candidate subgraph generation."""
+"""Host-class enumeration and candidate edge subsets of a host."""
 
 import itertools
 from math import comb
@@ -9,7 +9,6 @@ import pytest
 from hifam import (
     Graph,
     HostClass,
-    candidate_subgraphs,
     canonical_key,
     christofides_host,
     complete,
@@ -18,7 +17,7 @@ from hifam import (
     is_connected,
     path,
 )
-from hifam.graphs import edge_index, pair_count
+from hifam.graphs import edge_index, pair_count, submasks
 
 # regression constants, cross-checked below against the networkx atlas
 CONNECTED_6_7 = 19
@@ -105,33 +104,37 @@ def test_enumeration_size_cap():
 
 
 # ---------------------------------------------------------------------------
-# candidate subgraphs
+# candidate edge subsets: graphs.submasks over the host's edges
 # ---------------------------------------------------------------------------
+
+
+def _subsets(host: Graph, min_edges: int) -> list[int]:
+    return [s for s in submasks(host.edges) if s.bit_count() >= min_edges]
 
 
 def test_candidate_counts_on_seven_and_eight_edges():
     host7 = christofides_host()
-    assert len(candidate_subgraphs(host7, 3)) == 99  # sum_{i>=3} C(7,i)
+    assert len(_subsets(host7, 3)) == 99  # sum_{i>=3} C(7,i)
     host8 = Graph(6, host7.edges | 1 << edge_index(0, 2, 6))
-    assert len(candidate_subgraphs(host8, 3)) == 219  # sum_{i>=3} C(8,i)
+    assert len(_subsets(host8, 3)) == 219  # sum_{i>=3} C(8,i)
 
 
 def test_candidate_full_power_set():
     host = path(3)
-    assert len(candidate_subgraphs(host, 0)) == 1 << host.edge_count
+    assert len(_subsets(host, 0)) == 1 << host.edge_count
 
 
 def test_candidate_counts_match_binomials():
     for host in (path(5), complete(4), christofides_host()):
         e = host.edge_count
         for lo in range(e + 2):
-            got = len(candidate_subgraphs(host, lo))
+            got = len(_subsets(host, lo))
             assert got == sum(comb(e, i) for i in range(lo, e + 1))
 
 
 def test_candidates_are_ascending_subsets():
     host = christofides_host()
-    subs = candidate_subgraphs(host, 2)
+    subs = _subsets(host, 2)
     assert subs == sorted(subs)
     assert all(s & ~host.edges == 0 for s in subs)
     assert all(s.bit_count() >= 2 for s in subs)

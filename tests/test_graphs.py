@@ -21,7 +21,9 @@ from hifam import (
     parse_graph6,
     path,
 )
-from hifam.graphs import edge_index, edge_pair, pair_count
+from hifam.graphs import edge_index, edge_pair, pair_count, submasks
+
+from oracles import compact_subsets
 
 
 def _random_graph(rng, n, p=0.5):
@@ -67,6 +69,16 @@ def test_edge_pair_inverts_edge_index():
         for b in range(pair_count(n)):
             i, j = edge_pair(b, n)
             assert edge_index(i, j, n) == b
+
+
+def test_submasks_match_compact_expansion():
+    rng = random.Random(113)
+    masks = [0, 1 << 9, (1 << pair_count(5)) - 1]
+    for _ in range(60):
+        bits = rng.sample(range(pair_count(12)), rng.randint(0, 12))
+        masks.append(sum(1 << b for b in bits))
+    for mask in masks:
+        assert list(submasks(mask)) == compact_subsets(mask), hex(mask)
 
 
 def test_graph_validation():

@@ -1,6 +1,7 @@
 """Search driver, JSONL persistence, and the command-line surface."""
 
 import json
+import time
 
 import pytest
 
@@ -158,6 +159,15 @@ def test_cli_clique_trivial_hosts(capsys):
 
 def test_cli_clique_bad_host_exits_2(capsys):
     assert main(["clique", "--host", "definitely not valid", "--target", "p4"]) == 2
+
+
+def test_cli_clique_host_over_the_edge_cap_fails_fast(capsys):
+    start = time.perf_counter()
+    assert main(["clique", "--host", "k2,9"]) == 2  # 18 host edges
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: compatibility graphs capped at 16 host edges, got 18\n"
 
 
 def test_cli_construct_verdict_lines(capsys):
