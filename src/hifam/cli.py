@@ -122,9 +122,12 @@ def _parse_int_list(text: str) -> list[int]:
 def _default_jobs() -> int:
     raw = os.environ.get(JOBS_ENV, "1")
     try:
-        return max(1, int(raw))
+        jobs = int(raw)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise InputError(f"${JOBS_ENV} must be a positive integer, got {raw!r}")
+    return jobs
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +179,12 @@ def cmd_clique(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    jobs = _default_jobs() if args.jobs is None else args.jobs
     target = resolve_graph(args.target)
     edge_counts = _parse_int_list(args.edges)
     records, summary = search_hosts(
         args.vertices, edge_counts, target,
-        connected=args.connected, jobs=args.jobs,
+        connected=args.connected, jobs=jobs,
     )
     write_records(records, args.out, include_timing=args.timings)
     max_density = density_string(summary.max_density.numerator, summary.max_density.exponent)
@@ -303,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated edge counts, e.g. 7,8")
     p_search.add_argument("--target", default="p4")
     p_search.add_argument("--connected", action="store_true")
-    p_search.add_argument("--jobs", "-j", type=int, default=_default_jobs(),
+    p_search.add_argument("--jobs", "-j", type=int, default=None,
                           help=f"worker processes (default ${JOBS_ENV} or 1)")
     p_search.add_argument("--out", "-o", required=True, help="JSONL output path")
     p_search.add_argument("--timings", action="store_true",

@@ -1,14 +1,16 @@
 """Host-class enumeration: one representative per isomorphism class.
 
-Host classes are enumerated by brute force over all labeled edge sets with
-the requested edge count, deduplicated by canonical key.  At the sizes this
-toolkit targets (n <= 8, realistically n = 6) that is a few thousand edge
-sets and simplicity beats cleverness.
+The classes of n-vertex graphs with m edges are grown from the classes one
+edge away (McKay, "Isomorph-free exhaustive generation", 1998): below half
+the vertex pairs, by adding each missing edge to each (m-1)-edge
+representative; above half, by removing each edge from each (m+1)-edge
+representative, starting from K_n.  Every child is keyed by the exact
+canonical key, so a set of keys removes the duplicates and no
+canonical-parent test is needed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,6 +47,24 @@ def is_connected(g: Graph) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _class_keys(n: int, m: int) -> tuple[int, ...]:
+    """Canonical keys of all n-vertex graphs with m edges, ascending.
+
+    Recurses on itself, not on connected_graphs, so that one call of
+    connected_graphs stays one call however many levels it builds.
+    """
+    slots = pair_count(n)
+    full = (1 << slots) - 1
+    if m == 0 or m == slots:
+        return (full if m else 0,)
+    if 2 * m <= slots:
+        children = (p | 1 << b for p in _class_keys(n, m - 1) for b in iter_bits(full ^ p))
+    else:
+        children = (p ^ 1 << b for p in _class_keys(n, m + 1) for b in iter_bits(p))
+    return tuple(sorted({canonical_key(Graph(n, child)).key for child in children}))
+
+
+@lru_cache(maxsize=None)
 def connected_graphs(spec: HostClass) -> tuple[Graph, ...]:
     """One canonical representative per isomorphism class in the host class.
 
@@ -55,19 +75,9 @@ def connected_graphs(spec: HostClass) -> tuple[Graph, ...]:
         raise ValueError(
             f"host enumeration supports n <= {CANONICAL_MAX_VERTICES}, got n={spec.n}"
         )
-    slots = pair_count(spec.n)
-    if spec.m < 0 or spec.m > slots:
+    if spec.m < 0 or spec.m > pair_count(spec.n):
         return ()
     if spec.connected_only and spec.m < spec.n - 1:
         return ()
-    keys = set()
-    for combo in itertools.combinations(range(slots), spec.m):
-        edges = 0
-        for b in combo:
-            edges |= 1 << b
-        g = Graph(spec.n, edges)
-        if spec.connected_only and not is_connected(g):
-            continue
-        keys.add(canonical_key(g).key)
-    return tuple(Graph(spec.n, key) for key in sorted(keys))
-
+    graphs = (Graph(spec.n, key) for key in _class_keys(spec.n, spec.m))
+    return tuple(g for g in graphs if not spec.connected_only or is_connected(g))

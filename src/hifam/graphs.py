@@ -8,7 +8,6 @@ the upper triangle of the adjacency matrix -- (0,1), (0,2), (1,2), (0,3),
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -194,31 +193,52 @@ class CanonicalKey:
     key: int
 
 
-@lru_cache(maxsize=None)
-def _edge_slot_maps(n: int) -> list[tuple[int, ...]]:
-    """For each permutation of [0, n), the induced permutation of edge slots."""
-    pairs = [edge_pair(b, n) for b in range(pair_count(n))]
-    maps = []
-    for perm in itertools.permutations(range(n)):
-        maps.append(tuple(edge_index(perm[i], perm[j], n) for i, j in pairs))
-    return maps
-
-
 @lru_cache(maxsize=1 << 16)
 def _canonical_edges(n: int, edges: int) -> int:
-    bits = list(iter_bits(edges))
-    best = edges
-    for slot_map in _edge_slot_maps(n):
-        permuted = 0
-        for b in bits:
-            permuted |= 1 << slot_map[b]
-        if permuted < best:
-            best = permuted
-    return best
+    """Minimum edge bitset over all relabelings, built one column at a time.
+
+    Column k (bits of the pairs (i, k), i < k) outranks every lower column,
+    so positions are filled from n - 1 down.  A state is an ordered
+    partition of the unplaced vertices into cells that fill positions 0, 1,
+    ... in order.  The vertex w placed at position k comes from the last
+    cell; its column is smallest when its neighbours come first in every
+    cell, which splits each cell in two.  Only the states whose column ties
+    the minimum survive to the next position.  Lower columns see only the
+    unplaced vertices, so equal states have equal futures and are kept once;
+    that bounds the work on graphs with many automorphisms (for the empty
+    graph, one state per set of placed vertices, not one per ordering).
+    """
+    adj = Graph(n, edges).adjacency()
+    key = 0
+    states = {((1 << n) - 1,)}
+    for k in range(n - 1, 0, -1):
+        best, survivors = -1, set()
+        for cells in states:
+            last = cells[-1]
+            for w in iter_bits(last):
+                column, start, refined = 0, 0, []
+                for cell in cells[:-1] + (last ^ 1 << w,):
+                    inside = cell & adj[w]
+                    column |= ((1 << inside.bit_count()) - 1) << start
+                    start += cell.bit_count()
+                    refined.extend(part for part in (inside, cell ^ inside) if part)
+                if best < 0 or column < best:
+                    best, survivors = column, {tuple(refined)}
+                elif column == best:
+                    survivors.add(tuple(refined))
+        key |= best << pair_count(k)
+        states = survivors
+    return key
 
 
 def canonical_key(g: Graph) -> CanonicalKey:
-    """Exhaustive-minimization canonical form; exact for n <= 8."""
+    """Canonical form: the minimum edge bitset over all relabelings; n <= 8.
+
+    The top column, pairs (i, n-1), is at least 2^delta - 1 (delta the
+    minimum degree), reached exactly by a minimum-degree vertex at n - 1
+    with its neighbours first; the same argument repeats at each lower
+    position, so only relabelings that survive it are tried.
+    """
     if g.n > CANONICAL_MAX_VERTICES:
         raise ValueError(
             f"canonical_key supports n <= {CANONICAL_MAX_VERTICES}, got n={g.n}"

@@ -6,6 +6,7 @@ from math import comb
 import networkx as nx
 import pytest
 
+import hifam.enumeration
 from hifam import (
     Graph,
     HostClass,
@@ -17,7 +18,10 @@ from hifam import (
     is_connected,
     path,
 )
+from hifam.enumeration import _class_keys
 from hifam.graphs import edge_index, pair_count, submasks
+
+from oracles import labeled_classes
 
 # regression constants, cross-checked below against the networkx atlas
 CONNECTED_6_7 = 19
@@ -59,9 +63,9 @@ def test_counts_match_networkx_atlas():
     counts: dict[tuple[int, int], int] = {}
     for G in atlas:
         n, m = G.number_of_nodes(), G.number_of_edges()
-        if 2 <= n <= 6 and nx.is_connected(G):
+        if 2 <= n <= 7 and nx.is_connected(G):
             counts[(n, m)] = counts.get((n, m), 0) + 1
-    for n in range(2, 7):
+    for n in range(2, 8):
         for m in range(0, pair_count(n) + 1):
             ours = len(connected_graphs(HostClass(n, m, True)))
             assert ours == counts.get((n, m), 0), (n, m)
@@ -85,6 +89,38 @@ def test_representatives_cover_every_labeled_graph():
                 g = Graph(n, edges)
                 if is_connected(g):
                     assert canonical_key(g).key in key_set
+
+
+def test_classes_match_labeled_oracle():
+    # the same representatives, in the same order, as keying every labeled
+    # edge set by the exhaustive canonical key
+    specs = [HostClass(n, m, connected)
+             for n in range(1, 6) for m in range(pair_count(n) + 1)
+             for connected in (True, False)]
+    specs += [HostClass(6, 7, True), HostClass(6, 8, True)]
+    for spec in specs:
+        assert list(connected_graphs(spec)) == list(labeled_classes(spec)), spec
+
+
+def test_augmentation_key_calls(monkeypatch):
+    # one canonical key per child of each neighbouring class, not one per
+    # labeled edge set: 553 calls against C(15, 8) = 6435
+    calls = []
+    original = hifam.enumeration.canonical_key
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(hifam.enumeration, "canonical_key", counting)
+    connected_graphs.cache_clear()
+    _class_keys.cache_clear()
+    try:
+        assert len(connected_graphs(HostClass(6, 8, True))) == CONNECTED_6_8
+    finally:
+        connected_graphs.cache_clear()
+        _class_keys.cache_clear()
+    assert len(calls) == 553 < comb(15, 8)
 
 
 def test_representatives_have_requested_shape():

@@ -14,6 +14,7 @@ from hifam import (
     complete,
     complete_multipartite,
     contains_subgraph,
+    cycle,
     emit_edge_list,
     emit_graph6,
     from_edges,
@@ -23,7 +24,7 @@ from hifam import (
 )
 from hifam.graphs import edge_index, edge_pair, pair_count, submasks
 
-from oracles import compact_subsets
+from oracles import canonical_edges, compact_subsets
 
 
 def _random_graph(rng, n, p=0.5):
@@ -151,6 +152,28 @@ def test_key_invariance_small_random():
         perm = list(range(n))
         rng.shuffle(perm)
         assert canonical_key(apply_permutation(g, perm)) == canonical_key(g)
+
+
+def test_canonical_key_matches_exhaustive_oracle():
+    # every labeled graph up to 5 vertices
+    for n in range(1, 6):
+        for edges in range(1 << pair_count(n)):
+            assert canonical_key(Graph(n, edges)).key == canonical_edges(n, edges), (n, edges)
+    # empty, complete and regular graphs (large automorphism groups)
+    special = [Graph(6, 0), complete(6), cycle(6), complete_multipartite([3, 3]),
+               complete_multipartite([2, 2, 2]), Graph(6, complete(3).edges),
+               from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+               from_edges(6, [(0, 1), (2, 3), (4, 5)]),
+               from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                              (0, 3), (1, 4), (2, 5)]),
+               Graph(7, 0), complete(7), cycle(7),
+               from_edges(7, [(v, (v + d) % 7) for v in range(7) for d in (1, 2)])]
+    # seeded random graphs at every density
+    rng = random.Random(20261018)
+    randoms = [_random_graph(rng, 6, rng.random()) for _ in range(2000)]
+    randoms += [_random_graph(rng, 7, rng.random()) for _ in range(200)]
+    for g in special + randoms:
+        assert canonical_key(g).key == canonical_edges(g.n, g.edges), (g.n, g.edges)
 
 
 def test_canonical_key_size_cap():

@@ -141,6 +141,12 @@ def test_cli_enumerate_json(capsys):
     assert obj["count"] == 19 and len(obj["graphs"]) == 19
 
 
+def test_cli_enumerate_seven_vertices(capsys):
+    assert main(["enumerate", "-n", "7", "-m", "10", "--connected", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["count"] == 132 and len(set(obj["graphs"])) == 132
+
+
 def test_cli_clique_christofides(capsys):
     assert main(["clique", "--host", "christofides", "--target", "p4", "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
@@ -224,12 +230,37 @@ def test_cli_search_determinism_across_jobs(tmp_path):
 
 
 def test_cli_jobs_env_default(monkeypatch):
-    monkeypatch.setenv("HIFAM_JOBS", "3")
     from hifam.cli import _default_jobs
 
-    assert _default_jobs() == 3
-    monkeypatch.setenv("HIFAM_JOBS", "junk")
+    monkeypatch.delenv("HIFAM_JOBS", raising=False)
     assert _default_jobs() == 1
+    monkeypatch.setenv("HIFAM_JOBS", "3")
+    assert _default_jobs() == 3
+    for bad in ("junk", "0", "-2", "2.5", ""):
+        monkeypatch.setenv("HIFAM_JOBS", bad)
+        with pytest.raises(InputError, match="HIFAM_JOBS"):
+            _default_jobs()
+
+
+@pytest.mark.parametrize("bad", ["abc", "0"])
+def test_cli_search_rejects_bad_jobs_env(monkeypatch, tmp_path, capsys, bad):
+    monkeypatch.setenv("HIFAM_JOBS", bad)
+    out = tmp_path / "records.jsonl"
+    assert main(["search", "-n", "4", "-m", "3", "--out", str(out)]) == 2
+    assert "HIFAM_JOBS" in capsys.readouterr().err
+    assert not out.exists()
+    # an explicit --jobs does not read the variable, nor do other subcommands
+    assert main(["search", "-n", "4", "-m", "3", "--jobs", "1", "--out", str(out)]) == 0
+    assert main(["enumerate", "-n", "4", "-m", "3"]) == 0
+    assert main(["verify", "--records", str(out)]) == 0
+
+
+def test_cli_search_uses_valid_jobs_env(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("HIFAM_JOBS", "2")
+    out = tmp_path / "records.jsonl"
+    assert main(["search", "-n", "5", "-m", "4,5", "--connected", "--out", str(out),
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["hosts"] == 8
 
 
 def test_cli_usage_error_exits_2():
