@@ -180,6 +180,8 @@ def cmd_clique(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     jobs = _default_jobs() if args.jobs is None else args.jobs
+    if jobs < 1:  # from --jobs: _default_jobs rejects a bad variable itself
+        raise InputError(f"--jobs must be a positive integer, got {jobs}")
     target = resolve_graph(args.target)
     edge_counts = _parse_int_list(args.edges)
     records, summary = search_hosts(

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .density import DyadicDensity
-from .detect import containment_check
+from .detect import TargetLike, containment_check
 from .graphs import Graph, iter_bits, submasks
 
 MAX_HOST_EDGES = 16
@@ -58,32 +58,52 @@ class CliqueResult:
     density: DyadicDensity = DyadicDensity(0, 0)
 
 
-def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
+def build_compatibility(host: Graph, target: TargetLike) -> CompatibilityGraph:
     """Compatibility graph of all target-containing edge subsets of the host.
 
     Candidates are the edge subsets that contain the target themselves (any
     clique of size >= 2 satisfies that automatically), in ascending order of
     their bitsets; two candidates are adjacent when their intersection
-    contains the target.  Each of the host's 2^e edge subsets gets one
-    containment test, stored in a table by compact index: the subset's
-    position in ascending order, whose bit i picks the host's i-th edge, so
-    the AND of two indices is the index of the intersection and every pair
-    test is a table lookup.  Hosts with more than MAX_HOST_EDGES edges raise
-    ValueError: the pair loop over up to 2^e candidates would not finish.
+    contains the target.  Subsets are addressed by compact index, their
+    position in ascending order: bit i picks the host's i-th edge, so every
+    subset of an index comes before it and the AND of two indices is the
+    index of the intersection.
+
+    Containment is monotone, so the predicate runs only on a subset none of
+    whose one-edge-smaller subsets holds the target; any other subset holds
+    it.  Two sweeps over the lattice then give the adjacency.  A superset
+    sweep sets ``up[c]`` to the candidates that contain c; a subset sweep,
+    in place, ORs into it ``up[t]`` for every candidate t inside c.
+    Candidates a and b are adjacent exactly when some candidate t lies
+    inside both (take t = a & b), so row a is a's swept entry without its
+    own bit.  Only candidates' entries are ever set: a superset of a
+    candidate is one, and a subset with no candidate inside it keeps 0.
+    Hosts with more than MAX_HOST_EDGES edges raise ValueError at once:
+    their 2^e lattice is out of reach.
     """
     e = host.edge_count
     if e > MAX_HOST_EDGES:
         raise ValueError(f"compatibility graphs capped at {MAX_HOST_EDGES} host edges, got {e}")
     check = containment_check(target)
     subsets = list(submasks(host.edges))
-    table = bytes(check(Graph(host.n, s)) for s in subsets)
+    table = bytearray(len(subsets))
+    for c, s in enumerate(subsets):
+        if any(table[c ^ (1 << i)] for i in iter_bits(c)) or check(Graph(host.n, s)):
+            table[c] = 1
     cands = [c for c in range(len(subsets)) if table[c]]
-    adjacency = [0] * len(cands)
-    for a, ca in enumerate(cands):
-        for b in range(a + 1, len(cands)):
-            if table[ca & cands[b]]:
-                adjacency[a] |= 1 << b
-                adjacency[b] |= 1 << a
+    up = [0] * len(subsets)
+    for i, c in enumerate(cands):
+        up[c] = 1 << i
+    bits = [1 << i for i in range(e)]
+    for bit in bits:
+        for c in cands:
+            if not c & bit:
+                up[c] |= up[c | bit]
+    for bit in bits:
+        for c in cands:
+            if c & bit:
+                up[c] |= up[c ^ bit]
+    adjacency = [up[c] & ~(1 << i) for i, c in enumerate(cands)]
     return CompatibilityGraph([subsets[c] for c in cands], adjacency, e)
 
 
@@ -95,8 +115,11 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
 def _color_sort(p_mask: int, adj: list[int]) -> list[tuple[int, int]]:
     """Greedy-color the candidate set; returns (vertex, color) ascending by color.
 
-    The last color, the color count, bounds the clique size within p_mask:
-    a clique meets each color class at most once.
+    Each color class is filled from the highest vertex down, so in a
+    compatibility graph every superset, compatible with all that its
+    subsets are compatible with, is colored before them.  The last color,
+    the color count, bounds the clique size within p_mask: a clique meets
+    each color class at most once.
     """
     out = []
     color = 0
@@ -105,10 +128,10 @@ def _color_sort(p_mask: int, adj: list[int]) -> list[tuple[int, int]]:
         color += 1
         avail = rest
         while avail:
-            low = avail & -avail
-            v = low.bit_length() - 1
-            avail = (avail ^ low) & ~adj[v]
-            rest ^= low
+            v = avail.bit_length() - 1
+            top = 1 << v
+            avail = (avail ^ top) & ~adj[v]
+            rest ^= top
             out.append((v, color))
     return out
 
@@ -117,22 +140,15 @@ def max_clique(cg: CompatibilityGraph) -> CliqueResult:
     """Exact maximum clique; witness is the lexicographically smallest one.
 
     Phase 1 finds the optimum size by branch and bound on bitset candidate
-    sets (vertices pre-ordered by descending degree, greedy-coloring upper
-    bound at every node).  Phase 2 re-searches in ascending vertex order,
-    pruned by the same bound, so the first clique of optimum size it meets
-    is the lexicographically smallest witness.
+    sets in the given vertex order, with no reordering, and the top-first
+    greedy-coloring upper bound at every node.  Phase 2 re-searches in
+    ascending vertex order, pruned by the same bound, so the first clique of
+    optimum size it meets is the lexicographically smallest witness.
     """
     n = cg.size
     if n == 0:
         return CliqueResult(0, [], DyadicDensity(0, cg.host_edges))
-    order = sorted(range(n), key=lambda v: (-cg.adjacency[v].bit_count(), v))
-    rank = {v: r for r, v in enumerate(order)}
-    adj = [0] * n
-    for v in range(n):
-        row = 0
-        for w in iter_bits(cg.adjacency[v]):
-            row |= 1 << rank[w]
-        adj[rank[v]] = row
+    adj = cg.adjacency
 
     best = 0
 

@@ -7,8 +7,8 @@ another way; tests compare the two.
 import itertools
 from functools import lru_cache
 
-from hifam import CompatibilityGraph, Graph, HostClass, is_connected
-from hifam.graphs import edge_index, edge_pair, iter_bits, pair_count
+from hifam import CompatibilityGraph, Graph, HostClass, containment_check, is_connected
+from hifam.graphs import edge_index, edge_pair, iter_bits, pair_count, submasks
 
 
 def brute_force_clique(cg: CompatibilityGraph) -> int:
@@ -33,6 +33,75 @@ def brute_force_clique(cg: CompatibilityGraph) -> int:
             grow(cand & adjacency[low.bit_length() - 1], size + 1)
 
     grow((1 << cg.size) - 1, 0)
+    return best
+
+
+def pairwise_compatibility(host: Graph, target) -> CompatibilityGraph:
+    """The compatibility graph by a containment test on every edge subset
+    and a loop over every pair of candidates.
+
+    This is how clique.build_compatibility worked before it swept the
+    subset lattice.
+    """
+    check = containment_check(target)
+    subsets = list(submasks(host.edges))
+    table = bytes(check(Graph(host.n, s)) for s in subsets)
+    cands = [c for c in range(len(subsets)) if table[c]]
+    adjacency = [0] * len(cands)
+    for a, ca in enumerate(cands):
+        for b in range(a + 1, len(cands)):
+            if table[ca & cands[b]]:
+                adjacency[a] |= 1 << b
+                adjacency[b] |= 1 << a
+    return CompatibilityGraph([subsets[c] for c in cands], adjacency, host.edge_count)
+
+
+def degree_ordered_clique_size(cg: CompatibilityGraph) -> int:
+    """Maximum clique size by branch and bound over vertices relabeled in
+    descending degree order, each color class filled from its lowest vertex.
+
+    This is how phase 1 of clique.max_clique worked before it searched the
+    given vertex order with a top-first coloring.
+    """
+    n = cg.size
+    order = sorted(range(n), key=lambda v: (-cg.adjacency[v].bit_count(), v))
+    rank = {v: r for r, v in enumerate(order)}
+    adj = [0] * n
+    for v in range(n):
+        row = 0
+        for w in iter_bits(cg.adjacency[v]):
+            row |= 1 << rank[w]
+        adj[rank[v]] = row
+
+    def color_sort(p_mask: int) -> list[tuple[int, int]]:
+        out = []
+        color = 0
+        rest = p_mask
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                avail = (avail ^ low) & ~adj[v]
+                rest ^= low
+                out.append((v, color))
+        return out
+
+    best = 0
+
+    def expand(p_mask: int, size: int) -> None:
+        nonlocal best
+        if not p_mask:
+            best = max(best, size)
+            return
+        for v, color in reversed(color_sort(p_mask)):
+            if size + color <= best:
+                return
+            expand(p_mask & adj[v], size + 1)
+            p_mask &= ~(1 << v)
+
+    expand((1 << n) - 1, 0)
     return best
 
 

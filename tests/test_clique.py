@@ -8,10 +8,14 @@ import pytest
 from hifam import (
     CompatibilityGraph,
     Graph,
+    HostClass,
+    MultipartiteTarget,
     build_compatibility,
     christofides_host,
     complete,
     complete_multipartite,
+    connected_graphs,
+    containment_check,
     contains_subgraph,
     intersection,
     max_clique,
@@ -19,8 +23,9 @@ from hifam import (
 )
 from hifam import clique
 from hifam.clique import MAX_HOST_EDGES, _color_sort
+from hifam.graphs import submasks
 
-from oracles import brute_force_clique
+from oracles import brute_force_clique, degree_ordered_clique_size, pairwise_compatibility
 
 
 def _instance(adjacency: list[int]) -> CompatibilityGraph:
@@ -78,6 +83,48 @@ def test_christofides_compatibility_structure():
                 Graph(host.n, cg.labels[i] & cg.labels[j]), target
             )
             assert bool(cg.adjacency[i] >> j & 1) == expected
+
+
+@pytest.mark.parametrize("hosts, target", [
+    (lambda: connected_graphs(HostClass(6, 7, True)), path(4)),
+    (lambda: connected_graphs(HostClass(6, 8, True)), path(4)),
+    (lambda: connected_graphs(HostClass(6, 11, True)), complete(3)),
+    (lambda: [christofides_host()], path(4)),
+    (lambda: [christofides_host(), complete(4), complete_multipartite([2, 3])],
+     MultipartiteTarget((1, 2))),
+], ids=["p4-m7", "p4-m8", "k3-m11", "christofides", "k12"])
+def test_builder_and_solver_match_oracles(hosts, target):
+    for host in hosts():
+        cg = build_compatibility(host, target)
+        old = pairwise_compatibility(host, target)
+        assert cg.labels == old.labels
+        assert cg.adjacency == old.adjacency
+        assert cg.host_edges == old.host_edges
+        assert max_clique(cg).size == degree_ordered_clique_size(cg)
+
+
+@pytest.mark.parametrize("host, target, calls", [
+    (christofides_host(), path(4), 72),  # of 128 subsets
+    (complete(4), complete(3), 45),  # of 64 subsets
+])
+def test_containment_calls_skip_supersets_of_holders(monkeypatch, host, target, calls):
+    made = []
+
+    def counting_check(pattern):
+        check = containment_check(pattern)
+
+        def counted(g):
+            made.append(g.edges)
+            return check(g)
+
+        return counted
+
+    monkeypatch.setattr(clique, "containment_check", counting_check)
+    cg = build_compatibility(host, target)
+    assert len(made) == len(set(made)) == calls
+    # the candidates are exactly the holders of the full per-subset table
+    check = containment_check(target)
+    assert cg.labels == [s for s in submasks(host.edges) if check(Graph(host.n, s))]
 
 
 @pytest.mark.parametrize("host", [
@@ -143,6 +190,15 @@ def test_solver_agrees_with_brute_force():
         assert max_clique(cg).size == brute_force_clique(cg), (trial, size, p)
 
 
+def test_solver_matches_degree_ordered_oracle():
+    rng = random.Random(109)
+    for trial in range(100):
+        size = rng.randint(1, 60)
+        p = rng.choice([0.2, 0.5, 0.8, 0.9])
+        cg = _random_instance(rng, size, p)
+        assert max_clique(cg).size == degree_ordered_clique_size(cg), (trial, size, p)
+
+
 def test_adding_edges_never_shrinks_clique():
     rng = random.Random(101)
     for _ in range(30):
@@ -170,6 +226,13 @@ def test_root_coloring_bound_is_sound():
         cg = _random_instance(rng, size, 0.5)
         bound = _color_sort((1 << size) - 1, cg.adjacency)[-1][1]
         assert bound >= max_clique(cg).size
+
+
+def test_coloring_fills_each_class_from_the_top():
+    # path 0 - 1 - 2 and an isolated 3: both orders find two classes,
+    # but the top-first one places 3 and 2 before 0
+    cg = _from_pairs(4, [(0, 1), (1, 2)])
+    assert _color_sort(0b1111, cg.adjacency) == [(3, 1), (2, 1), (0, 1), (1, 2)]
 
 
 def test_witness_is_lexicographically_smallest():

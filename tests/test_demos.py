@@ -10,7 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["christofides_family.py", "multipartite_bounds.py"])
+@pytest.mark.parametrize(
+    "script", ["christofides_family.py", "host_search.py", "multipartite_bounds.py"]
+)
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -255,6 +255,17 @@ def test_cli_search_rejects_bad_jobs_env(monkeypatch, tmp_path, capsys, bad):
     assert main(["verify", "--records", str(out)]) == 0
 
 
+@pytest.mark.parametrize("bad", ["0", "-5"])
+def test_cli_search_rejects_bad_jobs_flag(monkeypatch, tmp_path, capsys, bad):
+    monkeypatch.setenv("HIFAM_JOBS", "2")
+    out = tmp_path / "records.jsonl"
+    assert main(["search", "-n", "4", "-m", "3", "--jobs", bad, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --jobs must be a positive integer, got {bad}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_search_uses_valid_jobs_env(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("HIFAM_JOBS", "2")
     out = tmp_path / "records.jsonl"
