@@ -10,7 +10,6 @@ so a heuristic proves nothing.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 from .density import DyadicDensity
@@ -27,26 +26,22 @@ class CompatibilityGraph:
     ``labels[i]`` is the i-th candidate as a bitset over the host's edge
     indexing; ``adjacency[i]`` is a bitset over candidate indices;
     ``host_edges`` is the host's edge count, the density exponent.
-    Synthetic instances (e.g. solver tests) may leave it 0.
+    ``sup[i]`` and ``sub[i]`` are bitsets over candidate indices too: the
+    candidates whose labels contain ``labels[i]``, and those it contains,
+    i itself in both.  Synthetic instances (e.g. solver tests) may leave
+    host_edges 0 and sup and sub None; the solver then takes every
+    candidate to contain only itself.
     """
 
     labels: list[int]
     adjacency: list[int]
     host_edges: int = 0
+    sup: list[int] | None = None
+    sub: list[int] | None = None
 
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def validate(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("candidate labels are not pairwise distinct")
-        for i, row in enumerate(self.adjacency):
-            if row >> i & 1:
-                raise ValueError(f"adjacency row {i} is reflexive")
-            for j in iter_bits(row):
-                if not self.adjacency[j] >> i & 1:
-                    raise ValueError(f"adjacency not symmetric at ({i}, {j})")
 
 
 @dataclass
@@ -56,6 +51,10 @@ class CliqueResult:
     size: int
     witness: list[int] = field(default_factory=list)
     density: DyadicDensity = DyadicDensity(0, 0)
+    # search nodes of phase 1 (the optimum) and of phase 2's feasibility
+    # searches (the witness); machine-independent work counters
+    phase1_nodes: int = 0
+    phase2_nodes: int = 0
 
 
 def build_compatibility(host: Graph, target: TargetLike) -> CompatibilityGraph:
@@ -72,14 +71,16 @@ def build_compatibility(host: Graph, target: TargetLike) -> CompatibilityGraph:
     Containment is monotone, so the predicate runs only on a subset none of
     whose one-edge-smaller subsets holds the target; any other subset holds
     it.  Two sweeps over the lattice then give the adjacency.  A superset
-    sweep sets ``up[c]`` to the candidates that contain c; a subset sweep,
-    in place, ORs into it ``up[t]`` for every candidate t inside c.
-    Candidates a and b are adjacent exactly when some candidate t lies
-    inside both (take t = a & b), so row a is a's swept entry without its
-    own bit.  Only candidates' entries are ever set: a superset of a
-    candidate is one, and a subset with no candidate inside it keeps 0.
-    Hosts with more than MAX_HOST_EDGES edges raise ValueError at once:
-    their 2^e lattice is out of reach.
+    sweep sets ``up[c]`` to the candidates that contain c, which is also
+    c's ``sup`` row; a subset sweep, in place, ORs into it ``up[t]`` for
+    every candidate t inside c, and in the same pass fills ``down[c]``, the
+    candidates inside c, which is c's ``sub`` row.  Candidates a and b are
+    adjacent exactly when some candidate t lies inside both (take
+    t = a & b), so row a is a's swept entry without its own bit.  Only
+    candidates' entries are ever set: a superset of a candidate is one, and
+    a subset with no candidate inside it keeps 0.  Hosts with more than
+    MAX_HOST_EDGES edges raise ValueError at once: their 2^e lattice is out
+    of reach.
     """
     e = host.edge_count
     if e > MAX_HOST_EDGES:
@@ -94,17 +95,21 @@ def build_compatibility(host: Graph, target: TargetLike) -> CompatibilityGraph:
     up = [0] * len(subsets)
     for i, c in enumerate(cands):
         up[c] = 1 << i
+    down = up[:]
     bits = [1 << i for i in range(e)]
     for bit in bits:
         for c in cands:
             if not c & bit:
                 up[c] |= up[c | bit]
+    sup = [up[c] for c in cands]
     for bit in bits:
         for c in cands:
             if c & bit:
                 up[c] |= up[c ^ bit]
+                down[c] |= down[c ^ bit]
     adjacency = [up[c] & ~(1 << i) for i, c in enumerate(cands)]
-    return CompatibilityGraph([subsets[c] for c in cands], adjacency, e)
+    sub = [down[c] for c in cands]
+    return CompatibilityGraph([subsets[c] for c in cands], adjacency, e, sup, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -139,65 +144,106 @@ def _color_sort(p_mask: int, adj: list[int]) -> list[tuple[int, int]]:
 def max_clique(cg: CompatibilityGraph) -> CliqueResult:
     """Exact maximum clique; witness is the lexicographically smallest one.
 
-    Phase 1 finds the optimum size by branch and bound on bitset candidate
-    sets in the given vertex order, with no reordering, and the top-first
-    greedy-coloring upper bound at every node.  Phase 2 re-searches in
-    ascending vertex order, pruned by the same bound, so the first clique of
-    optimum size it meets is the lexicographically smallest witness.
+    Some maximum clique of a compatibility graph is up-closed: the
+    candidates containing a member of a clique form a clique, with the
+    same intersections or larger ones.  Phase 1 finds the optimum with
+    _upset_search over all candidates, which searches up-closed cliques
+    only.  Phase 2 builds the witness one vertex at a time in ascending
+    order, taking the first vertex whose remaining candidate set still
+    holds a clique of the needed size; see _lex_min_clique.  Without sup
+    and sub every candidate contains only itself, and both phases search
+    every clique.
     """
     n = cg.size
-    if n == 0:
-        return CliqueResult(0, [], DyadicDensity(0, cg.host_edges))
     adj = cg.adjacency
-
-    best = 0
-
-    def expand(p_mask: int, size: int) -> None:
-        nonlocal best
-        if not p_mask:
-            if size > best:
-                best = size
-            return
-        colored = _color_sort(p_mask, adj)
-        for v, color in reversed(colored):
-            if size + color <= best:
-                return
-            expand(p_mask & adj[v], size + 1)
-            p_mask &= ~(1 << v)
-
-    # both phases recurse once per clique vertex; the old limit comes back
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 4 * n + 1000))
-    try:
-        expand((1 << n) - 1, 0)
-        witness = _lex_min_clique(cg.adjacency, n, best)
-    finally:
-        sys.setrecursionlimit(limit)
-    return CliqueResult(best, witness, DyadicDensity(best, cg.host_edges))
+    sup, sub = cg.sup, cg.sub
+    if sup is None or sub is None:
+        sup = sub = [1 << v for v in range(n)]
+    best, clique, phase1_nodes = _upset_search((1 << n) - 1, 0, n + 1, adj, sup, sub)
+    witness, phase2_nodes = _lex_min_clique(adj, sup, sub, n, best, clique)
+    return CliqueResult(best, witness, DyadicDensity(best, cg.host_edges),
+                        phase1_nodes, phase2_nodes)
 
 
-def _lex_min_clique(adjacency: list[int], n: int, k: int) -> list[int]:
-    """First clique of size k in lexicographic order of sorted vertex lists."""
-    if k == 0:
-        return []
-    chosen: list[int] = []
+def _upset_search(
+    p_mask: int, floor: int, stop: int, adj: list[int], sup: list[int], sub: list[int]
+) -> tuple[int, int, int]:
+    """Largest up-closed clique inside p_mask, if it beats floor.
 
-    def search(p_mask: int, need: int) -> bool:
-        if need == 0:
-            return True
-        if p_mask.bit_count() < need or _color_sort(p_mask, adjacency)[-1][1] < need:
-            return False
-        q = p_mask
-        while q:
-            low = q & -q
-            q ^= low
-            v = low.bit_length() - 1
-            chosen.append(v)
-            if search(p_mask & adjacency[v] & -(low << 1), need - 1):
-                return True
-            chosen.pop()
+    p_mask must be up-closed: a candidate in it brings every candidate
+    containing it.  Branch and bound over the candidates in top-first color
+    order, pruned when size + color cannot beat the best so far.  Taking v
+    takes all of ``sup[v] & p_mask``, a clique compatible with everything v
+    is; the rest of the node's set then holds only v's neighbours outside
+    it, so every set searched stays up-closed apart from the clique built
+    so far.  Leaving v out drops ``sub[v]``, since an up-closed clique
+    without v holds none of v's subsets; that can empty the set before a
+    leaf, so a node's own clique counts when its loop ends.  The search
+    stops at the first clique of size stop or more.  Returns (size, clique
+    mask, nodes): size stays floor, with mask 0, when no clique beats it.
+    """
+    best = floor
+    found = 0
+    nodes = 0
+
+    def expand(p_mask: int, size: int, clique: int) -> bool:
+        nonlocal best, found, nodes
+        nodes += 1
+        if size < stop:
+            for v, color in reversed(_color_sort(p_mask, adj)):
+                if size + color <= best:
+                    return False
+                if not p_mask >> v & 1:
+                    continue
+                u = sup[v] & p_mask
+                if expand(p_mask & adj[v] & ~u, size + u.bit_count(), clique | u):
+                    return True
+                p_mask &= ~sub[v]
+        if size > best:
+            best = size
+            found = clique
+            return size >= stop
         return False
 
-    if not search((1 << n) - 1, k):
-        raise AssertionError("no clique of the optimum size found")
-    return chosen
+    expand(p_mask, 0, 0)
+    return best, found, nodes
+
+
+def _lex_min_clique(
+    adj: list[int], sup: list[int], sub: list[int], n: int, k: int, clique: int
+) -> tuple[list[int], int]:
+    """First clique of size k in lexicographic order of sorted vertex lists.
+
+    ``clique`` is a known clique of size k (or 0).  Each step takes the
+    lowest vertex v of the remaining set P such that P_v, the part of P
+    above v and adjacent to it, still holds a clique of the needed size,
+    and keeps a clique of that size inside P.  When v is that clique's
+    lowest vertex, the rest of it proves P_v feasible; any other v is
+    tested by _upset_search, which is exact here because every P_v is
+    up-closed (a candidate's supersets come after it), and a hit is the
+    next known clique.  Every step is proven before it is taken, so the
+    loop never backtracks.  Returns (witness, feasibility-search nodes).
+    """
+    chosen: list[int] = []
+    nodes = 0
+    p_mask = (1 << n) - 1
+    for need in range(k, 0, -1):
+        q = p_mask
+        while True:
+            if not q:
+                raise AssertionError("no clique of the optimum size found")
+            low = q & -q
+            v = low.bit_length() - 1
+            rest = p_mask & adj[v] & -(low << 1)
+            if low == clique & -clique:
+                clique ^= low
+                break
+            size, found, count = _upset_search(rest, need - 2, need - 1, adj, sup, sub)
+            nodes += count
+            if size >= need - 1:
+                clique = found
+                break
+            q ^= low
+        chosen.append(v)
+        p_mask = rest
+    return chosen, nodes

@@ -10,8 +10,10 @@ def pytest_addoption(parser):
         "--run-large-verify",
         action="store_true",
         default=False,
-        help="also check that the quadratic pairwise oracle agrees with "
-             "verify_intersecting on the largest construction instances (minutes)",
+        help="also run the slow cross-checks: the quadratic pairwise oracle "
+             "against verify_intersecting on the largest construction instances, "
+             "the old clique solver on the 9-edge 6-vertex hosts, and the 10-edge "
+             "6-vertex search (minutes)",
     )
 
 

@@ -7,7 +7,15 @@ another way; tests compare the two.
 import itertools
 from functools import lru_cache
 
-from hifam import CompatibilityGraph, Graph, HostClass, containment_check, is_connected
+from hifam import (
+    CliqueResult,
+    CompatibilityGraph,
+    DyadicDensity,
+    Graph,
+    HostClass,
+    containment_check,
+    is_connected,
+)
 from hifam.graphs import edge_index, edge_pair, iter_bits, pair_count, submasks
 
 
@@ -103,6 +111,141 @@ def degree_ordered_clique_size(cg: CompatibilityGraph) -> int:
 
     expand((1 << n) - 1, 0)
     return best
+
+
+def coloring_max_clique(cg: CompatibilityGraph) -> CliqueResult:
+    """Exact maximum clique and its lexicographically smallest witness by
+    plain branch and bound over every clique, ignoring sup and sub.
+
+    Phase 1 searches the given vertex order with the top-first coloring
+    bound at every node; phase 2 re-searches in ascending vertex order,
+    pruned by the same bound, and backtracks on failure.  This is how
+    clique.max_clique worked before it searched up-closed cliques only.
+    Both phases recurse once per clique vertex, so hosts whose optimum
+    nears the interpreter's recursion limit are out of its reach.
+    """
+    n = cg.size
+    if n == 0:
+        return CliqueResult(0, [], DyadicDensity(0, cg.host_edges))
+    adj = cg.adjacency
+
+    best = 0
+
+    def expand(p_mask: int, size: int) -> None:
+        nonlocal best
+        if not p_mask:
+            if size > best:
+                best = size
+            return
+        colored = _top_first_coloring(p_mask, adj)
+        for v, color in reversed(colored):
+            if size + color <= best:
+                return
+            expand(p_mask & adj[v], size + 1)
+            p_mask &= ~(1 << v)
+
+    expand((1 << n) - 1, 0)
+    witness = _lex_min_clique(cg.adjacency, n, best)
+    return CliqueResult(best, witness, DyadicDensity(best, cg.host_edges))
+
+
+def _top_first_coloring(p_mask: int, adj: list[int]) -> list[tuple[int, int]]:
+    """Greedy coloring, each class filled from the highest vertex down;
+    (vertex, color) pairs ascending by color."""
+    out = []
+    color = 0
+    rest = p_mask
+    while rest:
+        color += 1
+        avail = rest
+        while avail:
+            v = avail.bit_length() - 1
+            top = 1 << v
+            avail = (avail ^ top) & ~adj[v]
+            rest ^= top
+            out.append((v, color))
+    return out
+
+
+def _lex_min_clique(adjacency: list[int], n: int, k: int) -> list[int]:
+    """First clique of size k in lexicographic order of sorted vertex lists."""
+    if k == 0:
+        return []
+    chosen: list[int] = []
+
+    def search(p_mask: int, need: int) -> bool:
+        if need == 0:
+            return True
+        if p_mask.bit_count() < need or _top_first_coloring(p_mask, adjacency)[-1][1] < need:
+            return False
+        q = p_mask
+        while q:
+            low = q & -q
+            q ^= low
+            v = low.bit_length() - 1
+            chosen.append(v)
+            if search(p_mask & adjacency[v] & -(low << 1), need - 1):
+                return True
+            chosen.pop()
+        return False
+
+    if not search((1 << n) - 1, k):
+        raise AssertionError("no clique of the optimum size found")
+    return chosen
+
+
+def validate_compatibility(cg: CompatibilityGraph) -> None:
+    """Raise ValueError unless cg is well formed: distinct labels, an
+    irreflexive symmetric adjacency, and, when present, sup and sub rows
+    that hold their own vertex and mirror each other (w in sup[v] exactly
+    when v in sub[w])."""
+    if len(set(cg.labels)) != len(cg.labels):
+        raise ValueError("candidate labels are not pairwise distinct")
+    for i, row in enumerate(cg.adjacency):
+        if row >> i & 1:
+            raise ValueError(f"adjacency row {i} is reflexive")
+        for j in iter_bits(row):
+            if not cg.adjacency[j] >> i & 1:
+                raise ValueError(f"adjacency not symmetric at ({i}, {j})")
+    if cg.sup is None and cg.sub is None:
+        return
+    if cg.sup is None or cg.sub is None or not len(cg.sup) == len(cg.sub) == cg.size:
+        raise ValueError("sup and sub need one row per candidate each")
+    for v in range(cg.size):
+        if not cg.sup[v] >> v & cg.sub[v] >> v & 1:
+            raise ValueError(f"candidate {v} missing from its own sup or sub row")
+        for w in iter_bits(cg.sup[v]):
+            if not cg.sub[w] >> v & 1:
+                raise ValueError(f"{w} in sup[{v}] but {v} not in sub[{w}]")
+    # every sup pair is a sub pair; equal counts make that a bijection
+    if sum(row.bit_count() for row in cg.sup) != sum(row.bit_count() for row in cg.sub):
+        raise ValueError("sub holds a pair that sup does not")
+
+
+def containment_rows(cg: CompatibilityGraph) -> tuple[list[int], list[int]]:
+    """sup and sub rows straight from the definition of containment.
+
+    ``have[x]`` is the set of candidates whose label has edge x.  labels[j]
+    contains labels[i] when j is in have[x] for every edge x of labels[i]
+    (sup[i]), and lies inside it when j is outside have[x] for every other
+    edge x (sub[i]).  No lattice sweep and no loop over pairs.
+    """
+    everyone = (1 << cg.size) - 1
+    edges = 0
+    for label in cg.labels:
+        edges |= label
+    have = {x: sum(1 << j for j, b in enumerate(cg.labels) if b >> x & 1) for x in iter_bits(edges)}
+    sup, sub = [], []
+    for label in cg.labels:
+        above = below = everyone
+        for x, column in have.items():
+            if label >> x & 1:
+                above &= column
+            else:
+                below &= ~column
+        sup.append(above)
+        sub.append(below)
+    return sup, sub
 
 
 def compact_subsets(mask: int) -> list[int]:

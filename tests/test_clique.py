@@ -20,12 +20,20 @@ from hifam import (
     intersection,
     max_clique,
     path,
+    search_hosts,
 )
 from hifam import clique
-from hifam.clique import MAX_HOST_EDGES, _color_sort
+from hifam.clique import MAX_HOST_EDGES, _color_sort, _lex_min_clique
 from hifam.graphs import submasks
 
-from oracles import brute_force_clique, degree_ordered_clique_size, pairwise_compatibility
+from oracles import (
+    brute_force_clique,
+    coloring_max_clique,
+    containment_rows,
+    degree_ordered_clique_size,
+    pairwise_compatibility,
+    validate_compatibility,
+)
 
 
 def _instance(adjacency: list[int]) -> CompatibilityGraph:
@@ -40,6 +48,22 @@ def _random_instance(rng, size, p):
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
     return _instance(adjacency)
+
+
+def _random_upset_instance(rng, e):
+    """Candidates: an up-set T of e-bit masks, generated by a few random
+    masks; a and b adjacent when a & b is in T.  A compatibility graph for
+    an arbitrary monotone target property, with its sup and sub rows."""
+    gens = [rng.getrandbits(e) for _ in range(rng.randint(1, 4))]
+    labels = [s for s in range(1 << e) if any(s & g == g for g in gens)]
+    holds = set(labels)
+    adjacency = [
+        sum(1 << j for j, b in enumerate(labels) if j != i and a & b in holds)
+        for i, a in enumerate(labels)
+    ]
+    cg = CompatibilityGraph(labels, adjacency, e)
+    cg.sup, cg.sub = containment_rows(cg)
+    return cg
 
 
 def _from_pairs(size, pairs):
@@ -60,7 +84,8 @@ def test_path_host_has_single_candidate():
     assert cg.size == 1
     assert cg.labels == [path(4).edges]
     assert cg.adjacency == [0]
-    cg.validate()
+    assert cg.sup == cg.sub == [1]
+    validate_compatibility(cg)
 
 
 def test_triangle_host_has_no_candidates():
@@ -70,7 +95,7 @@ def test_triangle_host_has_no_candidates():
 
 def test_christofides_compatibility_structure():
     cg = build_compatibility(christofides_host(), path(4))
-    cg.validate()
+    validate_compatibility(cg)
     target = path(4)
     host = christofides_host()
     # every candidate contains the target itself
@@ -85,6 +110,10 @@ def test_christofides_compatibility_structure():
             assert bool(cg.adjacency[i] >> j & 1) == expected
 
 
+def _all_hosts(n):
+    return [g for m in range(n * (n - 1) // 2 + 1) for g in connected_graphs(HostClass(n, m, False))]
+
+
 @pytest.mark.parametrize("hosts, target", [
     (lambda: connected_graphs(HostClass(6, 7, True)), path(4)),
     (lambda: connected_graphs(HostClass(6, 8, True)), path(4)),
@@ -92,7 +121,10 @@ def test_christofides_compatibility_structure():
     (lambda: [christofides_host()], path(4)),
     (lambda: [christofides_host(), complete(4), complete_multipartite([2, 3])],
      MultipartiteTarget((1, 2))),
-], ids=["p4-m7", "p4-m8", "k3-m11", "christofides", "k12"])
+    # K5 has 893 P4 candidates: minutes for the old solver
+    (lambda: [g for g in _all_hosts(5) if g.edge_count < 10], path(4)),
+    (lambda: _all_hosts(5), complete(3)),
+], ids=["p4-m7", "p4-m8", "k3-m11", "christofides", "k12", "p4-n5", "k3-n5"])
 def test_builder_and_solver_match_oracles(hosts, target):
     for host in hosts():
         cg = build_compatibility(host, target)
@@ -100,7 +132,44 @@ def test_builder_and_solver_match_oracles(hosts, target):
         assert cg.labels == old.labels
         assert cg.adjacency == old.adjacency
         assert cg.host_edges == old.host_edges
-        assert max_clique(cg).size == degree_ordered_clique_size(cg)
+        assert (cg.sup, cg.sub) == containment_rows(cg)
+        result = max_clique(cg)
+        expected = coloring_max_clique(cg)
+        assert (result.size, result.witness) == (expected.size, expected.witness)
+        assert result.size == degree_ordered_clique_size(cg)
+
+
+def test_large_hosts_match_oracles(request):
+    """Every connected 6-vertex host with 9 edges against the old solver, and
+    K5's optimum against the degree-ordered one (seconds)."""
+    if not request.config.getoption("--run-large-verify"):
+        pytest.skip("needs --run-large-verify")
+    cg = build_compatibility(complete(5), path(4))
+    result = max_clique(cg)
+    assert result.size == degree_ordered_clique_size(cg) == 128
+    members = {cg.labels[i] for i in result.witness}
+    assert len(members) == 128
+    assert all(contains_subgraph(Graph(5, a & b), path(4)) for a in members for b in members)
+    for host in connected_graphs(HostClass(6, 9, True)):
+        cg = build_compatibility(host, path(4))
+        assert (cg.sup, cg.sub) == containment_rows(cg)
+        result = max_clique(cg)
+        expected = coloring_max_clique(cg)
+        assert (result.size, result.witness) == (expected.size, expected.witness)
+
+
+def test_ten_edge_hosts_reach_the_paper_density(request):
+    """17/2^7 is the best P4 density over connected 6-vertex hosts with 10
+    edges: 13 of the 14 classes reach 136 and Etv_ reaches 128 (tens of
+    seconds)."""
+    if not request.config.getoption("--run-large-verify"):
+        pytest.skip("needs --run-large-verify")
+    records, summary = search_hosts(6, [10], path(4))
+    assert str(summary.max_density) == "17/2^7"
+    assert summary.max_clique_size == 136
+    assert len(summary.argmax_hosts) == 13
+    assert {r.host_graph6: r.clique_size for r in records
+            if r.clique_size != 136} == {"Etv_": 128}
 
 
 @pytest.mark.parametrize("host, target, calls", [
@@ -196,7 +265,22 @@ def test_solver_matches_degree_ordered_oracle():
         size = rng.randint(1, 60)
         p = rng.choice([0.2, 0.5, 0.8, 0.9])
         cg = _random_instance(rng, size, p)
-        assert max_clique(cg).size == degree_ordered_clique_size(cg), (trial, size, p)
+        result = max_clique(cg)
+        assert result.size == degree_ordered_clique_size(cg), (trial, size, p)
+        expected = coloring_max_clique(cg)
+        assert (result.size, result.witness) == (expected.size, expected.witness)
+
+
+def test_solver_matches_oracle_on_random_upset_instances():
+    rng = random.Random(113)
+    for trial in range(60):
+        cg = _random_upset_instance(rng, rng.randint(2, 7))
+        validate_compatibility(cg)
+        result = max_clique(cg)
+        expected = coloring_max_clique(cg)
+        assert (result.size, result.witness) == (expected.size, expected.witness), trial
+        if cg.size <= 25:
+            assert result.size == brute_force_clique(cg), trial
 
 
 def test_adding_edges_never_shrinks_clique():
@@ -258,22 +342,36 @@ def test_witness_is_lexicographically_smallest():
 
 
 def test_solver_restores_recursion_limit(monkeypatch):
-    before = sys.getrecursionlimit()
-    real = build_compatibility(christofides_host(), path(4))
-    synthetic = _instance([0] * 300)
-    assert 4 * synthetic.size + 1000 > before  # the solver does raise the limit
-    assert max_clique(real).size == 17
-    assert sys.getrecursionlimit() == before
-    assert max_clique(synthetic).witness == [0]
-    assert sys.getrecursionlimit() == before
+    """The solver leaves the interpreter's recursion limit alone: phase 2 is
+    a loop, and phase 1 recurses once per up-set taken."""
+    def refuse(limit):
+        raise AssertionError(f"solver called sys.setrecursionlimit({limit})")
 
-    def broken(adjacency, n, k):
-        raise AssertionError("phase 2 failed")
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    assert max_clique(build_compatibility(christofides_host(), path(4))).size == 17
+    dense = connected_graphs(HostClass(6, 11, True))[-1]
+    assert max_clique(build_compatibility(dense, complete(3))).size == 256
+    assert max_clique(_instance([0] * 300)).witness == [0]
 
-    monkeypatch.setattr(clique, "_lex_min_clique", broken)
-    with pytest.raises(AssertionError, match="phase 2 failed"):
-        max_clique(synthetic)
-    assert sys.getrecursionlimit() == before
+
+def test_phase_two_fails_loudly_without_a_clique():
+    cg = _from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    own = [1 << v for v in range(5)]
+    assert _lex_min_clique(cg.adjacency, own, own, 5, 2, 0)[0] == [0, 1]
+    with pytest.raises(AssertionError, match="no clique of the optimum size"):
+        _lex_min_clique(cg.adjacency, own, own, 5, 3, 0)
+
+
+def test_node_counters():
+    christofides = max_clique(build_compatibility(christofides_host(), path(4)))
+    assert (christofides.phase1_nodes, christofides.phase2_nodes) == (11, 29)
+    phase1 = phase2 = 0
+    for m in (7, 8):
+        for host in connected_graphs(HostClass(6, m, True)):
+            result = max_clique(build_compatibility(host, path(4)))
+            phase1 += result.phase1_nodes
+            phase2 += result.phase2_nodes
+    assert (phase1, phase2) == (1294, 416)
 
 
 def test_brute_force_size_cap():
@@ -284,10 +382,20 @@ def test_brute_force_size_cap():
 def test_validate_rejects_broken_adjacency():
     bad = CompatibilityGraph(labels=[0, 1], adjacency=[0b10, 0b00])
     with pytest.raises(ValueError):
-        bad.validate()
+        validate_compatibility(bad)
     reflexive = CompatibilityGraph(labels=[0], adjacency=[0b1])
     with pytest.raises(ValueError):
-        reflexive.validate()
+        validate_compatibility(reflexive)
     duplicates = CompatibilityGraph(labels=[5, 5], adjacency=[0, 0])
     with pytest.raises(ValueError):
-        duplicates.validate()
+        validate_compatibility(duplicates)
+    # labels 1 and 3: candidate 1 contains candidate 0
+    validate_compatibility(CompatibilityGraph([1, 3], [0b10, 0b01], 2, [0b11, 0b10], [0b01, 0b11]))
+    for sup, sub in [
+        ([0b10, 0b10], [0b01, 0b11]),  # 0 missing from sup[0]
+        ([0b11, 0b10], [0b01, 0b10]),  # 0 in sup[0]... but not in sub[1]
+        ([0b01, 0b10], [0b01, 0b11]),  # sub[1] holds 0, sup[0] lacks 1
+        ([0b11, 0b10], None),
+    ]:
+        with pytest.raises(ValueError):
+            validate_compatibility(CompatibilityGraph([1, 3], [0b10, 0b01], 2, sup, sub))
