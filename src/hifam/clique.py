@@ -11,10 +11,12 @@ so a heuristic proves nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations
 
 from .density import DyadicDensity
-from .detect import TargetLike, containment_check
-from .graphs import Graph, iter_bits, submasks
+from .detect import MultipartiteTarget, TargetLike, containment_check
+from .graphs import Graph, submasks
 
 MAX_HOST_EDGES = 16
 
@@ -57,6 +59,25 @@ class CliqueResult:
     phase2_nodes: int = 0
 
 
+def _copy_vertex_count(target: TargetLike) -> int:
+    """Vertices a copy of the target touches: its non-isolated ones."""
+    if isinstance(target, MultipartiteTarget):
+        return target.vertex_count if len(target.parts) > 1 else 0
+    return sum(1 for row in target.adjacency() if row)
+
+
+@lru_cache(maxsize=None)
+def _clear_masks(e: int) -> tuple[int, ...]:
+    """Per edge bit i < e, the compact indices below 2^e whose bit i is 0.
+
+    That is a block of 2^i ones repeated every 2^(i+1) bits: the 2^e-bit
+    all-ones number divided by 2^(2^(i+1)) - 1 has a one at the start of
+    each period, and the product spreads it over the block.
+    """
+    full = (1 << (1 << e)) - 1
+    return tuple(full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(e))
+
+
 def build_compatibility(host: Graph, target: TargetLike) -> CompatibilityGraph:
     """Compatibility graph of all target-containing edge subsets of the host.
 
@@ -68,9 +89,17 @@ def build_compatibility(host: Graph, target: TargetLike) -> CompatibilityGraph:
     subset of an index comes before it and the AND of two indices is the
     index of the intersection.
 
-    Containment is monotone, so the predicate runs only on a subset none of
-    whose one-edge-smaller subsets holds the target; any other subset holds
-    it.  Two sweeps over the lattice then give the adjacency.  A superset
+    Every subset that holds the target contains a copy of it: a subset with
+    the target's k edges that holds it, and whose edges therefore touch
+    exactly as many vertices as the target has non-isolated ones.  So the
+    containment predicate runs only on the k-edge subsets that touch that
+    many vertices; the others cannot hold the target.  The copies, as set
+    bits of one 2^e-bit table, are then closed upward by one shift per edge
+    bit i, which passes each index with bit i clear on to the index with
+    bit i set.  With k = 0 the empty set is the one copy and every subset a
+    candidate; with k > e there is no copy and no candidate.
+
+    Two sweeps over the lattice then give the adjacency.  A superset
     sweep sets ``up[c]`` to the candidates that contain c, which is also
     c's ``sup`` row; a subset sweep, in place, ORs into it ``up[t]`` for
     every candidate t inside c, and in the same pass fills ``down[c]``, the
@@ -87,11 +116,21 @@ def build_compatibility(host: Graph, target: TargetLike) -> CompatibilityGraph:
         raise ValueError(f"compatibility graphs capped at {MAX_HOST_EDGES} host edges, got {e}")
     check = containment_check(target)
     subsets = list(submasks(host.edges))
-    table = bytearray(len(subsets))
-    for c, s in enumerate(subsets):
-        if any(table[c ^ (1 << i)] for i in iter_bits(c)) or check(Graph(host.n, s)):
-            table[c] = 1
-    cands = [c for c in range(len(subsets)) if table[c]]
+    ends = [1 << i | 1 << j for i, j in host.edge_pairs()]
+    cover = _copy_vertex_count(target)
+    table = 0
+    for edges in combinations(range(e), target.edge_count):
+        c = touched = 0
+        for i in edges:
+            c |= 1 << i
+            touched |= ends[i]
+        if touched.bit_count() == cover and check(Graph(host.n, subsets[c])):
+            table |= 1 << c
+    for i, clear in enumerate(_clear_masks(e)):
+        table |= (table & clear) << (1 << i)
+    # the table's set bits, read from its binary string: iter_bits would
+    # copy the whole 2^e-bit table once per candidate
+    cands = [c for c, bit in enumerate(bin(table)[:1:-1]) if bit == "1"]
     up = [0] * len(subsets)
     for i, c in enumerate(cands):
         up[c] = 1 << i
@@ -205,7 +244,12 @@ def _upset_search(
             return size >= stop
         return False
 
-    expand(p_mask, 0, 0)
+    try:
+        expand(p_mask, 0, 0)
+    finally:
+        # expand refers to itself; unbound here, it and the rows it holds
+        # go with this call instead of waiting for the cycle collector
+        del expand
     return best, found, nodes
 
 

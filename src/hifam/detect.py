@@ -91,7 +91,10 @@ def contains_subgraph(g: Graph, h: Graph) -> bool:
                 return True
         return False
 
-    return place(0, 0)
+    try:
+        return place(0, 0)
+    finally:
+        del place  # break the closure's reference to itself
 
 
 def contains_p4(g: Graph) -> bool:
@@ -125,27 +128,31 @@ def contains_multipartite(g: Graph, target: MultipartiteTarget) -> bool:
     adj = g.adjacency()
     rest_after = [sum(sizes[k + 1:]) for k in range(len(sizes))]
 
-    def fill_part(k: int, allowed: int) -> bool:
-        if k == len(sizes):
-            return True
+    def pick(k: int, count: int, cand: int, common: int) -> bool:
+        """Place count more vertices of part k from cand; every vertex
+        placed later must lie in common."""
+        if count == 0:
+            k += 1
+            if k == len(sizes):
+                return True
+            count = sizes[k]
+            cand = common
         rest = rest_after[k]
+        while cand:
+            if cand.bit_count() < count:
+                return False
+            low = cand & -cand
+            cand ^= low
+            narrowed = common & adj[low.bit_length() - 1]
+            if narrowed.bit_count() >= rest and pick(k, count - 1, cand, narrowed):
+                return True
+        return False
 
-        def pick(count: int, cand: int, common: int) -> bool:
-            if count == 0:
-                return fill_part(k + 1, common)
-            while cand:
-                if cand.bit_count() < count:
-                    return False
-                low = cand & -cand
-                cand ^= low
-                narrowed = common & adj[low.bit_length() - 1]
-                if narrowed.bit_count() >= rest and pick(count - 1, cand, narrowed):
-                    return True
-            return False
-
-        return pick(sizes[k], allowed, allowed)
-
-    return fill_part(0, (1 << g.n) - 1)
+    full = (1 << g.n) - 1
+    try:
+        return pick(0, sizes[0], full, full)
+    finally:
+        del pick  # break the closure's reference to itself
 
 
 def containment_check(target: TargetLike) -> Callable[[Graph], bool]:

@@ -1,5 +1,6 @@
 """Compatibility graph construction and the exact clique solver."""
 
+import gc
 import random
 import sys
 
@@ -11,20 +12,25 @@ from hifam import (
     HostClass,
     MultipartiteTarget,
     build_compatibility,
+    canonical_key,
     christofides_host,
     complete,
     complete_multipartite,
     connected_graphs,
     containment_check,
     contains_subgraph,
+    cycle,
+    from_edges,
     intersection,
+    is_connected,
     max_clique,
+    parse_graph6,
     path,
     search_hosts,
 )
 from hifam import clique
 from hifam.clique import MAX_HOST_EDGES, _color_sort, _lex_min_clique
-from hifam.graphs import submasks
+from hifam.graphs import iter_bits, submasks
 
 from oracles import (
     brute_force_clique,
@@ -173,10 +179,10 @@ def test_ten_edge_hosts_reach_the_paper_density(request):
 
 
 @pytest.mark.parametrize("host, target, calls", [
-    (christofides_host(), path(4), 72),  # of 128 subsets
-    (complete(4), complete(3), 45),  # of 64 subsets
+    (christofides_host(), path(4), 20),  # of 35 three-edge subsets
+    (complete(4), complete(3), 4),  # of 20 three-edge subsets
 ])
-def test_containment_calls_skip_supersets_of_holders(monkeypatch, host, target, calls):
+def test_containment_calls_only_on_copies(monkeypatch, host, target, calls):
     made = []
 
     def counting_check(pattern):
@@ -190,10 +196,49 @@ def test_containment_calls_skip_supersets_of_holders(monkeypatch, host, target, 
 
     monkeypatch.setattr(clique, "containment_check", counting_check)
     cg = build_compatibility(host, target)
+    # only subsets with the target's edge and non-isolated vertex counts
     assert len(made) == len(set(made)) == calls
+    assert all(s.bit_count() == target.edge_count for s in made)
     # the candidates are exactly the holders of the full per-subset table
     check = containment_check(target)
     assert cg.labels == [s for s in submasks(host.edges) if check(Graph(host.n, s))]
+
+
+@pytest.mark.parametrize("target", [
+    Graph(3, 0),
+    MultipartiteTarget((3,)),
+    from_edges(5, [(0, 1), (2, 3)]),  # 2K2 with an isolated vertex
+    cycle(4),
+    complete_multipartite([1, 3]),
+    MultipartiteTarget((1, 1, 1)),
+    MultipartiteTarget((2, 2)),
+    complete(5),
+], ids=["edgeless", "one-part", "2k2", "c4", "k13", "k111", "k22", "k5"])
+def test_builder_matches_oracle_on_edge_case_targets(target):
+    """Edgeless targets (every subset a candidate), isolated target vertices,
+    targets sharing P4's vertex or edge count and more edges than most hosts,
+    against the per-subset table on every 5-vertex host."""
+    for host in _all_hosts(5):
+        cg = build_compatibility(host, target)
+        old = pairwise_compatibility(host, target)
+        assert (cg.labels, cg.adjacency, cg.host_edges) == (old.labels, old.adjacency, old.host_edges)
+        assert (cg.sup, cg.sub) == containment_rows(cg)
+
+
+@pytest.mark.parametrize("target", [complete(3), MultipartiteTarget((1, 1, 1))], ids=["k3", "k111"])
+def test_solving_a_host_leaves_no_reference_cycles(target):
+    """The recursive closures of the solver and the containment tests must
+    not keep a host's rows alive until the cycle collector runs."""
+    host = connected_graphs(HostClass(6, 11, True))[-1]
+    gc.collect()
+    gc.disable()
+    try:
+        result = max_clique(build_compatibility(host, target))
+        assert result.size == 256
+        del result
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("host", [
@@ -372,6 +417,24 @@ def test_node_counters():
             phase1 += result.phase1_nodes
             phase2 += result.phase2_nodes
     assert (phase1, phase2) == (1294, 416)
+
+
+def test_lifting_inequality_over_one_edge_pairs():
+    """opt(G) >= 2 opt(G - e): a family on G - e and its members with e
+    added form a family on G, twice as large and still intersecting.  Every
+    connected 6-vertex host with 7 to 9 edges against the records one edge
+    below it; an undercounting builder or solver breaks the inequality."""
+    records, _ = search_hosts(6, range(6, 10), path(4))
+    opt = {canonical_key(parse_graph6(r.host_graph6)): r.clique_size for r in records}
+    pairs = 0
+    for record in records:
+        host = parse_graph6(record.host_graph6)
+        for b in iter_bits(host.edges):
+            child = Graph(host.n, host.edges ^ 1 << b)
+            if record.m > 6 and is_connected(child):
+                assert record.clique_size >= 2 * opt[canonical_key(child)], record.host_graph6
+                pairs += 1
+    assert pairs == 448
 
 
 def test_brute_force_size_cap():
