@@ -10,19 +10,18 @@ so a heuristic proves nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
 from .density import DyadicDensity
 from .detect import MultipartiteTarget, TargetLike, containment_check
-from .graphs import Graph, submasks
+from .graphs import Graph, Record, submasks
 
 MAX_HOST_EDGES = 16
+MAX_CANDIDATES = 1 << 14
 
 
-@dataclass
-class CompatibilityGraph:
+class CompatibilityGraph(Record):
     """Auxiliary graph: candidate edge subsets plus adjacency bitsets.
 
     ``labels[i]`` is the i-th candidate as a bitset over the host's edge
@@ -35,28 +34,60 @@ class CompatibilityGraph:
     candidate to contain only itself.
     """
 
+    __slots__ = ("labels", "adjacency", "host_edges", "sup", "sub")
     labels: list[int]
     adjacency: list[int]
-    host_edges: int = 0
-    sup: list[int] | None = None
-    sub: list[int] | None = None
+    host_edges: int
+    sup: list[int] | None
+    sub: list[int] | None
+
+    def __init__(
+        self,
+        labels: list[int],
+        adjacency: list[int],
+        host_edges: int = 0,
+        sup: list[int] | None = None,
+        sub: list[int] | None = None,
+    ) -> None:
+        self.labels = labels
+        self.adjacency = adjacency
+        self.host_edges = host_edges
+        self.sup = sup
+        self.sub = sub
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
 
-@dataclass
-class CliqueResult:
-    """An exact maximum clique with its family density on the host."""
+class CliqueResult(Record):
+    """An exact maximum clique with its family density on the host.
 
+    ``phase1_nodes`` and ``phase2_nodes`` count the search nodes of phase 1
+    (the optimum) and of phase 2's feasibility searches (the witness);
+    they are machine-independent work counters.
+    """
+
+    __slots__ = ("size", "witness", "density", "phase1_nodes", "phase2_nodes")
     size: int
-    witness: list[int] = field(default_factory=list)
-    density: DyadicDensity = DyadicDensity(0, 0)
-    # search nodes of phase 1 (the optimum) and of phase 2's feasibility
-    # searches (the witness); machine-independent work counters
-    phase1_nodes: int = 0
-    phase2_nodes: int = 0
+    witness: list[int]
+    density: DyadicDensity
+    phase1_nodes: int
+    phase2_nodes: int
+
+    def __init__(
+        self,
+        size: int,
+        witness: list[int] | None = None,
+        density: DyadicDensity = DyadicDensity(0, 0),
+        phase1_nodes: int = 0,
+        phase2_nodes: int = 0,
+    ) -> None:
+        self.size = size
+        self.witness = [] if witness is None else witness
+        self.density = density
+        self.phase1_nodes = phase1_nodes
+        self.phase2_nodes = phase2_nodes
 
 
 def _copy_vertex_count(target: TargetLike) -> int:
@@ -109,7 +140,9 @@ def build_compatibility(host: Graph, target: TargetLike) -> CompatibilityGraph:
     candidates' entries are ever set: a superset of a candidate is one, and
     a subset with no candidate inside it keeps 0.  Hosts with more than
     MAX_HOST_EDGES edges raise ValueError at once: their 2^e lattice is out
-    of reach.
+    of reach.  So do more than MAX_CANDIDATES candidates, as soon as the
+    table is closed: every candidate gets several rows with one bit per
+    candidate, so memory grows with the square of the count.
     """
     e = host.edge_count
     if e > MAX_HOST_EDGES:
@@ -128,6 +161,11 @@ def build_compatibility(host: Graph, target: TargetLike) -> CompatibilityGraph:
             table |= 1 << c
     for i, clear in enumerate(_clear_masks(e)):
         table |= (table & clear) << (1 << i)
+    count = table.bit_count()
+    if count > MAX_CANDIDATES:
+        raise ValueError(
+            f"compatibility graphs capped at {MAX_CANDIDATES} candidates, got {count}"
+        )
     # the table's set bits, read from its binary string: iter_bits would
     # copy the whole 2^e-bit table once per candidate
     cands = [c for c, bit in enumerate(bin(table)[:1:-1]) if bit == "1"]

@@ -10,20 +10,26 @@ one part-step smaller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .density import DyadicDensity
 from .detect import MultipartiteTarget, TargetLike, containment_check
-from .graphs import Graph, complete_multipartite, iter_bits, pair_count, submasks
+from .graphs import (
+    FrozenRecord,
+    Graph,
+    complete_multipartite,
+    iter_bits,
+    pair_count,
+    submasks,
+)
 
 MAX_SPARE_EDGES = 20
 
 
-@dataclass(frozen=True)
-class SubgraphFamily:
+class SubgraphFamily(FrozenRecord):
     """A host graph plus distinct member edge subsets of it."""
 
+    __slots__ = ("host", "members")
     host: Graph
     members: tuple[int, ...]
 
@@ -43,10 +49,10 @@ class SubgraphFamily:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
+class ConstructionSpec(FrozenRecord):
     """Part sizes for the construction: fixed parts plus the final part size t."""
 
+    __slots__ = ("parts", "t")
     parts: tuple[int, ...]
     t: int
 
@@ -72,14 +78,22 @@ class ConstructionSpec:
         return self.parts + (self.t + 2,)
 
 
-@dataclass(frozen=True)
-class MultipartiteFamily:
+class MultipartiteFamily(FrozenRecord):
     """Built construction: host, seed subgraphs, the family, its density."""
 
+    __slots__ = ("host", "seeds", "family", "density")
     host: Graph
     seeds: tuple[int, ...]
     family: SubgraphFamily
     density: DyadicDensity
+
+    def __init__(
+        self, host: Graph, seeds: tuple[int, ...], family: SubgraphFamily, density: DyadicDensity
+    ) -> None:
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "seeds", seeds)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "density", density)
 
 
 def multipartite_family(spec: ConstructionSpec) -> MultipartiteFamily:
@@ -100,13 +114,20 @@ def multipartite_family(spec: ConstructionSpec) -> MultipartiteFamily:
     return MultipartiteFamily(host, tuple(seeds), family, density)
 
 
-@dataclass(frozen=True)
-class SeedCheck:
+class SeedCheck(FrozenRecord):
     """Report on a proposed seed set for the general gluing recipe."""
 
+    __slots__ = ("intersection_property", "disjoint_complement", "family_size")
     intersection_property: bool
     disjoint_complement: bool
     family_size: int
+
+    def __init__(
+        self, intersection_property: bool, disjoint_complement: bool, family_size: int
+    ) -> None:
+        object.__setattr__(self, "intersection_property", intersection_property)
+        object.__setattr__(self, "disjoint_complement", disjoint_complement)
+        object.__setattr__(self, "family_size", family_size)
 
 
 def check_seeds(host: Graph, seeds: Sequence[int], target: TargetLike) -> SeedCheck:

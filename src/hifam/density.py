@@ -7,40 +7,36 @@ never touch floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import total_ordering
+
+from .graphs import FrozenRecord
 
 
 @total_ordering
-@dataclass(frozen=True)
-class DyadicDensity:
+class DyadicDensity(FrozenRecord):
     """value = numerator / 2**exponent, stored normalized (numerator odd or zero)."""
 
+    __slots__ = ("numerator", "exponent")
     numerator: int
     exponent: int
 
-    def __post_init__(self) -> None:
-        num, exp = self.numerator, self.exponent
-        if num < 0 or exp < 0:
-            raise ValueError(f"negative numerator or exponent: {num}/2^{exp}")
-        if num == 0:
-            exp = 0
+    def __init__(self, numerator: int, exponent: int) -> None:
+        if numerator < 0 or exponent < 0:
+            raise ValueError(f"negative numerator or exponent: {numerator}/2^{exponent}")
+        if numerator == 0:
+            exponent = 0
         else:
-            while num % 2 == 0 and exp > 0:
-                num //= 2
-                exp -= 1
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "exponent", exp)
+            while numerator % 2 == 0 and exponent > 0:
+                numerator //= 2
+                exponent -= 1
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "exponent", exponent)
 
     def __lt__(self, other: "DyadicDensity") -> bool:
         if not isinstance(other, DyadicDensity):
             return NotImplemented
         # cross-shift to a common exponent; exact in arbitrary precision
         return self.numerator << other.exponent < other.numerator << self.exponent
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.exponent)
 
     def scaled_numerator(self, exponent: int) -> int:
         """Numerator when rewritten over 2**exponent (must not lose bits)."""

@@ -9,16 +9,15 @@ matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from collections.abc import Callable, Sequence
 
-from .graphs import Graph, iter_bits
+from .graphs import FrozenRecord, Graph, iter_bits
 
 
-@dataclass(frozen=True)
-class MultipartiteTarget:
+class MultipartiteTarget(FrozenRecord):
     """A complete multipartite pattern given by its part sizes."""
 
+    __slots__ = ("parts",)
     parts: tuple[int, ...]
 
     def __init__(self, parts: Sequence[int]):
@@ -36,7 +35,7 @@ class MultipartiteTarget:
         return (total * total - sum(p * p for p in self.parts)) // 2
 
 
-TargetLike = Union[Graph, MultipartiteTarget]
+TargetLike = Graph | MultipartiteTarget
 
 
 def intersection(f: Graph, f2: Graph) -> Graph:
@@ -116,27 +115,31 @@ def contains_p4(g: Graph) -> bool:
 def contains_multipartite(g: Graph, target: MultipartiteTarget) -> bool:
     """True iff g contains a complete multipartite pattern of the given sizes.
 
-    Recurses part by part (largest first); every later part is restricted to
-    the common neighborhood of all vertices chosen so far.  Within a part,
-    vertices are taken in ascending order, so each placement is tried once.
+    Recurses part by part, smallest first; every later part is restricted
+    to the common neighborhood of all vertices chosen so far.  Within a
+    part, vertices are taken in ascending order, so each placement is tried
+    once.  The last part, the largest, needs no search: the pattern is
+    there exactly when the common neighborhood holds at least that many
+    vertices, since any of them will do.
     """
-    sizes = sorted(target.parts, reverse=True)
+    sizes = sorted(target.parts)
     if len(sizes) == 1:
         return True  # edgeless pattern
     if sum(sizes) > g.n:
         return False
     adj = g.adjacency()
-    rest_after = [sum(sizes[k + 1:]) for k in range(len(sizes))]
+    last = len(sizes) - 1
+    rest_after = [sum(sizes[k + 1:]) for k in range(last)]
 
     def pick(k: int, count: int, cand: int, common: int) -> bool:
         """Place count more vertices of part k from cand; every vertex
         placed later must lie in common."""
         if count == 0:
             k += 1
-            if k == len(sizes):
-                return True
             count = sizes[k]
             cand = common
+            if k == last:
+                return cand.bit_count() >= count
         rest = rest_after[k]
         while cand:
             if cand.bit_count() < count:

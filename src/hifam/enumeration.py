@@ -11,19 +11,30 @@ canonical-parent test is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import CANONICAL_MAX_VERTICES, Graph, canonical_key, iter_bits, pair_count
+from .graphs import (
+    CANONICAL_MAX_VERTICES,
+    FrozenRecord,
+    Graph,
+    canonical_key,
+    iter_bits,
+    pair_count,
+)
 
 
-@dataclass(frozen=True)
-class HostClass:
+class HostClass(FrozenRecord):
     """A family of host graphs: vertex count, edge count, connectivity flag."""
 
+    __slots__ = ("n", "m", "connected_only")
     n: int
     m: int
-    connected_only: bool = True
+    connected_only: bool
+
+    def __init__(self, n: int, m: int, connected_only: bool = True) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "connected_only", connected_only)
 
 
 def is_connected(g: Graph) -> bool:

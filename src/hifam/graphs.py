@@ -9,9 +9,8 @@ the upper triangle of the adjacency matrix -- (0,1), (0,2), (1,2), (0,3),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
+from functools import lru_cache, total_ordering
 
 MAX_VERTICES = 64
 CANONICAL_MAX_VERTICES = 8
@@ -71,18 +70,69 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - mask) & mask
 
 
-@dataclass(frozen=True)
-class Graph:
+class Record:
+    """Base of the package's value classes, whose fields are their ``__slots__``.
+
+    Two records are equal when they are of the same class and their fields
+    are equal; repr lists the fields as ``Name(field=value, ...)``.  Every
+    subclass's constructor takes its fields positionally in slot order,
+    which is how copies and pickles rebuild it.  Plain records are mutable
+    and unhashable.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class FrozenRecord(Record):
+    """Immutable record, hashable by its fields.
+
+    Its __init__ sets the fields with object.__setattr__; any other
+    assignment or deletion raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+
+class Graph(FrozenRecord):
     """Immutable simple graph: vertex count plus edge bitset."""
 
+    __slots__ = ("n", "edges")
     n: int
-    edges: int = 0
+    edges: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside [1, {MAX_VERTICES}]")
-        if self.edges < 0 or self.edges >> pair_count(self.n):
-            raise ValueError(f"edge bitset has bits outside [0, {pair_count(self.n)})")
+    def __init__(self, n: int, edges: int = 0) -> None:
+        if not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n} outside [1, {MAX_VERTICES}]")
+        if edges < 0 or edges >> pair_count(n):
+            raise ValueError(f"edge bitset has bits outside [0, {pair_count(n)})")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def edge_count(self) -> int:
@@ -95,11 +145,22 @@ class Graph:
         return [edge_pair(b, self.n) for b in iter_bits(self.edges)]
 
     def adjacency(self) -> list[int]:
-        """Per-vertex neighbor bitmasks (bit v of adjacency()[u] marks edge uv)."""
+        """Per-vertex neighbor bitmasks (bit v of adjacency()[u] marks edge uv).
+
+        Column j of the edge bitset, its j bits from j(j-1)/2 up, is the
+        set of j's lower neighbours; each of them gets bit j in return.
+        """
         adj = [0] * self.n
-        for i, j in self.edge_pairs():
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+        rest = self.edges
+        for j in range(1, self.n):
+            lower = rest & ((1 << j) - 1)
+            rest >>= j
+            adj[j] = lower
+            bit = 1 << j
+            while lower:
+                low = lower & -lower
+                adj[low.bit_length() - 1] |= bit
+                lower ^= low
         return adj
 
     def degree_sequence(self) -> list[int]:
@@ -181,16 +242,27 @@ def apply_permutation(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph(g.n, mask)
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalKey:
+@total_ordering
+class CanonicalKey(FrozenRecord):
     """Permutation-invariant representative of an isomorphism class.
 
     Two graphs on the same vertex count are isomorphic iff their keys are
     equal; the key is the minimum edge bitset over all vertex relabelings.
+    Keys order by (n, key).
     """
 
+    __slots__ = ("n", "key")
     n: int
     key: int
+
+    def __init__(self, n: int, key: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "key", key)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.key) < (other.n, other.key)
 
 
 @lru_cache(maxsize=1 << 16)

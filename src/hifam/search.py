@@ -12,30 +12,46 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
-from multiprocessing import Pool
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .clique import build_compatibility, max_clique
 from .construct import SubgraphFamily, verify_intersecting
 from .density import DyadicDensity, density_string
 from .enumeration import HostClass, connected_graphs
-from .graphs import Graph, emit_graph6, parse_graph6
+from .graphs import Graph, Record, emit_graph6, parse_graph6
 
 RECORD_FIELDS = ("host_graph6", "n", "m", "clique_size", "density", "witness_hex")
 
 
-@dataclass
-class SearchRecord:
+class SearchRecord(Record):
     """One result row per host graph."""
 
+    __slots__ = RECORD_FIELDS + ("elapsed_ms",)
     host_graph6: str
     n: int
     m: int
     clique_size: int
     density: str
     witness_hex: list[str]
-    elapsed_ms: int = 0
+    elapsed_ms: int
+
+    def __init__(
+        self,
+        host_graph6: str,
+        n: int,
+        m: int,
+        clique_size: int,
+        density: str,
+        witness_hex: list[str],
+        elapsed_ms: int = 0,
+    ) -> None:
+        self.host_graph6 = host_graph6
+        self.n = n
+        self.m = m
+        self.clique_size = clique_size
+        self.density = density
+        self.witness_hex = witness_hex
+        self.elapsed_ms = elapsed_ms
 
     def to_json(self, include_timing: bool = False) -> str:
         obj = {name: getattr(self, name) for name in RECORD_FIELDS}
@@ -57,12 +73,24 @@ class SearchRecord:
         )
 
 
-@dataclass
-class SearchSummary:
+class SearchSummary(Record):
+    __slots__ = ("host_count", "max_clique_size", "max_density", "argmax_hosts")
     host_count: int
     max_clique_size: int
     max_density: DyadicDensity
     argmax_hosts: list[str]
+
+    def __init__(
+        self,
+        host_count: int,
+        max_clique_size: int,
+        max_density: DyadicDensity,
+        argmax_hosts: list[str],
+    ) -> None:
+        self.host_count = host_count
+        self.max_clique_size = max_clique_size
+        self.max_density = max_density
+        self.argmax_hosts = argmax_hosts
 
 
 def _solve_host(args: tuple[Graph, Graph]) -> SearchRecord:
@@ -95,6 +123,8 @@ def search_hosts(
         hosts.extend(connected_graphs(HostClass(n, m, connected)))
     tasks = [(host, target) for host in hosts]
     if jobs > 1 and len(tasks) > 1:
+        from multiprocessing import Pool  # only a parallel run pays for its import
+
         with Pool(processes=jobs) as pool:
             records = pool.map(_solve_host, tasks)
     else:

@@ -13,6 +13,7 @@ from hifam import (
     DyadicDensity,
     Graph,
     HostClass,
+    MultipartiteTarget,
     containment_check,
     is_connected,
 )
@@ -317,3 +318,61 @@ def labeled_classes(spec: HostClass) -> tuple[Graph, ...]:
             continue
         keys.add(canonical_edges(spec.n, g.edges))
     return tuple(Graph(spec.n, key) for key in sorted(keys))
+
+
+def pairwise_adjacency(g: Graph) -> list[int]:
+    """Per-vertex neighbor bitmasks, one edge at a time.
+
+    Each set bit of the edge bitset is mapped back to its pair by
+    edge_pair; this is how Graph.adjacency worked before it read whole
+    columns of the bitset.
+    """
+    adj = [0] * g.n
+    for i, j in g.edge_pairs():
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
+
+
+def largest_first_multipartite(g: Graph, target: MultipartiteTarget) -> bool:
+    """True iff g contains a complete multipartite pattern of the given sizes.
+
+    Recurses part by part (largest first); every later part is restricted to
+    the common neighborhood of all vertices chosen so far.  Within a part,
+    vertices are taken in ascending order, so each placement is tried once.
+    This is how detect.contains_multipartite worked before it took parts
+    smallest first and closed the last one by a count.
+    """
+    sizes = sorted(target.parts, reverse=True)
+    if len(sizes) == 1:
+        return True  # edgeless pattern
+    if sum(sizes) > g.n:
+        return False
+    adj = g.adjacency()
+    rest_after = [sum(sizes[k + 1:]) for k in range(len(sizes))]
+
+    def pick(k: int, count: int, cand: int, common: int) -> bool:
+        """Place count more vertices of part k from cand; every vertex
+        placed later must lie in common."""
+        if count == 0:
+            k += 1
+            if k == len(sizes):
+                return True
+            count = sizes[k]
+            cand = common
+        rest = rest_after[k]
+        while cand:
+            if cand.bit_count() < count:
+                return False
+            low = cand & -cand
+            cand ^= low
+            narrowed = common & adj[low.bit_length() - 1]
+            if narrowed.bit_count() >= rest and pick(k, count - 1, cand, narrowed):
+                return True
+        return False
+
+    full = (1 << g.n) - 1
+    try:
+        return pick(0, sizes[0], full, full)
+    finally:
+        del pick  # break the closure's reference to itself

@@ -29,7 +29,7 @@ from hifam import (
     search_hosts,
 )
 from hifam import clique
-from hifam.clique import MAX_HOST_EDGES, _color_sort, _lex_min_clique
+from hifam.clique import MAX_CANDIDATES, MAX_HOST_EDGES, _color_sort, _lex_min_clique
 from hifam.graphs import iter_bits, submasks
 
 from oracles import (
@@ -249,6 +249,22 @@ def test_compatibility_cap(host):
     assert host.edge_count > MAX_HOST_EDGES == 16
     with pytest.raises(ValueError, match=f"capped at {MAX_HOST_EDGES} host edges"):
         build_compatibility(host, path(4))
+
+
+@pytest.mark.parametrize("host,count", [
+    (complete(6), 32_056),
+    (complete_multipartite([2, 8]), 58_967),
+])
+def test_candidate_cap(host, count):
+    assert host.edge_count <= MAX_HOST_EDGES
+    with pytest.raises(ValueError, match=f"capped at {MAX_CANDIDATES} candidates, got {count}"):
+        build_compatibility(host, path(4))
+
+
+def test_candidate_cap_admits_every_connected_six_vertex_host():
+    # K6 minus an edge, the one class with m = 14, has the most P4 candidates
+    host = Graph(6, complete(6).edges & ~1)
+    assert build_compatibility(host, path(4)).size == 15_832 <= MAX_CANDIDATES == 1 << 14
 
 
 def test_christofides_maximum_family_size():

@@ -24,6 +24,8 @@ from hifam import (
 from hifam.construct import ConstructionSpec
 from hifam.graphs import pair_count
 
+from oracles import largest_first_multipartite
+
 # every complete multipartite shape on at most 4 non-isolated vertices
 SMALL_PART_LISTS = [
     (1, 1), (1, 2), (1, 3), (2, 2),
@@ -156,6 +158,34 @@ def test_deleted_vertex_overlap_contains_shrunk_pattern():
 
 def test_single_part_target_is_edgeless():
     assert contains_multipartite(Graph(2, 0), MultipartiteTarget([5]))
+
+
+def test_multipartite_matches_largest_first_oracle_on_random_graphs():
+    rng = random.Random(31)
+    for _ in range(400):
+        n = rng.randint(1, 30)
+        g = _random_graph(rng, n, rng.choice([0.3, 0.6, 0.9]))
+        parts = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+        target = MultipartiteTarget(parts)
+        assert contains_multipartite(g, target) == largest_first_multipartite(g, target)
+
+
+def test_multipartite_matches_largest_first_oracle_on_seed_intersections():
+    # construct --parts 4 --t 24: host K_{4,26}, 26 seeds, 351 pairs i <= j
+    built = multipartite_family(ConstructionSpec((4,), 24))
+    n = built.host.n
+    hits = {}
+    for parts in ((4, 24), (4, 25), (3, 26), (1, 1, 2)):
+        target = MultipartiteTarget(parts)
+        hits[parts] = 0
+        for i, a in enumerate(built.seeds):
+            for b in built.seeds[i:]:
+                g = Graph(n, a & b)
+                found = contains_multipartite(g, target)
+                assert found == largest_first_multipartite(g, target)
+                hits[parts] += found
+    # a pair of distinct seeds misses two vertices of the 26-part, one seed one
+    assert hits == {(4, 24): 351, (4, 25): 26, (3, 26): 0, (1, 1, 2): 0}
 
 
 def test_multipartite_target_validation():

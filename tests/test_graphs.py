@@ -24,7 +24,7 @@ from hifam import (
 )
 from hifam.graphs import edge_index, edge_pair, pair_count, submasks
 
-from oracles import canonical_edges, compact_subsets
+from oracles import canonical_edges, compact_subsets, pairwise_adjacency
 
 
 def _random_graph(rng, n, p=0.5):
@@ -89,6 +89,15 @@ def test_graph_validation():
         Graph(65, 0)
     with pytest.raises(ValueError):
         Graph(3, 1 << 3)  # only 3 pair slots on 3 vertices
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 30, 63, 64])
+def test_adjacency_matches_pairwise_oracle(n):
+    rng = random.Random(n)
+    graphs = [Graph(n, 0), complete(n)]
+    graphs += [_random_graph(rng, n, p) for p in (0.1, 0.5, 0.9) for _ in range(5)]
+    for g in graphs:
+        assert g.adjacency() == pairwise_adjacency(g)
 
 
 # ---------------------------------------------------------------------------

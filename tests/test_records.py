@@ -1,0 +1,190 @@
+"""Value classes: construction, equality, hashing, immutability, repr; import cost."""
+
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from hifam import (
+    CanonicalKey,
+    CliqueResult,
+    CompatibilityGraph,
+    ConstructionSpec,
+    DyadicDensity,
+    Graph,
+    HostClass,
+    MultipartiteFamily,
+    MultipartiteTarget,
+    SearchRecord,
+    SearchSummary,
+    SeedCheck,
+    SubgraphFamily,
+    multipartite_family,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _family():
+    return multipartite_family(ConstructionSpec((1,), 2))
+
+
+# (build, build something that differs in one field); two calls of build
+# give equal, distinct objects
+FROZEN = {
+    "Graph": (lambda: Graph(6, 5), lambda: Graph(6, 6)),
+    "CanonicalKey": (lambda: CanonicalKey(6, 5), lambda: CanonicalKey(7, 5)),
+    "DyadicDensity": (lambda: DyadicDensity(34, 8), lambda: DyadicDensity(17, 8)),
+    "MultipartiteTarget": (lambda: MultipartiteTarget([2, 3]), lambda: MultipartiteTarget([3, 2])),
+    "SubgraphFamily": (lambda: SubgraphFamily(Graph(3, 7), [1, 3]),
+                       lambda: SubgraphFamily(Graph(3, 7), [3, 1])),
+    "ConstructionSpec": (lambda: ConstructionSpec([2, 2], 4), lambda: ConstructionSpec([2, 2], 5)),
+    "MultipartiteFamily": (_family, lambda: multipartite_family(ConstructionSpec((1,), 3))),
+    "SeedCheck": (lambda: SeedCheck(True, False, 19), lambda: SeedCheck(True, True, 19)),
+    "HostClass": (lambda: HostClass(6, 7), lambda: HostClass(6, 7, False)),
+}
+MUTABLE = {
+    "CompatibilityGraph": (lambda: CompatibilityGraph([1, 3], [2, 1], 2, [3, 2], [1, 3]),
+                           lambda: CompatibilityGraph([1, 3], [2, 1], 2)),
+    "CliqueResult": (lambda: CliqueResult(2, [0, 1], DyadicDensity(2, 3), 4, 1),
+                     lambda: CliqueResult(2, [0, 1], DyadicDensity(2, 3), 4, 2)),
+    "SearchRecord": (lambda: SearchRecord("Ch", 4, 3, 1, "1/2^3", ["0x7"]),
+                     lambda: SearchRecord("Ch", 4, 3, 1, "1/2^3", ["0x7"], 5)),
+    "SearchSummary": (lambda: SearchSummary(2, 17, DyadicDensity(17, 7), ["E?zW"]),
+                      lambda: SearchSummary(2, 17, DyadicDensity(17, 7), [])),
+}
+ALL = {**FROZEN, **MUTABLE}
+
+
+def test_every_value_class_is_covered():
+    import hifam
+
+    classes = {name for name in hifam.__all__ if isinstance(getattr(hifam, name), type)}
+    assert classes - {"Graph6Error"} == set(ALL)
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_equal_by_fields(name):
+    build, other = ALL[name]
+    a, b = build(), build()
+    assert a is not b and a == b and not a != b
+    assert a != other()
+    assert a != tuple(getattr(a, f) for f in a.__slots__)
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_equality_needs_the_same_class():
+    assert Graph(6, 5) != CanonicalKey(6, 5)
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_frozen_records_hash_by_fields_and_refuse_assignment(name):
+    build, _ = FROZEN[name]
+    a = build()
+    assert hash(a) == hash(build())
+    assert len({a, build()}) == 1
+    field = a.__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(a, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+
+
+@pytest.mark.parametrize("name", sorted(MUTABLE))
+def test_mutable_records_are_unhashable_and_assignable(name):
+    build, other = MUTABLE[name]
+    a = build()
+    with pytest.raises(TypeError):
+        hash(a)
+    b = other()
+    for field in a.__slots__:
+        setattr(a, field, getattr(b, field))
+    assert a == b
+    with pytest.raises(AttributeError):
+        a.extra = 1
+
+
+def test_positional_and_keyword_construction_with_defaults():
+    assert Graph(6) == Graph(n=6, edges=0) == Graph(6, 0)
+    assert Graph(6).edges == 0
+    assert HostClass(6, 7) == HostClass(n=6, m=7, connected_only=True)
+    result = CliqueResult(3)
+    assert (result.size, result.witness, result.density) == (3, [], DyadicDensity(0, 0))
+    assert (result.phase1_nodes, result.phase2_nodes) == (0, 0)
+    assert CliqueResult(3).witness is not CliqueResult(3).witness
+    assert CliqueResult(size=3, phase2_nodes=4).phase2_nodes == 4
+    cg = CompatibilityGraph([1], [0])
+    assert (cg.host_edges, cg.sup, cg.sub, cg.size) == (0, None, None, 1)
+    assert CompatibilityGraph(labels=[1], adjacency=[0], host_edges=3).host_edges == 3
+    record = SearchRecord(host_graph6="Ch", n=4, m=3, clique_size=1, density="1/2^3",
+                          witness_hex=["0x7"])
+    assert record.elapsed_ms == 0
+    assert SearchSummary(host_count=0, max_clique_size=0, max_density=DyadicDensity(0, 0),
+                         argmax_hosts=[]).host_count == 0
+    assert SeedCheck(intersection_property=True, disjoint_complement=True,
+                     family_size=1).family_size == 1
+    assert ConstructionSpec(parts=[2], t=4).parts == (2,)
+    assert MultipartiteTarget(parts=[1, 2]).parts == (1, 2)
+    family = _family()
+    assert MultipartiteFamily(host=family.host, seeds=family.seeds, family=family.family,
+                              density=family.density) == family
+    assert SubgraphFamily(host=Graph(3, 7), members=[1]).members == (1,)
+
+
+def test_constructors_still_validate_and_normalize():
+    with pytest.raises(ValueError):
+        Graph(0)
+    with pytest.raises(ValueError):
+        MultipartiteTarget([])
+    with pytest.raises(ValueError):
+        ConstructionSpec([1], 0)
+    with pytest.raises(ValueError):
+        SubgraphFamily(Graph(3, 1), [2])
+    d = DyadicDensity(34, 8)
+    assert (d.numerator, d.exponent) == (17, 7)
+    assert DyadicDensity(0, 9) == DyadicDensity(0, 0)
+
+
+def test_canonical_key_order():
+    keys = [CanonicalKey(6, 9), CanonicalKey(5, 20), CanonicalKey(6, 3), CanonicalKey(5, 2)]
+    assert sorted(keys) == [CanonicalKey(5, 2), CanonicalKey(5, 20),
+                            CanonicalKey(6, 3), CanonicalKey(6, 9)]
+    assert CanonicalKey(5, 20) < CanonicalKey(6, 0) <= CanonicalKey(6, 0)
+    assert CanonicalKey(6, 1) > CanonicalKey(6, 0) >= CanonicalKey(6, 0)
+    with pytest.raises(TypeError):
+        CanonicalKey(6, 0) < (6, 1)
+
+
+def test_dyadic_density_order():
+    assert DyadicDensity(17, 7) > DyadicDensity(1, 3) >= DyadicDensity(2, 4)
+    assert DyadicDensity(1, 3) <= DyadicDensity(16, 7) < DyadicDensity(17, 7)
+    with pytest.raises(TypeError):
+        DyadicDensity(1, 3) < 0.5
+
+
+def test_dataclass_style_repr():
+    assert repr(Graph(6, 5)) == "Graph(n=6, edges=5)"
+    assert repr(CanonicalKey(6, 5)) == "CanonicalKey(n=6, key=5)"
+    assert repr(DyadicDensity(34, 8)) == "DyadicDensity(numerator=17, exponent=7)"
+    assert repr(HostClass(6, 7)) == "HostClass(n=6, m=7, connected_only=True)"
+    assert repr(MultipartiteTarget([2, 3])) == "MultipartiteTarget(parts=(2, 3))"
+    assert repr(CliqueResult(3)) == (
+        "CliqueResult(size=3, witness=[], density=DyadicDensity(numerator=0, exponent=0), "
+        "phase1_nodes=0, phase2_nodes=0)"
+    )
+
+
+def test_cli_import_leaves_heavy_stdlib_modules_unloaded():
+    # -S: no site hooks, so nothing is loaded before the import but the
+    # interpreter's own start-up modules
+    heavy = ["dataclasses", "inspect", "multiprocessing", "fractions", "decimal", "typing"]
+    code = f"import sys, hifam.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"

@@ -176,6 +176,16 @@ def test_cli_clique_host_over_the_edge_cap_fails_fast(capsys):
     assert captured.err == "error: compatibility graphs capped at 16 host edges, got 18\n"
 
 
+@pytest.mark.parametrize("host,count", [("k6", 32_056), ("k2,8", 58_967)])
+def test_cli_clique_over_the_candidate_cap_fails_fast(capsys, host, count):
+    start = time.perf_counter()
+    assert main(["clique", "--host", host]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: compatibility graphs capped at 16384 candidates, got {count}\n"
+
+
 def test_cli_construct_verdict_lines(capsys):
     assert main(["construct", "--parts", "2", "--t", "4"]) == 0
     out = capsys.readouterr().out
