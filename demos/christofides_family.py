@@ -44,7 +44,7 @@ def main() -> None:
         print(f"  {mask:#06x}  {Graph(host.n, mask).edge_pairs()}")
 
     family = SubgraphFamily(host, members)
-    failure = verify_intersecting(family, target, require_self=True)
+    failure = verify_intersecting(family, target)
     print()
     print(f"pairwise verification: {'ok' if failure is None else failure}")
     print(f"lifted to 6 labeled vertices: {lifted_count_string(result.size, host.edge_count, 6)}")

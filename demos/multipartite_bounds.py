@@ -53,7 +53,7 @@ def main() -> None:
     # the smallest instance is cheap enough to verify pair by pair right here
     spec = ConstructionSpec((1,), 2)
     built = multipartite_family(spec)
-    failure = verify_intersecting(built.family, MultipartiteTarget((1, 2)), require_self=True)
+    failure = verify_intersecting(built.family, MultipartiteTarget((1, 2)))
     print()
     print(f"full pairwise check of the K_{{1,2}} instance "
           f"({len(built.family)} members): {'ok' if failure is None else failure}")

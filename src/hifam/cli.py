@@ -15,7 +15,7 @@ import os
 import re
 import sys
 
-from .clique import build_compatibility, max_clique
+from .clique import build_compatibility
 from .construct import (
     ConstructionSpec,
     improvement_margin,
@@ -39,7 +39,7 @@ from .graphs import (
     parse_graph6,
     path,
 )
-from .search import load_records, search_hosts, verify_records, write_records
+from .search import load_records, search_hosts, solve_host, verify_records, write_records
 
 JOBS_ENV = "HIFAM_JOBS"
 
@@ -156,25 +156,23 @@ def cmd_clique(args: argparse.Namespace) -> int:
     host = resolve_graph(args.host)
     target = resolve_graph(args.target)
     cg = build_compatibility(host, target)
-    result = max_clique(cg)
-    witness_hex = [hex(cg.labels[i]) for i in result.witness]
-    raw_density = density_string(result.size, host.edge_count)
+    rec = solve_host(host, cg)
     if args.json:
         print(json.dumps({
-            "host_graph6": emit_graph6(host),
-            "n": host.n,
-            "m": host.edge_count,
+            "host_graph6": rec.host_graph6,
+            "n": rec.n,
+            "m": rec.m,
             "candidates": cg.size,
-            "size": result.size,
-            "density": raw_density,
-            "witness_hex": witness_hex,
+            "size": rec.clique_size,
+            "density": rec.density,
+            "witness_hex": rec.witness_hex,
         }))
     else:
-        print(f"host: {emit_graph6(host)} (n={host.n}, m={host.edge_count})")
+        print(f"host: {rec.host_graph6} (n={rec.n}, m={rec.m})")
         print(f"candidates: {cg.size}")
-        print(f"size: {result.size}")
-        print(f"density: {raw_density}")
-        print(f"witness: {' '.join(witness_hex)}")
+        print(f"size: {rec.clique_size}")
+        print(f"density: {rec.density}")
+        print(f"witness: {' '.join(rec.witness_hex)}")
     return 0
 
 
@@ -188,7 +186,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         args.vertices, edge_counts, target,
         connected=args.connected, jobs=jobs,
     )
-    write_records(records, args.out, include_timing=args.timings)
+    write_records(records, args.out)
     max_density = density_string(summary.max_density.numerator, summary.max_density.exponent)
     if args.json:
         print(json.dumps({
@@ -211,9 +209,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     spec = ConstructionSpec(tuple(_parse_int_list(args.parts)), args.t)
     built = multipartite_family(spec)
     host = built.host
-    target_parts = spec.parts + (args.target_t if args.target_t is not None else spec.t,)
-    target_graph = complete_multipartite(target_parts)
-    trivial = trivial_density(target_graph)
+    trivial = trivial_density(spec.target)
     e_host = host.edge_count
     family_str = density_string(len(built.family), e_host)
     trivial_str = density_string(trivial.scaled_numerator(e_host), e_host)
@@ -222,11 +218,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
     verdict = f"{family_str} {op} {trivial_str}: {'improved' if improved else 'not improved'}"
     lhs, rhs = improvement_margin(spec)
 
+    verify_target = MultipartiteTarget(
+        spec.parts + (spec.t if args.target_t is None else args.target_t,)
+    )
     verify_failure = None
     if args.verify:
-        verify_failure = verify_intersecting(
-            built.family, MultipartiteTarget(target_parts), require_self=True
-        )
+        verify_failure = verify_intersecting(built.family, verify_target)
 
     if args.json:
         obj = {
@@ -255,7 +252,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         print(f"lifted count at n={host.n}: {lifted_count_string(len(built.family), e_host, host.n)}")
         print(verdict)
         if args.verify:
-            target_name = "K_{" + ",".join(str(p) for p in target_parts) + "}"
+            target_name = "K_{" + ",".join(str(p) for p in verify_target.parts) + "}"
             if verify_failure is None:
                 print(f"verified: every pair intersection contains {target_name}")
             else:
@@ -266,7 +263,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     target = resolve_graph(args.target)
     records = load_records(args.records)
-    problems = verify_records(records, target, require_self=not args.no_self)
+    problems = verify_records(records, target)
     if args.json:
         print(json.dumps({
             "records": len(records),
@@ -312,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--jobs", "-j", type=int, default=None,
                           help=f"worker processes (default ${JOBS_ENV} or 1)")
     p_search.add_argument("--out", "-o", required=True, help="JSONL output path")
-    p_search.add_argument("--timings", action="store_true",
-                          help="include per-host elapsed_ms (non-deterministic)")
     p_search.add_argument("--json", action="store_true")
     p_search.set_defaults(func=cmd_search)
 
@@ -325,16 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
                              help="check that every pair intersection contains the "
                                   "target (pairs of minimal members when up-closed)")
     p_construct.add_argument("--target-t", type=int, default=None,
-                             help="final part size of the verification target "
-                                  "(default: the construction's t)")
+                             help="final part size of the --verify target "
+                                  "(default: the construction's t); the verdict "
+                                  "always uses the construction's own target")
     p_construct.add_argument("--json", action="store_true")
     p_construct.set_defaults(func=cmd_construct)
 
     p_verify = sub.add_parser("verify", help="re-check persisted search records")
     p_verify.add_argument("--records", required=True, help="JSONL file from search")
     p_verify.add_argument("--target", default="p4")
-    p_verify.add_argument("--no-self", action="store_true",
-                          help="skip per-member containment checks")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

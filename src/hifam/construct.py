@@ -145,7 +145,7 @@ def check_seeds(host: Graph, seeds: Sequence[int], target: TargetLike) -> SeedCh
     for s in seeds:
         if s & ~host.edges:
             raise ValueError(f"seed {s:#x} is not an edge subset of the host")
-    intersection_property = _all_pairs_contain(host.n, seeds, containment_check(target))
+    intersection_property = _first_pair_lacking(host.n, seeds, containment_check(target)) is None
     disjoint_complement = all(
         seeds[i] | seeds[j] == host.edges
         for i in range(len(seeds))
@@ -156,13 +156,15 @@ def check_seeds(host: Graph, seeds: Sequence[int], target: TargetLike) -> SeedCh
     return SeedCheck(intersection_property, disjoint_complement, family_size)
 
 
-def _all_pairs_contain(n: int, masks: Sequence[int], check: Callable[[Graph], bool]) -> bool:
-    """True iff every pair i <= j of masks intersects in a target copy."""
-    return all(
-        check(Graph(n, masks[i] & masks[j]))
-        for i in range(len(masks))
-        for j in range(i, len(masks))
-    )
+def _first_pair_lacking(
+    n: int, masks: Sequence[int], check: Callable[[Graph], bool]
+) -> tuple[int, int] | None:
+    """First pair i <= j of masks, in row order, whose intersection fails check."""
+    for i in range(len(masks)):
+        for j in range(i, len(masks)):
+            if not check(Graph(n, masks[i] & masks[j])):
+                return (i, j)
+    return None
 
 
 def _minimal_members(family: SubgraphFamily) -> list[int] | None:
@@ -188,50 +190,28 @@ def _minimal_members(family: SubgraphFamily) -> list[int] | None:
     return minimal
 
 
-def verify_intersecting(
-    family: SubgraphFamily, target: TargetLike, require_self: bool = False
-) -> tuple[int, int] | None:
-    """Check every pair's intersection for the target; None means all pass.
+def verify_intersecting(family: SubgraphFamily, target: TargetLike) -> tuple[int, int] | None:
+    """Check every pair i <= j of members for the target; None means all pass.
 
-    Distinct pairs are always checked; with require_self each member is also
-    checked on its own.  Returns the first failing index pair in member
-    order ((i, i) for a self failure).
+    A member paired with itself must hold the target on its own.  Returns
+    the first failing index pair in member order, rows first.
 
     Fast path, taken when the family is up-closed within its host: if every
     pair i <= j of its minimal members holds the target, so does every pair
-    of members and every member, since each member contains a minimal one
-    and containment is monotone; the answer is None.  For two or more
-    members the converse holds too, so no passing family misses the fast
-    path: no minimal member A is the host, so A + e is a member for some
-    edge e, and the distinct pair (A, A + e) already asks A to hold the
-    target, with or without require_self.  Any other family, and any family
-    that fails, goes through the quadratic scan for the first failing pair.
+    of members, since each member contains a minimal one and containment is
+    monotone; the answer is None.  Minimal members are members, so a family
+    whose minimal pairs fail fails too; it, and any family that is not
+    up-closed, goes through the quadratic scan for the first failing pair.
     """
-    minimal = _minimal_members(family)
-    if minimal is not None and _all_pairs_contain(
-        family.host.n, minimal, containment_check(target)
-    ):
-        return None
-    return _verify_pairwise(family, target, require_self)
-
-
-def _verify_pairwise(
-    family: SubgraphFamily, target: TargetLike, require_self: bool = False
-) -> tuple[int, int] | None:
-    """The quadratic scan behind verify_intersecting: every pair, in order."""
     check = containment_check(target)
-    members = family.members
     n = family.host.n
-    for i in range(len(members)):
-        if require_self and not check(Graph(n, members[i])):
-            return (i, i)
-        for j in range(i + 1, len(members)):
-            if not check(Graph(n, members[i] & members[j])):
-                return (i, j)
-    return None
+    minimal = _minimal_members(family)
+    if minimal is not None and _first_pair_lacking(n, minimal, check) is None:
+        return None
+    return _first_pair_lacking(n, family.members, check)
 
 
-def trivial_density(target: Graph) -> DyadicDensity:
+def trivial_density(target: TargetLike) -> DyadicDensity:
     """Density of the all-supergraphs-of-one-copy family: 1 / 2^e(target)."""
     return DyadicDensity(1, target.edge_count)
 

@@ -167,13 +167,15 @@ class Graph(FrozenRecord):
         return sorted(a.bit_count() for a in self.adjacency())
 
     def incident_edge_mask(self, v: int) -> int:
-        """Bitset (over edge slots) of this graph's edges incident to v."""
-        mask = 0
-        for b in iter_bits(self.edges):
-            i, j = edge_pair(b, self.n)
-            if v in (i, j):
-                mask |= 1 << b
-        return mask
+        """Bitset (over edge slots) of this graph's edges incident to v.
+
+        Column v holds v's edges to lower vertices; each higher vertex j
+        holds its edge to v at slot j(j-1)/2 + v.
+        """
+        mask = ((1 << v) - 1) << pair_count(v)
+        for j in range(v + 1, self.n):
+            mask |= 1 << (pair_count(j) + v)
+        return self.edges & mask
 
 
 def from_edges(n: int, pairs: Sequence[tuple[int, int]]) -> Graph:

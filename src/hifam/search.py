@@ -4,36 +4,36 @@ Each host graph is an independent job: build its compatibility graph, solve
 exact maximum clique, record the result.  Hosts are distributed across
 worker processes; records are merged back in deterministic (edge count,
 canonical key) order, so output files are byte-identical no matter how many
-jobs ran.  Wall-clock timings are kept in memory but only written with
-include_timing, since they would break that byte-level determinism.
+jobs ran.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from collections.abc import Iterable, Sequence
 
-from .clique import build_compatibility, max_clique
+from .clique import CompatibilityGraph, build_compatibility, max_clique
 from .construct import SubgraphFamily, verify_intersecting
 from .density import DyadicDensity, density_string
 from .enumeration import HostClass, connected_graphs
 from .graphs import Graph, Record, emit_graph6, parse_graph6
 
-RECORD_FIELDS = ("host_graph6", "n", "m", "clique_size", "density", "witness_hex")
+# A record's fields in file order, each with the JSON type its value must have.
+RECORD_TYPES = {"host_graph6": str, "n": int, "m": int, "clique_size": int,
+                "density": str, "witness_hex": list}
+RECORD_FIELDS = tuple(RECORD_TYPES)
 
 
 class SearchRecord(Record):
     """One result row per host graph."""
 
-    __slots__ = RECORD_FIELDS + ("elapsed_ms",)
+    __slots__ = RECORD_FIELDS
     host_graph6: str
     n: int
     m: int
     clique_size: int
     density: str
     witness_hex: list[str]
-    elapsed_ms: int
 
     def __init__(
         self,
@@ -43,7 +43,6 @@ class SearchRecord(Record):
         clique_size: int,
         density: str,
         witness_hex: list[str],
-        elapsed_ms: int = 0,
     ) -> None:
         self.host_graph6 = host_graph6
         self.n = n
@@ -51,26 +50,29 @@ class SearchRecord(Record):
         self.clique_size = clique_size
         self.density = density
         self.witness_hex = witness_hex
-        self.elapsed_ms = elapsed_ms
 
-    def to_json(self, include_timing: bool = False) -> str:
-        obj = {name: getattr(self, name) for name in RECORD_FIELDS}
-        if include_timing:
-            obj["elapsed_ms"] = self.elapsed_ms
-        return json.dumps(obj, separators=(",", ":"))
+    def to_json(self) -> str:
+        return json.dumps({name: getattr(self, name) for name in RECORD_FIELDS},
+                          separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line: str) -> "SearchRecord":
+        """Parse one record line; ValueError unless every field has its type.
+
+        Keys outside the field table are ignored.  Ints exclude bools, and
+        witness_hex must be a list of strings.
+        """
         obj = json.loads(line)
-        return cls(
-            host_graph6=obj["host_graph6"],
-            n=obj["n"],
-            m=obj["m"],
-            clique_size=obj["clique_size"],
-            density=obj["density"],
-            witness_hex=list(obj["witness_hex"]),
-            elapsed_ms=obj.get("elapsed_ms", 0),
-        )
+        if type(obj) is not dict:
+            raise ValueError("a record must be a JSON object")
+        for name, kind in RECORD_TYPES.items():
+            if name not in obj:
+                raise ValueError(f"record lacks the field {name!r}")
+            value = obj[name]
+            if type(value) is not kind or kind is list and any(type(h) is not str for h in value):
+                want = "a list of strings" if kind is list else kind.__name__
+                raise ValueError(f"field {name!r} must be {want}, got {value!r}")
+        return cls(*[obj[name] for name in RECORD_FIELDS])
 
 
 class SearchSummary(Record):
@@ -93,12 +95,9 @@ class SearchSummary(Record):
         self.argmax_hosts = argmax_hosts
 
 
-def _solve_host(args: tuple[Graph, Graph]) -> SearchRecord:
-    host, target = args
-    start = time.perf_counter()
-    cg = build_compatibility(host, target)
+def solve_host(host: Graph, cg: CompatibilityGraph) -> SearchRecord:
+    """Solve one host's compatibility graph exactly and record the result."""
     result = max_clique(cg)
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
     return SearchRecord(
         host_graph6=emit_graph6(host),
         n=host.n,
@@ -106,8 +105,12 @@ def _solve_host(args: tuple[Graph, Graph]) -> SearchRecord:
         clique_size=result.size,
         density=density_string(result.size, host.edge_count),
         witness_hex=[hex(cg.labels[i]) for i in result.witness],
-        elapsed_ms=elapsed_ms,
     )
+
+
+def _solve_host(args: tuple[Graph, Graph]) -> SearchRecord:
+    host, target = args
+    return solve_host(host, build_compatibility(host, target))
 
 
 def search_hosts(
@@ -149,27 +152,27 @@ def summarize(records: Iterable[SearchRecord]) -> SearchSummary:
     return SearchSummary(len(records), best_clique, best, argmax)
 
 
-def write_records(
-    records: Sequence[SearchRecord], path: str, include_timing: bool = False
-) -> None:
+def write_records(records: Sequence[SearchRecord], path: str) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for rec in records:
-            fh.write(rec.to_json(include_timing) + "\n")
+            fh.write(rec.to_json() + "\n")
 
 
 def load_records(path: str) -> list[SearchRecord]:
+    """Read a JSONL records file; ValueError naming path:line on a bad line."""
     out = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                out.append(SearchRecord.from_json(line))
+                try:
+                    out.append(SearchRecord.from_json(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from None
     return out
 
 
-def verify_records(
-    records: Sequence[SearchRecord], target: Graph, require_self: bool = True
-) -> list[str]:
+def verify_records(records: Sequence[SearchRecord], target: Graph) -> list[str]:
     """Re-verify persisted records; returns one message per violation."""
     problems = []
     for rec in records:
@@ -193,7 +196,7 @@ def verify_records(
         except ValueError as exc:
             problems.append(f"{where}: bad witness ({exc})")
             continue
-        failure = verify_intersecting(family, target, require_self=require_self)
+        failure = verify_intersecting(family, target)
         if failure is not None:
             problems.append(f"{where}: members {failure} lack the target intersection")
     return problems

@@ -14,9 +14,11 @@ from hifam import (
     Graph,
     HostClass,
     MultipartiteTarget,
+    SubgraphFamily,
     containment_check,
     is_connected,
 )
+from hifam.detect import TargetLike
 from hifam.graphs import edge_index, edge_pair, iter_bits, pair_count, submasks
 
 
@@ -332,6 +334,43 @@ def pairwise_adjacency(g: Graph) -> list[int]:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     return adj
+
+
+def incident_edge_mask_by_edges(g: Graph, v: int) -> int:
+    """Bitset of g's edges at v, one edge at a time.
+
+    Each set bit of the edge bitset is mapped back to its pair by
+    edge_pair; this is how Graph.incident_edge_mask worked before it read
+    v's column and the higher vertices' slots directly.
+    """
+    mask = 0
+    for b in iter_bits(g.edges):
+        i, j = edge_pair(b, g.n)
+        if v in (i, j):
+            mask |= 1 << b
+    return mask
+
+
+def verify_pairwise(
+    family: SubgraphFamily, target: TargetLike, require_self: bool = False
+) -> tuple[int, int] | None:
+    """The quadratic scan behind verify_intersecting: every pair, in order.
+
+    Distinct pairs are always checked; with require_self each member is
+    also checked on its own, just before its row.  This is how
+    verify_intersecting scanned before "intersecting" came to mean every
+    pair i <= j; with require_self it gives the same answers.
+    """
+    check = containment_check(target)
+    members = family.members
+    n = family.host.n
+    for i in range(len(members)):
+        if require_self and not check(Graph(n, members[i])):
+            return (i, i)
+        for j in range(i + 1, len(members)):
+            if not check(Graph(n, members[i] & members[j])):
+                return (i, j)
+    return None
 
 
 def largest_first_multipartite(g: Graph, target: MultipartiteTarget) -> bool:

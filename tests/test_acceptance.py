@@ -150,9 +150,7 @@ def test_criterion_6_intersecting_property_of_19_member_families():
         for parts, t in (((2,), 4), ((1, 1), 4)):
             built = multipartite_family(ConstructionSpec(parts, t))
             assert len(built.family) == 19
-            failure = verify_intersecting(
-                built.family, MultipartiteTarget(parts + (t,)), require_self=True
-            )
+            failure = verify_intersecting(built.family, MultipartiteTarget(parts + (t,)))
             assert failure is None, (parts, t, failure)
 
 

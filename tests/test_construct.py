@@ -26,8 +26,10 @@ from hifam import (
     verify_intersecting,
 )
 from hifam import detect
-from hifam.construct import _minimal_members, _verify_pairwise
+from hifam.construct import _minimal_members
 from hifam.graphs import iter_bits
+
+from oracles import verify_pairwise
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +111,7 @@ def test_smallest_instance_fully_verified():
     assert built.host.n == 5 and built.host.edge_count == 4  # K_{1,4}
     assert len(built.family) == 5
     assert built.density == DyadicDensity(5, 4)
-    assert verify_intersecting(built.family, MultipartiteTarget([1, 2]), require_self=True) is None
+    assert verify_intersecting(built.family, MultipartiteTarget([1, 2])) is None
 
 
 def test_family_members_are_distinct_host_subsets():
@@ -161,9 +163,7 @@ def test_seed_check_agrees_with_size_formula():
 def test_intersecting_property_on_hosts_up_to_14_vertices(parts, t, target_parts):
     built = multipartite_family(ConstructionSpec(parts, t))
     assert built.host.n <= 14
-    failure = verify_intersecting(
-        built.family, MultipartiteTarget(target_parts), require_self=True
-    )
+    failure = verify_intersecting(built.family, MultipartiteTarget(target_parts))
     assert failure is None
 
 
@@ -171,10 +171,10 @@ def test_intersecting_property_on_hosts_up_to_14_vertices(parts, t, target_parts
 def test_intersecting_property_on_large_hosts(request, parts, t):
     built = multipartite_family(ConstructionSpec(parts, t))
     target = MultipartiteTarget(parts + (t,))
-    failure = verify_intersecting(built.family, target, require_self=True)
+    failure = verify_intersecting(built.family, target)
     assert failure is None
     if request.config.getoption("--run-large-verify"):
-        assert _verify_pairwise(built.family, target, require_self=True) == failure
+        assert verify_pairwise(built.family, target, require_self=True) == failure
 
 
 def test_up_closed_verification_checks_only_minimal_pairs(monkeypatch):
@@ -187,7 +187,7 @@ def test_up_closed_verification_checks_only_minimal_pairs(monkeypatch):
 
     monkeypatch.setattr(detect, "contains_multipartite", counting)
     built = multipartite_family(ConstructionSpec((4,), 16))
-    assert verify_intersecting(built.family, MultipartiteTarget((4, 16)), True) is None
+    assert verify_intersecting(built.family, MultipartiteTarget((4, 16))) is None
     assert len(calls) == 18 * 19 // 2
 
 
@@ -240,7 +240,7 @@ def test_verify_reports_first_failing_pair():
     triangle = from_edges(4, [(0, 1), (0, 2), (1, 2)])
     lone_edge = from_edges(4, [(0, 3)])
     family = SubgraphFamily(host, [triangle.edges, lone_edge.edges])
-    assert verify_intersecting(family, path(2), require_self=False) == (0, 1)
+    assert verify_intersecting(family, path(2)) == (0, 1)
 
 
 def test_family_that_is_not_up_closed_goes_straight_to_the_scan(monkeypatch):
@@ -256,17 +256,19 @@ def test_family_that_is_not_up_closed_goes_straight_to_the_scan(monkeypatch):
     lone_edge = from_edges(4, [(0, 3)])
     family = SubgraphFamily(host, [triangle.edges, lone_edge.edges])
     assert verify_intersecting(family, path(2)) == (0, 1)
-    assert len(calls) == 1  # the minimal-member pairs would test (0, 0) first
+    # the scan alone: (0, 0) holds an edge, (0, 1) does not
+    assert len(calls) == 2
 
 
 def test_verify_self_check_catches_weak_members():
     host = path(4)  # edge slots {0, 2, 5}
     short = 0b101  # edges (0,1) and (1,2): contains P3, not P4
     family = SubgraphFamily(host, [host.edges, short])
-    assert verify_intersecting(family, path(4), require_self=False) == (0, 1)
-    assert verify_intersecting(
-        SubgraphFamily(host, [short, host.edges]), path(4), require_self=True
-    ) == (0, 0)
+    assert verify_intersecting(family, path(4)) == (0, 1)
+    assert verify_intersecting(SubgraphFamily(host, [short, host.edges]), path(4)) == (0, 0)
+    # a member paired with itself must hold the target, even when it is alone
+    assert verify_intersecting(SubgraphFamily(host, [short]), path(4)) == (0, 0)
+    assert verify_intersecting(SubgraphFamily(host, [host.edges]), path(4)) is None
 
 
 def _host_subsets(host):
@@ -300,11 +302,10 @@ def test_up_closure_path_matches_quadratic_oracle():
             host = Graph(n, rng.getrandbits(n * (n - 1) // 2))
         family = _random_family(rng, host, rng.choice(["up-closed", "above-core", "tiny", "any"]))
         target = rng.choice(targets)
-        for require_self in (False, True):
-            got = verify_intersecting(family, target, require_self)
-            assert got == _verify_pairwise(family, target, require_self), (family, target)
-            up_closed = _minimal_members(family) is not None
-            seen.add((up_closed, got is None, min(len(family), 3)))
+        got = verify_intersecting(family, target)
+        assert got == verify_pairwise(family, target, require_self=True), (family, target)
+        up_closed = _minimal_members(family) is not None
+        seen.add((up_closed, got is None, min(len(family), 3)))
     # every size (3 standing for "3 or more") up-closed or not, passing or failing;
     # the empty family is up-closed and passes
     cases = {(u, ok, size) for u in (True, False) for ok in (True, False) for size in (1, 2, 3)}

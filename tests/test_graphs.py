@@ -24,7 +24,12 @@ from hifam import (
 )
 from hifam.graphs import edge_index, edge_pair, pair_count, submasks
 
-from oracles import canonical_edges, compact_subsets, pairwise_adjacency
+from oracles import (
+    canonical_edges,
+    compact_subsets,
+    incident_edge_mask_by_edges,
+    pairwise_adjacency,
+)
 
 
 def _random_graph(rng, n, p=0.5):
@@ -98,6 +103,16 @@ def test_adjacency_matches_pairwise_oracle(n):
     graphs += [_random_graph(rng, n, p) for p in (0.1, 0.5, 0.9) for _ in range(5)]
     for g in graphs:
         assert g.adjacency() == pairwise_adjacency(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 30, 64])
+def test_incident_edge_mask_matches_per_edge_oracle(n):
+    rng = random.Random(n)
+    graphs = [Graph(n, 0), complete(n)]
+    graphs += [_random_graph(rng, n, p) for p in (0.1, 0.5, 0.9) for _ in range(3)]
+    for g in graphs:
+        for v in range(n):
+            assert g.incident_edge_mask(v) == incident_edge_mask_by_edges(g, v), (g, v)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ MUTABLE = {
     "CliqueResult": (lambda: CliqueResult(2, [0, 1], DyadicDensity(2, 3), 4, 1),
                      lambda: CliqueResult(2, [0, 1], DyadicDensity(2, 3), 4, 2)),
     "SearchRecord": (lambda: SearchRecord("Ch", 4, 3, 1, "1/2^3", ["0x7"]),
-                     lambda: SearchRecord("Ch", 4, 3, 1, "1/2^3", ["0x7"], 5)),
+                     lambda: SearchRecord("Ch", 4, 3, 1, "1/2^3", ["0x3"])),
     "SearchSummary": (lambda: SearchSummary(2, 17, DyadicDensity(17, 7), ["E?zW"]),
                       lambda: SearchSummary(2, 17, DyadicDensity(17, 7), [])),
 }
@@ -123,7 +123,7 @@ def test_positional_and_keyword_construction_with_defaults():
     assert CompatibilityGraph(labels=[1], adjacency=[0], host_edges=3).host_edges == 3
     record = SearchRecord(host_graph6="Ch", n=4, m=3, clique_size=1, density="1/2^3",
                           witness_hex=["0x7"])
-    assert record.elapsed_ms == 0
+    assert record == SearchRecord("Ch", 4, 3, 1, "1/2^3", ["0x7"])
     assert SearchSummary(host_count=0, max_clique_size=0, max_density=DyadicDensity(0, 0),
                          argmax_hosts=[]).host_count == 0
     assert SeedCheck(intersection_property=True, disjoint_complement=True,

@@ -29,13 +29,14 @@ from hifam.cli import InputError, main, resolve_graph
 
 
 def test_record_json_round_trip():
-    rec = SearchRecord("Bw", 3, 3, 2, "2/2^3", ["0x1", "0x3"], elapsed_ms=42)
+    rec = SearchRecord("Bw", 3, 3, 2, "2/2^3", ["0x1", "0x3"])
     line = rec.to_json()
-    assert "elapsed_ms" not in line
-    back = SearchRecord.from_json(line)
-    assert back.witness_hex == ["0x1", "0x3"] and back.elapsed_ms == 0
-    timed = rec.to_json(include_timing=True)
-    assert json.loads(timed)["elapsed_ms"] == 42
+    assert line == ('{"host_graph6":"Bw","n":3,"m":3,"clique_size":2,"density":"2/2^3",'
+                    '"witness_hex":["0x1","0x3"]}')
+    assert SearchRecord.from_json(line) == rec
+    # keys outside the field table, such as an old elapsed_ms, are ignored
+    timed = json.dumps({**json.loads(line), "elapsed_ms": 42})
+    assert SearchRecord.from_json(timed) == rec
 
 
 def test_small_search_matches_hand_results(tmp_path):
@@ -61,7 +62,7 @@ def test_verify_records_flags_corruption():
     rec = next(r for r in records if r.clique_size >= 1)
     broken = SearchRecord(
         rec.host_graph6, rec.n, rec.m, rec.clique_size,
-        rec.density, list(rec.witness_hex), rec.elapsed_ms,
+        rec.density, list(rec.witness_hex),
     )
     broken.witness_hex = ["0x5"] * broken.clique_size  # 2-edge member, no P4
     problems = verify_records([broken], path(4))
@@ -70,7 +71,7 @@ def test_verify_records_flags_corruption():
 
     wrong_density = SearchRecord(
         rec.host_graph6, rec.n, rec.m, rec.clique_size,
-        "9/2^9", rec.witness_hex, rec.elapsed_ms,
+        "9/2^9", rec.witness_hex,
     )
     assert any("density" in p for p in verify_records([wrong_density], path(4)))
 
@@ -207,6 +208,75 @@ def test_cli_construct_reduced_target(capsys):
         "construct", "--parts", "2", "--t", "4", "--verify", "--target-t", "3", "--json",
     ]) == 0
     assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+@pytest.mark.parametrize("target_t", ["3", "5", "7"])
+@pytest.mark.parametrize("form", [[], ["--json"]])
+def test_cli_construct_verdict_ignores_the_verify_target(capsys, target_t, form):
+    # the verdict compares with the construction's own K_{2,4}, whatever --target-t says
+    argv = ["construct", "--parts", "2", "--t", "4"] + form
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--target-t", target_t]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_cli_construct_larger_verify_target_is_a_violation(capsys):
+    argv = ["construct", "--parts", "2", "--t", "4", "--verify", "--target-t", "7"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[-2:] == [
+        "19/2^12 > 16/2^12: improved",
+        "VIOLATION: members (0, 0) lack a K_{2,7} intersection",
+    ]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "-n", "4", "-m", "3", "--out", "OUT", "--timings"],
+    ["verify", "--records", "OUT", "--no-self"],
+])
+def test_cli_removed_flags_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "records.jsonl"
+    with pytest.raises(SystemExit) as err:
+        main([str(out) if a == "OUT" else a for a in argv])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+GOOD_RECORD = {"host_graph6": emit_graph6(path(4)), "n": 4, "m": 3, "clique_size": 1,
+               "density": "1/2^3", "witness_hex": [hex(path(4).edges)]}
+
+
+@pytest.mark.parametrize("bad", [
+    "{}",
+    "[1,2]",
+    json.dumps({**GOOD_RECORD, "witness_hex": [7]}),
+    json.dumps({**GOOD_RECORD, "host_graph6": 5}),
+    json.dumps({**GOOD_RECORD, "witness_hex": "0x7"}),
+    json.dumps({**GOOD_RECORD, "clique_size": True}),
+    "not json",
+])
+def test_cli_verify_malformed_record_exits_2(tmp_path, capsys, bad):
+    out = tmp_path / "records.jsonl"
+    out.write_text(json.dumps(GOOD_RECORD) + "\n" + bad + "\n")
+    with pytest.raises(ValueError) as err:
+        load_records(str(out))
+    assert str(err.value).startswith(f"{out}:2: ")
+    assert main(["verify", "--records", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {out}:2: ")
+
+
+def test_cli_verify_ignores_unknown_record_keys(tmp_path, capsys):
+    out = tmp_path / "records.jsonl"
+    out.write_text(json.dumps({**GOOD_RECORD, "elapsed_ms": 42}) + "\n")
+    assert load_records(str(out)) == [SearchRecord(*GOOD_RECORD.values())]
+    assert main(["verify", "--records", str(out)]) == 0
+    assert capsys.readouterr().out == "ok: 1 records, 0 violations\n"
 
 
 def test_cli_search_and_verify(tmp_path, capsys):
