@@ -4,7 +4,8 @@ Subcommands: enumerate (host classes as graph6 lines), clique (one host,
 exact solve), search (a whole host class, JSONL records plus summary),
 construct (multipartite family with density comparison), verify (re-check
 persisted search records).  Exit codes: 0 success, 1 property violation,
-2 usage or parse error.
+2 usage, parse or cap error (a ``UserError``, or an ``OSError`` on a file);
+any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .enumeration import HostClass, connected_graphs
 from .graphs import (
     Graph,
     Graph6Error,
+    UserError,
     christofides_host,
     complete,
     complete_multipartite,
@@ -51,7 +53,7 @@ _SHAPE_RE = re.compile(r"^([pck])(\d+)$", re.IGNORECASE)
 _PARTS_RE = re.compile(r"^k(\d+(?:,\d+)+)$", re.IGNORECASE)
 
 
-class InputError(ValueError):
+class InputError(UserError):
     """User-supplied graph or flag text that cannot be interpreted."""
 
 
@@ -65,12 +67,15 @@ def resolve_graph(text: str) -> Graph:
     """
     s = text.strip()
     if s == "-":
-        return _graph_from_text(sys.stdin.read())
+        try:
+            return _graph_from_text(sys.stdin.read())
+        except UnicodeDecodeError as exc:
+            raise InputError(f"cannot read the graph on stdin: {exc}") from exc
     if s.startswith("@"):
         try:
             with open(s[1:], "r", encoding="ascii") as fh:
                 return _graph_from_text(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read graph file {s[1:]!r}: {exc}") from exc
     name = s.lower()
     if name in BUILTIN_GRAPHS:
@@ -206,7 +211,14 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    spec = ConstructionSpec(tuple(_parse_int_list(args.parts)), args.t)
+    parts = tuple(_parse_int_list(args.parts))
+    try:  # part sizes below 1
+        spec = ConstructionSpec(parts, args.t)
+        verify_target = MultipartiteTarget(
+            spec.parts + (spec.t if args.target_t is None else args.target_t,)
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     built = multipartite_family(spec)
     host = built.host
     trivial = trivial_density(spec.target)
@@ -218,9 +230,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
     verdict = f"{family_str} {op} {trivial_str}: {'improved' if improved else 'not improved'}"
     lhs, rhs = improvement_margin(spec)
 
-    verify_target = MultipartiteTarget(
-        spec.parts + (spec.t if args.target_t is None else args.target_t,)
-    )
     verify_failure = None
     if args.verify:
         verify_failure = verify_intersecting(built.family, verify_target)
@@ -340,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # InputError and Graph6Error included
+    except (UserError, OSError) as exc:  # InputError and Graph6Error included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

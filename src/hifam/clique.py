@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .density import DyadicDensity
 from .detect import MultipartiteTarget, TargetLike, containment_check
-from .graphs import Graph, Record, submasks
+from .graphs import Graph, Record, UserError, submasks
 
 MAX_HOST_EDGES = 16
 MAX_CANDIDATES = 1 << 14
@@ -139,14 +139,14 @@ def build_compatibility(host: Graph, target: TargetLike) -> CompatibilityGraph:
     t = a & b), so row a is a's swept entry without its own bit.  Only
     candidates' entries are ever set: a superset of a candidate is one, and
     a subset with no candidate inside it keeps 0.  Hosts with more than
-    MAX_HOST_EDGES edges raise ValueError at once: their 2^e lattice is out
+    MAX_HOST_EDGES edges raise UserError at once: their 2^e lattice is out
     of reach.  So do more than MAX_CANDIDATES candidates, as soon as the
     table is closed: every candidate gets several rows with one bit per
     candidate, so memory grows with the square of the count.
     """
     e = host.edge_count
     if e > MAX_HOST_EDGES:
-        raise ValueError(f"compatibility graphs capped at {MAX_HOST_EDGES} host edges, got {e}")
+        raise UserError(f"compatibility graphs capped at {MAX_HOST_EDGES} host edges, got {e}")
     check = containment_check(target)
     subsets = list(submasks(host.edges))
     ends = [1 << i | 1 << j for i, j in host.edge_pairs()]
@@ -163,7 +163,7 @@ def build_compatibility(host: Graph, target: TargetLike) -> CompatibilityGraph:
         table |= (table & clear) << (1 << i)
     count = table.bit_count()
     if count > MAX_CANDIDATES:
-        raise ValueError(
+        raise UserError(
             f"compatibility graphs capped at {MAX_CANDIDATES} candidates, got {count}"
         )
     # the table's set bits, read from its binary string: iter_bits would

@@ -17,6 +17,7 @@ from .detect import MultipartiteTarget, TargetLike, containment_check
 from .graphs import (
     FrozenRecord,
     Graph,
+    UserError,
     complete_multipartite,
     iter_bits,
     pair_count,
@@ -104,7 +105,7 @@ def multipartite_family(spec: ConstructionSpec) -> MultipartiteFamily:
     supergraphs and the family has (t+2)(2^m - 1) + 1 members.
     """
     if spec.m > MAX_SPARE_EDGES:
-        raise ValueError(f"fixed parts drop {spec.m} edges per seed; cap is {MAX_SPARE_EDGES}")
+        raise UserError(f"fixed parts drop {spec.m} edges per seed; cap is {MAX_SPARE_EDGES}")
     host = complete_multipartite(spec.host_parts)  # raises past the vertex cap
     seeds = [host.edges & ~host.incident_edge_mask(w) for w in range(spec.m, host.n)]
     # every supergraph of every seed; the full extension is the host itself

@@ -1,12 +1,14 @@
 """Host-class enumeration: one representative per isomorphism class.
 
-The classes of n-vertex graphs with m edges are grown from the classes one
-edge away (McKay, "Isomorph-free exhaustive generation", 1998): below half
-the vertex pairs, by adding each missing edge to each (m-1)-edge
-representative; above half, by removing each edge from each (m+1)-edge
-representative, starting from K_n.  Every child is keyed by the exact
-canonical key, so a set of keys removes the duplicates and no
-canonical-parent test is needed.
+The classes of n-vertex graphs with m edges are grown in one direction
+only: add below half, complement above half.  Up to half the vertex pairs,
+each level is grown from the level one edge below (McKay, "Isomorph-free
+exhaustive generation", 1998) by adding each missing edge to each
+(m-1)-edge representative; every child is keyed by the exact canonical
+key, so a set of keys removes the duplicates and no canonical-parent test
+is needed.  Above half, complement is a bijection between the classes
+with m edges and those with slots - m, so each representative there is
+the canonical key of one complement.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .graphs import (
     CANONICAL_MAX_VERTICES,
     FrozenRecord,
     Graph,
+    UserError,
     canonical_key,
     iter_bits,
     pair_count,
@@ -61,18 +64,23 @@ def is_connected(g: Graph) -> bool:
 def _class_keys(n: int, m: int) -> tuple[int, ...]:
     """Canonical keys of all n-vertex graphs with m edges, ascending.
 
-    Recurses on itself, not on connected_graphs, so that one call of
-    connected_graphs stays one call however many levels it builds.
+    Add below half, complement above half: up to half the pairs, each
+    missing edge is added to each (m-1)-edge class and the children are
+    keyed; above half, the classes are the complements of the
+    (slots - m)-edge classes, one key each.  Recurses on itself, not on
+    connected_graphs, so that one call of connected_graphs stays one call
+    however many levels it builds.
     """
+    if m == 0:
+        return (0,)
     slots = pair_count(n)
     full = (1 << slots) - 1
-    if m == 0 or m == slots:
-        return (full if m else 0,)
-    if 2 * m <= slots:
-        children = (p | 1 << b for p in _class_keys(n, m - 1) for b in iter_bits(full ^ p))
+    if 2 * m > slots:
+        keys = [canonical_key(Graph(n, full ^ p)).key for p in _class_keys(n, slots - m)]
     else:
-        children = (p ^ 1 << b for p in _class_keys(n, m + 1) for b in iter_bits(p))
-    return tuple(sorted({canonical_key(Graph(n, child)).key for child in children}))
+        children = (p | 1 << b for p in _class_keys(n, m - 1) for b in iter_bits(full ^ p))
+        keys = {canonical_key(Graph(n, child)).key for child in children}
+    return tuple(sorted(keys))
 
 
 @lru_cache(maxsize=None)
@@ -82,9 +90,9 @@ def connected_graphs(spec: HostClass) -> tuple[Graph, ...]:
     Representatives are the canonical forms themselves, in ascending order
     of canonical key.  Infeasible (n, m) combinations yield an empty tuple.
     """
-    if spec.n > CANONICAL_MAX_VERTICES:
-        raise ValueError(
-            f"host enumeration supports n <= {CANONICAL_MAX_VERTICES}, got n={spec.n}"
+    if not 1 <= spec.n <= CANONICAL_MAX_VERTICES:
+        raise UserError(
+            f"host enumeration supports 1 <= n <= {CANONICAL_MAX_VERTICES}, got n={spec.n}"
         )
     if spec.m < 0 or spec.m > pair_count(spec.n):
         return ()

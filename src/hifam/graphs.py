@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from functools import lru_cache, total_ordering
+from operator import attrgetter
 
 MAX_VERTICES = 64
 CANONICAL_MAX_VERTICES = 8
@@ -18,7 +19,16 @@ CANONICAL_MAX_VERTICES = 8
 GRAPH6_HEADER = ">>graph6<<"
 
 
-class Graph6Error(ValueError):
+class UserError(ValueError):
+    """A request refused on its own terms: input that cannot be read, or a
+    size past one of the documented caps.
+
+    The CLI reports it as exit status 2; any other exception is a bug and
+    propagates.
+    """
+
+
+class Graph6Error(UserError):
     """Raised when a graph6 string cannot be decoded."""
 
 
@@ -81,13 +91,20 @@ class Record:
     """
 
     __slots__ = ()
+    _values: tuple = ()  # the field tuple; a subclass with fields reads it by attrgetter
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        if len(names) == 1:  # attrgetter of one name gives the bare value, not a 1-tuple
+            one = attrgetter(names[0])
+            cls._values = property(lambda self: (one(self),))
+        elif names:
+            cls._values = property(attrgetter(*names))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values == other._values
         return NotImplemented
 
     __hash__ = None
@@ -97,7 +114,7 @@ class Record:
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
-        return self.__class__, self._values()
+        return self.__class__, self._values
 
 
 class FrozenRecord(Record):
@@ -110,7 +127,7 @@ class FrozenRecord(Record):
     __slots__ = ()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
@@ -209,7 +226,7 @@ def complete_multipartite(parts: Sequence[int]) -> Graph:
         raise ValueError(f"part sizes must all be >= 1, got {list(parts)}")
     n = sum(parts)
     if n > MAX_VERTICES:
-        raise ValueError(f"{n} vertices exceeds the {MAX_VERTICES}-vertex cap")
+        raise UserError(f"{n} vertices exceeds the {MAX_VERTICES}-vertex cap")
     starts = [sum(parts[:k]) for k in range(len(parts))]
     mask = 0
     for a in range(len(parts)):
@@ -276,11 +293,14 @@ def _canonical_edges(n: int, edges: int) -> int:
     partition of the unplaced vertices into cells that fill positions 0, 1,
     ... in order.  The vertex w placed at position k comes from the last
     cell; its column is smallest when its neighbours come first in every
-    cell, which splits each cell in two.  Only the states whose column ties
-    the minimum survive to the next position.  Lower columns see only the
-    unplaced vertices, so equal states have equal futures and are kept once;
-    that bounds the work on graphs with many automorphisms (for the empty
-    graph, one state per set of placed vertices, not one per ordering).
+    cell, which splits each cell in two.  Each tried vertex's column comes
+    first, from the neighbour counts of the cells; only a vertex whose
+    column ties or beats the best so far has its refined cells built, and
+    only the states whose column ties the minimum survive to the next
+    position.  Lower columns see only the unplaced vertices, so equal states
+    have equal futures and are kept once; that bounds the work on graphs
+    with many automorphisms (for the empty graph, one state per set of
+    placed vertices, not one per ordering).
     """
     adj = Graph(n, edges).adjacency()
     key = 0
@@ -288,18 +308,32 @@ def _canonical_edges(n: int, edges: int) -> int:
     for k in range(n - 1, 0, -1):
         best, survivors = -1, set()
         for cells in states:
-            last = cells[-1]
-            for w in iter_bits(last):
-                column, start, refined = 0, 0, []
-                for cell in cells[:-1] + (last ^ 1 << w,):
-                    inside = cell & adj[w]
-                    column |= ((1 << inside.bit_count()) - 1) << start
-                    start += cell.bit_count()
-                    refined.extend(part for part in (inside, cell ^ inside) if part)
-                if best < 0 or column < best:
-                    best, survivors = column, {tuple(refined)}
-                elif column == best:
-                    survivors.add(tuple(refined))
+            head, last = cells[:-1], cells[-1]
+            offsets, start = [], 0  # each cell before last with its first position
+            for cell in head:
+                offsets.append((cell, start))
+                start += cell.bit_count()
+            tries = last
+            while tries:
+                low = tries & -tries
+                tries ^= low
+                row = adj[low.bit_length() - 1]
+                rest = last ^ low
+                column = ((1 << (rest & row).bit_count()) - 1) << start
+                for cell, at in offsets:
+                    column |= ((1 << (cell & row).bit_count()) - 1) << at
+                if 0 <= best < column:
+                    continue
+                if column != best:
+                    best, survivors = column, set()
+                refined = []
+                for cell in head + (rest,):
+                    inside = cell & row
+                    if inside:
+                        refined.append(inside)
+                    if inside != cell:
+                        refined.append(cell ^ inside)
+                survivors.add(tuple(refined))
         key |= best << pair_count(k)
         states = survivors
     return key
@@ -314,7 +348,7 @@ def canonical_key(g: Graph) -> CanonicalKey:
     position, so only relabelings that survive it are tried.
     """
     if g.n > CANONICAL_MAX_VERTICES:
-        raise ValueError(
+        raise UserError(
             f"canonical_key supports n <= {CANONICAL_MAX_VERTICES}, got n={g.n}"
         )
     return CanonicalKey(g.n, _canonical_edges(g.n, g.edges))

@@ -16,7 +16,7 @@ from .clique import CompatibilityGraph, build_compatibility, max_clique
 from .construct import SubgraphFamily, verify_intersecting
 from .density import DyadicDensity, density_string
 from .enumeration import HostClass, connected_graphs
-from .graphs import Graph, Record, emit_graph6, parse_graph6
+from .graphs import Graph, Record, UserError, emit_graph6, parse_graph6
 
 # A record's fields in file order, each with the JSON type its value must have.
 RECORD_TYPES = {"host_graph6": str, "n": int, "m": int, "clique_size": int,
@@ -159,16 +159,19 @@ def write_records(records: Sequence[SearchRecord], path: str) -> None:
 
 
 def load_records(path: str) -> list[SearchRecord]:
-    """Read a JSONL records file; ValueError naming path:line on a bad line."""
+    """Read a JSONL records file; UserError naming path:line on a bad line.
+
+    Lines end at a newline and must be ASCII; a line that is not is bad too.
+    """
     out = []
-    with open(path, "r", encoding="ascii") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                try:
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("ascii").strip()
+                if line:
                     out.append(SearchRecord.from_json(line))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{number}: {exc}") from None
+            except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError included
+                raise UserError(f"{path}:{number}: {exc}") from None
     return out
 
 

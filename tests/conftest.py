@@ -12,8 +12,9 @@ def pytest_addoption(parser):
         default=False,
         help="also run the slow cross-checks: the quadratic pairwise oracle "
              "against verify_intersecting on the largest construction instances, "
-             "the old clique solver on the 9-edge 6-vertex hosts, and the 10-edge "
-             "6-vertex search (minutes)",
+             "the old clique solver on the 9-edge 6-vertex hosts, the 10-edge "
+             "6-vertex search, and the enumeration of every 8-vertex class "
+             "against the OEIS totals (minutes)",
     )
 
 

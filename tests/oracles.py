@@ -297,6 +297,46 @@ def canonical_edges(n: int, edges: int) -> int:
     return best
 
 
+def tied_state_canonical_edges(n: int, edges: int) -> int:
+    """Minimum edge bitset over all relabelings, built one column at a time.
+
+    This is how graphs.canonical_key computed it before it found each tried
+    vertex's column first: every tried vertex builds its refined cells.
+
+    Column k (bits of the pairs (i, k), i < k) outranks every lower column,
+    so positions are filled from n - 1 down.  A state is an ordered
+    partition of the unplaced vertices into cells that fill positions 0, 1,
+    ... in order.  The vertex w placed at position k comes from the last
+    cell; its column is smallest when its neighbours come first in every
+    cell, which splits each cell in two.  Only the states whose column ties
+    the minimum survive to the next position.  Lower columns see only the
+    unplaced vertices, so equal states have equal futures and are kept once;
+    that bounds the work on graphs with many automorphisms (for the empty
+    graph, one state per set of placed vertices, not one per ordering).
+    """
+    adj = Graph(n, edges).adjacency()
+    key = 0
+    states = {((1 << n) - 1,)}
+    for k in range(n - 1, 0, -1):
+        best, survivors = -1, set()
+        for cells in states:
+            last = cells[-1]
+            for w in iter_bits(last):
+                column, start, refined = 0, 0, []
+                for cell in cells[:-1] + (last ^ 1 << w,):
+                    inside = cell & adj[w]
+                    column |= ((1 << inside.bit_count()) - 1) << start
+                    start += cell.bit_count()
+                    refined.extend(part for part in (inside, cell ^ inside) if part)
+                if best < 0 or column < best:
+                    best, survivors = column, {tuple(refined)}
+                elif column == best:
+                    survivors.add(tuple(refined))
+        key |= best << pair_count(k)
+        states = survivors
+    return key
+
+
 def labeled_classes(spec: HostClass) -> tuple[Graph, ...]:
     """Host classes by brute force over every labeled edge set.
 

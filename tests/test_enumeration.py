@@ -97,14 +97,21 @@ def test_classes_match_labeled_oracle():
     specs = [HostClass(n, m, connected)
              for n in range(1, 6) for m in range(pair_count(n) + 1)
              for connected in (True, False)]
-    specs += [HostClass(6, 7, True), HostClass(6, 8, True)]
+    specs += [HostClass(6, 7, True), HostClass(6, 8, True), HostClass(6, 11, True)]
     for spec in specs:
         assert list(connected_graphs(spec)) == list(labeled_classes(spec)), spec
 
 
+# (n, edge counts asked for in turn, canonical keys computed) from cold caches
+KEY_CALLS = [((6, [8]), 577), ((6, [7, 8]), 577), ((6, [11]), 124)]
+
+
 def test_augmentation_key_calls(monkeypatch):
-    # one canonical key per child of each neighbouring class, not one per
-    # labeled edge set: 553 calls against C(15, 8) = 6435
+    # one canonical key per child of each level up to half the 15 pairs,
+    # not one per labeled edge set (C(15, 8) = 6435), plus one per complement
+    # above half: m = 8 takes the 553 children of levels 1..7 and the 24
+    # complements of level 7, so m = 7 comes free; m = 11 takes the 115
+    # children of levels 1..4 and the 9 complements of level 4
     calls = []
     original = hifam.enumeration.canonical_key
 
@@ -113,14 +120,27 @@ def test_augmentation_key_calls(monkeypatch):
         return original(g)
 
     monkeypatch.setattr(hifam.enumeration, "canonical_key", counting)
-    connected_graphs.cache_clear()
-    _class_keys.cache_clear()
     try:
-        assert len(connected_graphs(HostClass(6, 8, True))) == CONNECTED_6_8
+        for (n, edge_counts), expected in KEY_CALLS:
+            calls.clear()
+            connected_graphs.cache_clear()
+            _class_keys.cache_clear()
+            for m in edge_counts:
+                connected_graphs(HostClass(n, m, True))
+            assert len(calls) == expected, (n, edge_counts)
     finally:
         connected_graphs.cache_clear()
         _class_keys.cache_clear()
-    assert len(calls) == 553 < comb(15, 8)
+
+
+def test_every_eight_vertex_class(request):
+    """All 12,346 graphs and 11,117 connected graphs on 8 vertices (OEIS
+    A000088 and A001349), summed over m = 0..28 (seconds)."""
+    if not request.config.getoption("--run-large-verify"):
+        pytest.skip("needs --run-large-verify")
+    levels = range(pair_count(8) + 1)
+    assert sum(len(connected_graphs(HostClass(8, m, False))) for m in levels) == 12_346
+    assert sum(len(connected_graphs(HostClass(8, m, True))) for m in levels) == 11_117
 
 
 def test_representatives_have_requested_shape():

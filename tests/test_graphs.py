@@ -22,13 +22,14 @@ from hifam import (
     parse_graph6,
     path,
 )
-from hifam.graphs import edge_index, edge_pair, pair_count, submasks
+from hifam.graphs import _canonical_edges, edge_index, edge_pair, pair_count, submasks
 
 from oracles import (
     canonical_edges,
     compact_subsets,
     incident_edge_mask_by_edges,
     pairwise_adjacency,
+    tied_state_canonical_edges,
 )
 
 
@@ -198,6 +199,23 @@ def test_canonical_key_matches_exhaustive_oracle():
     randoms += [_random_graph(rng, 7, rng.random()) for _ in range(200)]
     for g in special + randoms:
         assert canonical_key(g).key == canonical_edges(g.n, g.edges), (g.n, g.edges)
+
+
+def test_column_first_key_matches_tied_state_oracle():
+    # the column-first routine against the one that refines every tried
+    # vertex: every labeled graph up to 6 vertices, then seeded random 7-
+    # and 8-vertex graphs at low, middle and high edge density
+    column_first = _canonical_edges.__wrapped__  # the routine, not its cache
+    for n in range(1, 7):
+        for edges in range(1 << pair_count(n)):
+            assert column_first(n, edges) == tied_state_canonical_edges(n, edges), (n, edges)
+    rng = random.Random(20261019)
+    for n, count in ((7, 300), (8, 150)):
+        for p in (0.15, 0.5, 0.85):
+            for _ in range(count):
+                g = _random_graph(rng, n, p)
+                assert column_first(n, g.edges) == tied_state_canonical_edges(n, g.edges), (
+                    n, g.edges)
 
 
 def test_canonical_key_size_cap():

@@ -20,7 +20,10 @@ from hifam import (
     verify_records,
     write_records,
 )
+import hifam.cli
+from hifam import Graph6Error
 from hifam.cli import InputError, main, resolve_graph
+from hifam.graphs import UserError
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +355,53 @@ def test_cli_search_uses_valid_jobs_env(monkeypatch, tmp_path, capsys):
     assert main(["search", "-n", "5", "-m", "4,5", "--connected", "--out", str(out),
                  "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["hosts"] == 8
+
+
+def test_cli_a_plain_value_error_is_a_bug_not_exit_2(monkeypatch):
+    # exit 2 is for user errors; a ValueError from inside the solver
+    # propagates with its traceback
+    def broken(host, cg):
+        raise ValueError("solver bug")
+
+    monkeypatch.setattr(hifam.cli, "solve_host", broken)
+    with pytest.raises(ValueError, match="solver bug"):
+        main(["clique", "--host", "p4"])
+
+
+def test_user_errors_share_one_class():
+    assert issubclass(InputError, UserError) and issubclass(Graph6Error, UserError)
+    assert issubclass(UserError, ValueError)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["enumerate", "-n", "9", "-m", "8"], "host enumeration supports 1 <= n <= 8, got n=9"),
+    (["enumerate", "-n", "0", "-m", "1"], "host enumeration supports 1 <= n <= 8, got n=0"),
+    (["search", "-n", "7", "-m", "21", "--out", "OUT"],
+     "compatibility graphs capped at 16 host edges, got 21"),
+    (["construct", "--parts", "0", "--t", "2"], "fixed part sizes must all be >= 1, got [0]"),
+    (["construct", "--parts", "2", "--t", "4", "--target-t", "0"],
+     "part sizes must all be >= 1, got [2, 0]"),
+    (["construct", "--parts", "21", "--t", "2"], "fixed parts drop 21 edges per seed; cap is 20"),
+    (["construct", "--parts", "2", "--t", "70"], "74 vertices exceeds the 64-vertex cap"),
+])
+def test_cli_caps_and_bad_sizes_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "records.jsonl"
+    assert main([str(out) if a == "OUT" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_non_ascii_files_exit_2(tmp_path, capsys):
+    text = tmp_path / "text.txt"
+    text.write_bytes(b"caf\xc3\xa9\n")
+    assert main(["clique", "--host", f"@{text}"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read graph file '{text}': ")
+    records = tmp_path / "records.jsonl"
+    records.write_bytes(json.dumps(GOOD_RECORD).encode() + b"\n" + text.read_bytes())
+    assert main(["verify", "--records", str(records)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {records}:2: 'ascii' codec")
 
 
 def test_cli_usage_error_exits_2():
