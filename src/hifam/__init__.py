@@ -33,9 +33,8 @@ from .detect import (
     containment_check,
     intersection,
 )
-from .enumeration import HostClass, connected_graphs, is_connected
+from .enumeration import connected_graphs, is_connected
 from .graphs import (
-    CanonicalKey,
     Graph,
     Graph6Error,
     apply_permutation,
@@ -65,14 +64,12 @@ from .search import (
 )
 
 __all__ = [
-    "CanonicalKey",
     "CliqueResult",
     "CompatibilityGraph",
     "ConstructionSpec",
     "DyadicDensity",
     "Graph",
     "Graph6Error",
-    "HostClass",
     "MultipartiteFamily",
     "MultipartiteTarget",
     "SearchRecord",

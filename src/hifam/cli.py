@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -27,7 +26,7 @@ from .construct import (
 )
 from .density import density_string
 from .detect import MultipartiteTarget
-from .enumeration import HostClass, connected_graphs
+from .enumeration import connected_graphs
 from .graphs import (
     Graph,
     Graph6Error,
@@ -42,8 +41,6 @@ from .graphs import (
     path,
 )
 from .search import load_records, search_hosts, solve_host, verify_records, write_records
-
-JOBS_ENV = "HIFAM_JOBS"
 
 BUILTIN_GRAPHS = {
     "christofides": christofides_host,
@@ -124,25 +121,13 @@ def _parse_int_list(text: str) -> list[int]:
         raise InputError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV, "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise InputError(f"${JOBS_ENV} must be a positive integer, got {raw!r}")
-    return jobs
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    spec = HostClass(args.vertices, args.edges, args.connected)
-    graphs = connected_graphs(spec)
+    graphs = connected_graphs(args.vertices, args.edges, args.connected)
     if args.json:
         print(json.dumps({
             "n": args.vertices,
@@ -182,14 +167,13 @@ def cmd_clique(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    jobs = _default_jobs() if args.jobs is None else args.jobs
-    if jobs < 1:  # from --jobs: _default_jobs rejects a bad variable itself
-        raise InputError(f"--jobs must be a positive integer, got {jobs}")
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be a positive integer, got {args.jobs}")
     target = resolve_graph(args.target)
     edge_counts = _parse_int_list(args.edges)
     records, summary = search_hosts(
         args.vertices, edge_counts, target,
-        connected=args.connected, jobs=jobs,
+        connected=args.connected, jobs=args.jobs,
     )
     write_records(records, args.out)
     max_density = density_string(summary.max_density.numerator, summary.max_density.exponent)
@@ -315,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated edge counts, e.g. 7,8")
     p_search.add_argument("--target", default="p4")
     p_search.add_argument("--connected", action="store_true")
-    p_search.add_argument("--jobs", "-j", type=int, default=None,
-                          help=f"worker processes (default ${JOBS_ENV} or 1)")
+    p_search.add_argument("--jobs", "-j", type=int, default=1,
+                          help="worker processes (default 1)")
     p_search.add_argument("--out", "-o", required=True, help="JSONL output path")
     p_search.add_argument("--json", action="store_true")
     p_search.set_defaults(func=cmd_search)
@@ -327,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("--t", type=int, required=True, help="final part size")
     p_construct.add_argument("--verify", action="store_true",
                              help="check that every pair intersection contains the "
-                                  "target (pairs of minimal members when up-closed)")
+                                  "target (pairs of minimal members)")
     p_construct.add_argument("--target-t", type=int, default=None,
                              help="final part size of the --verify target "
                                   "(default: the construction's t); the verdict "

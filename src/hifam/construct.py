@@ -168,27 +168,14 @@ def _first_pair_lacking(
     return None
 
 
-def _minimal_members(family: SubgraphFamily) -> list[int] | None:
-    """Minimal members in member order, or None if the family is not up-closed.
+def _minimal_members(family: SubgraphFamily) -> list[int]:
+    """Members from which no one edge can be removed within the family.
 
-    Up-closed within the host: X | b is a member for every member X and host
-    edge b outside X.  A member is minimal when removing any one of its edges
-    leaves the family.
+    Every minimal member is among them, and every one of them is a member,
+    so their pairs decide the family (see verify_intersecting).
     """
     present = set(family.members)
-    host_bits = [1 << b for b in iter_bits(family.host.edges)]
-    minimal = []
-    for x in family.members:
-        is_minimal = True
-        for bit in host_bits:
-            if not x & bit:
-                if x | bit not in present:
-                    return None
-            elif is_minimal and x ^ bit in present:
-                is_minimal = False
-        if is_minimal:
-            minimal.append(x)
-    return minimal
+    return [x for x in family.members if all(x ^ 1 << b not in present for b in iter_bits(x))]
 
 
 def verify_intersecting(family: SubgraphFamily, target: TargetLike) -> tuple[int, int] | None:
@@ -197,17 +184,15 @@ def verify_intersecting(family: SubgraphFamily, target: TargetLike) -> tuple[int
     A member paired with itself must hold the target on its own.  Returns
     the first failing index pair in member order, rows first.
 
-    Fast path, taken when the family is up-closed within its host: if every
-    pair i <= j of its minimal members holds the target, so does every pair
-    of members, since each member contains a minimal one and containment is
-    monotone; the answer is None.  Minimal members are members, so a family
-    whose minimal pairs fail fails too; it, and any family that is not
-    up-closed, goes through the quadratic scan for the first failing pair.
+    Any set S of members that contains every minimal member decides the
+    family: each member contains a minimal one and containment is monotone,
+    so every pair of members holds the target exactly when every pair i <= j
+    of S does.  S is the members with no member one edge smaller.  Only
+    when S fails are all members scanned, to name the first failing pair.
     """
     check = containment_check(target)
     n = family.host.n
-    minimal = _minimal_members(family)
-    if minimal is not None and _first_pair_lacking(n, minimal, check) is None:
+    if _first_pair_lacking(n, _minimal_members(family), check) is None:
         return None
     return _first_pair_lacking(n, family.members, check)
 

@@ -4,11 +4,11 @@ The classes of n-vertex graphs with m edges are grown in one direction
 only: add below half, complement above half.  Up to half the vertex pairs,
 each level is grown from the level one edge below (McKay, "Isomorph-free
 exhaustive generation", 1998) by adding each missing edge to each
-(m-1)-edge representative; every child is keyed by the exact canonical
-key, so a set of keys removes the duplicates and no canonical-parent test
-is needed.  Above half, complement is a bijection between the classes
-with m edges and those with slots - m, so each representative there is
-the canonical key of one complement.
+(m-1)-edge representative; each distinct labeled child is keyed by the
+exact canonical key, so a set of keys removes the isomorphic duplicates
+and no canonical-parent test is needed.  Above half, complement is a
+bijection between the classes with m edges and those with slots - m, so
+each representative there is the canonical key of one complement.
 """
 
 from __future__ import annotations
@@ -17,27 +17,12 @@ from functools import lru_cache
 
 from .graphs import (
     CANONICAL_MAX_VERTICES,
-    FrozenRecord,
     Graph,
     UserError,
     canonical_key,
     iter_bits,
     pair_count,
 )
-
-
-class HostClass(FrozenRecord):
-    """A family of host graphs: vertex count, edge count, connectivity flag."""
-
-    __slots__ = ("n", "m", "connected_only")
-    n: int
-    m: int
-    connected_only: bool
-
-    def __init__(self, n: int, m: int, connected_only: bool = True) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "connected_only", connected_only)
 
 
 def is_connected(g: Graph) -> bool:
@@ -62,41 +47,41 @@ def is_connected(g: Graph) -> bool:
 
 @lru_cache(maxsize=None)
 def _class_keys(n: int, m: int) -> tuple[int, ...]:
-    """Canonical keys of all n-vertex graphs with m edges, ascending.
+    """Canonical edge bitsets of all n-vertex graphs with m edges, ascending.
 
     Add below half, complement above half: up to half the pairs, each
-    missing edge is added to each (m-1)-edge class and the children are
-    keyed; above half, the classes are the complements of the
-    (slots - m)-edge classes, one key each.  Recurses on itself, not on
-    connected_graphs, so that one call of connected_graphs stays one call
-    however many levels it builds.
+    missing edge is added to each (m-1)-edge class, and each distinct
+    labeled child is keyed once; above half, the classes are the
+    complements of the (slots - m)-edge classes, one key each.  Recurses
+    on itself, not on connected_graphs, so that one call of
+    connected_graphs stays one call however many levels it builds.
     """
     if m == 0:
         return (0,)
     slots = pair_count(n)
     full = (1 << slots) - 1
     if 2 * m > slots:
-        keys = [canonical_key(Graph(n, full ^ p)).key for p in _class_keys(n, slots - m)]
+        labeled = [full ^ p for p in _class_keys(n, slots - m)]
     else:
-        children = (p | 1 << b for p in _class_keys(n, m - 1) for b in iter_bits(full ^ p))
-        keys = {canonical_key(Graph(n, child)).key for child in children}
-    return tuple(sorted(keys))
+        labeled = {p | 1 << b for p in _class_keys(n, m - 1) for b in iter_bits(full ^ p)}
+    return tuple(sorted({canonical_key(Graph(n, edges)).edges for edges in labeled}))
 
 
 @lru_cache(maxsize=None)
-def connected_graphs(spec: HostClass) -> tuple[Graph, ...]:
-    """One canonical representative per isomorphism class in the host class.
+def connected_graphs(n: int, m: int, connected: bool = True) -> tuple[Graph, ...]:
+    """One canonical representative per class of n-vertex graphs with m edges.
 
-    Representatives are the canonical forms themselves, in ascending order
-    of canonical key.  Infeasible (n, m) combinations yield an empty tuple.
+    With connected set, only the connected classes.  Representatives are
+    the canonical forms themselves, in ascending order of edge bitset.
+    Infeasible (n, m) combinations yield an empty tuple.
     """
-    if not 1 <= spec.n <= CANONICAL_MAX_VERTICES:
+    if not 1 <= n <= CANONICAL_MAX_VERTICES:
         raise UserError(
-            f"host enumeration supports 1 <= n <= {CANONICAL_MAX_VERTICES}, got n={spec.n}"
+            f"host enumeration supports 1 <= n <= {CANONICAL_MAX_VERTICES}, got n={n}"
         )
-    if spec.m < 0 or spec.m > pair_count(spec.n):
+    if m < 0 or m > pair_count(n):
         return ()
-    if spec.connected_only and spec.m < spec.n - 1:
+    if connected and m < n - 1:
         return ()
-    graphs = (Graph(spec.n, key) for key in _class_keys(spec.n, spec.m))
-    return tuple(g for g in graphs if not spec.connected_only or is_connected(g))
+    graphs = (Graph(n, key) for key in _class_keys(n, m))
+    return tuple(g for g in graphs if not connected or is_connected(g))

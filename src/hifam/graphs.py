@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from functools import lru_cache, total_ordering
 from operator import attrgetter
 
 MAX_VERTICES = 64
@@ -261,30 +260,6 @@ def apply_permutation(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph(g.n, mask)
 
 
-@total_ordering
-class CanonicalKey(FrozenRecord):
-    """Permutation-invariant representative of an isomorphism class.
-
-    Two graphs on the same vertex count are isomorphic iff their keys are
-    equal; the key is the minimum edge bitset over all vertex relabelings.
-    Keys order by (n, key).
-    """
-
-    __slots__ = ("n", "key")
-    n: int
-    key: int
-
-    def __init__(self, n: int, key: int) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "key", key)
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.key) < (other.n, other.key)
-
-
-@lru_cache(maxsize=1 << 16)
 def _canonical_edges(n: int, edges: int) -> int:
     """Minimum edge bitset over all relabelings, built one column at a time.
 
@@ -339,19 +314,20 @@ def _canonical_edges(n: int, edges: int) -> int:
     return key
 
 
-def canonical_key(g: Graph) -> CanonicalKey:
-    """Canonical form: the minimum edge bitset over all relabelings; n <= 8.
+def canonical_key(g: Graph) -> Graph:
+    """Canonical form of g: the relabeling with the minimum edge bitset; n <= 8.
 
-    The top column, pairs (i, n-1), is at least 2^delta - 1 (delta the
-    minimum degree), reached exactly by a minimum-degree vertex at n - 1
-    with its neighbours first; the same argument repeats at each lower
-    position, so only relabelings that survive it are tried.
+    Two graphs are isomorphic iff their canonical forms are equal.  The
+    top column, pairs (i, n-1), is at least 2^delta - 1 (delta the minimum
+    degree), reached exactly by a minimum-degree vertex at n - 1 with its
+    neighbours first; the same argument repeats at each lower position, so
+    only relabelings that survive it are tried.
     """
     if g.n > CANONICAL_MAX_VERTICES:
         raise UserError(
             f"canonical_key supports n <= {CANONICAL_MAX_VERTICES}, got n={g.n}"
         )
-    return CanonicalKey(g.n, _canonical_edges(g.n, g.edges))
+    return Graph(g.n, _canonical_edges(g.n, g.edges))
 
 
 # ---------------------------------------------------------------------------

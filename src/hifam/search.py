@@ -15,7 +15,7 @@ from collections.abc import Iterable, Sequence
 from .clique import CompatibilityGraph, build_compatibility, max_clique
 from .construct import SubgraphFamily, verify_intersecting
 from .density import DyadicDensity, density_string
-from .enumeration import HostClass, connected_graphs
+from .enumeration import connected_graphs
 from .graphs import Graph, Record, UserError, emit_graph6, parse_graph6
 
 # A record's fields in file order, each with the JSON type its value must have.
@@ -123,7 +123,7 @@ def search_hosts(
     """Solve every host class representative; deterministic record order."""
     hosts: list[Graph] = []
     for m in sorted(set(edge_counts)):
-        hosts.extend(connected_graphs(HostClass(n, m, connected)))
+        hosts.extend(connected_graphs(n, m, connected))
     tasks = [(host, target) for host in hosts]
     if jobs > 1 and len(tasks) > 1:
         from multiprocessing import Pool  # only a parallel run pays for its import

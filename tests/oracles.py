@@ -12,7 +12,6 @@ from hifam import (
     CompatibilityGraph,
     DyadicDensity,
     Graph,
-    HostClass,
     MultipartiteTarget,
     SubgraphFamily,
     containment_check,
@@ -337,7 +336,7 @@ def tied_state_canonical_edges(n: int, edges: int) -> int:
     return key
 
 
-def labeled_classes(spec: HostClass) -> tuple[Graph, ...]:
+def labeled_classes(n: int, m: int, connected: bool) -> tuple[Graph, ...]:
     """Host classes by brute force over every labeled edge set.
 
     Each edge set with the requested edge count (and connectivity) is keyed
@@ -345,21 +344,21 @@ def labeled_classes(spec: HostClass) -> tuple[Graph, ...]:
     This is how enumeration.connected_graphs worked before it grew classes
     one edge at a time.
     """
-    slots = pair_count(spec.n)
-    if spec.m < 0 or spec.m > slots:
+    slots = pair_count(n)
+    if m < 0 or m > slots:
         return ()
-    if spec.connected_only and spec.m < spec.n - 1:
+    if connected and m < n - 1:
         return ()
     keys = set()
-    for combo in itertools.combinations(range(slots), spec.m):
+    for combo in itertools.combinations(range(slots), m):
         edges = 0
         for b in combo:
             edges |= 1 << b
-        g = Graph(spec.n, edges)
-        if spec.connected_only and not is_connected(g):
+        g = Graph(n, edges)
+        if connected and not is_connected(g):
             continue
-        keys.add(canonical_edges(spec.n, g.edges))
-    return tuple(Graph(spec.n, key) for key in sorted(keys))
+        keys.add(canonical_edges(n, g.edges))
+    return tuple(Graph(n, key) for key in sorted(keys))
 
 
 def pairwise_adjacency(g: Graph) -> list[int]:

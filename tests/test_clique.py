@@ -9,7 +9,6 @@ import pytest
 from hifam import (
     CompatibilityGraph,
     Graph,
-    HostClass,
     MultipartiteTarget,
     build_compatibility,
     canonical_key,
@@ -117,13 +116,13 @@ def test_christofides_compatibility_structure():
 
 
 def _all_hosts(n):
-    return [g for m in range(n * (n - 1) // 2 + 1) for g in connected_graphs(HostClass(n, m, False))]
+    return [g for m in range(n * (n - 1) // 2 + 1) for g in connected_graphs(n, m, False)]
 
 
 @pytest.mark.parametrize("hosts, target", [
-    (lambda: connected_graphs(HostClass(6, 7, True)), path(4)),
-    (lambda: connected_graphs(HostClass(6, 8, True)), path(4)),
-    (lambda: connected_graphs(HostClass(6, 11, True)), complete(3)),
+    (lambda: connected_graphs(6, 7, True), path(4)),
+    (lambda: connected_graphs(6, 8, True), path(4)),
+    (lambda: connected_graphs(6, 11, True), complete(3)),
     (lambda: [christofides_host()], path(4)),
     (lambda: [christofides_host(), complete(4), complete_multipartite([2, 3])],
      MultipartiteTarget((1, 2))),
@@ -156,7 +155,7 @@ def test_large_hosts_match_oracles(request):
     members = {cg.labels[i] for i in result.witness}
     assert len(members) == 128
     assert all(contains_subgraph(Graph(5, a & b), path(4)) for a in members for b in members)
-    for host in connected_graphs(HostClass(6, 9, True)):
+    for host in connected_graphs(6, 9, True):
         cg = build_compatibility(host, path(4))
         assert (cg.sup, cg.sub) == containment_rows(cg)
         result = max_clique(cg)
@@ -229,7 +228,7 @@ def test_builder_matches_oracle_on_edge_case_targets(target):
 def test_solving_a_host_leaves_no_reference_cycles(target):
     """The recursive closures of the solver and the containment tests must
     not keep a host's rows alive until the cycle collector runs."""
-    host = connected_graphs(HostClass(6, 11, True))[-1]
+    host = connected_graphs(6, 11, True)[-1]
     gc.collect()
     gc.disable()
     try:
@@ -410,7 +409,7 @@ def test_solver_restores_recursion_limit(monkeypatch):
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     assert max_clique(build_compatibility(christofides_host(), path(4))).size == 17
-    dense = connected_graphs(HostClass(6, 11, True))[-1]
+    dense = connected_graphs(6, 11, True)[-1]
     assert max_clique(build_compatibility(dense, complete(3))).size == 256
     assert max_clique(_instance([0] * 300)).witness == [0]
 
@@ -428,7 +427,7 @@ def test_node_counters():
     assert (christofides.phase1_nodes, christofides.phase2_nodes) == (11, 29)
     phase1 = phase2 = 0
     for m in (7, 8):
-        for host in connected_graphs(HostClass(6, m, True)):
+        for host in connected_graphs(6, m, True):
             result = max_clique(build_compatibility(host, path(4)))
             phase1 += result.phase1_nodes
             phase2 += result.phase2_nodes

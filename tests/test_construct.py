@@ -27,7 +27,7 @@ from hifam import (
 )
 from hifam import detect
 from hifam.construct import _minimal_members
-from hifam.graphs import iter_bits
+from hifam.graphs import edge_index, iter_bits
 
 from oracles import verify_pairwise
 
@@ -243,7 +243,7 @@ def test_verify_reports_first_failing_pair():
     assert verify_intersecting(family, path(2)) == (0, 1)
 
 
-def test_family_that_is_not_up_closed_goes_straight_to_the_scan(monkeypatch):
+def test_family_that_is_not_up_closed_is_decided_by_its_minimal_pairs(monkeypatch):
     calls = []
 
     def counting(g, h):
@@ -252,12 +252,24 @@ def test_family_that_is_not_up_closed_goes_straight_to_the_scan(monkeypatch):
 
     monkeypatch.setattr(detect, "contains_subgraph", counting)
     host = complete(4)
-    triangle = from_edges(4, [(0, 1), (0, 2), (1, 2)])
-    lone_edge = from_edges(4, [(0, 3)])
-    family = SubgraphFamily(host, [triangle.edges, lone_edge.edges])
-    assert verify_intersecting(family, path(2)) == (0, 1)
-    # the scan alone: (0, 0) holds an edge, (0, 1) does not
-    assert len(calls) == 2
+    triangle = from_edges(4, [(0, 1), (0, 2), (1, 2)]).edges
+    matching = from_edges(4, [(0, 1), (2, 3)]).edges
+    e03, e13, e02 = (1 << edge_index(i, j, 4) for i, j in ((0, 3), (1, 3), (0, 2)))
+    # triangle | e23 is missing, so the family is not up-closed
+    family = SubgraphFamily(host, [triangle, triangle | e03, matching, triangle | e13,
+                                   matching | e02])
+    assert _minimal_members(family) == [triangle, matching]
+    assert verify_intersecting(family, path(2)) is None
+    # the three pairs i <= j of the two minimal members, not all 15 pairs
+    assert len(calls) == 3
+    assert verify_pairwise(family, path(2), require_self=True) is None
+
+    calls.clear()
+    lone_edge = from_edges(4, [(0, 3)]).edges
+    assert verify_intersecting(SubgraphFamily(host, [triangle, lone_edge]), path(2)) == (0, 1)
+    # both members are minimal: (0, 0) holds and (0, 1) fails, then the scan
+    # of all members names that pair
+    assert len(calls) == 4
 
 
 def test_verify_self_check_catches_weak_members():
@@ -291,6 +303,12 @@ def _random_family(rng, host, kind):
     return SubgraphFamily(host, members)
 
 
+def _is_up_closed(family):
+    present = set(family.members)
+    return all(x | 1 << b in present
+               for x in family.members for b in iter_bits(family.host.edges & ~x))
+
+
 def test_up_closure_path_matches_quadratic_oracle():
     rng = random.Random(2024)
     targets = [path(2), path(3), path(4), complete(3), MultipartiteTarget([1, 2])]
@@ -304,7 +322,7 @@ def test_up_closure_path_matches_quadratic_oracle():
         target = rng.choice(targets)
         got = verify_intersecting(family, target)
         assert got == verify_pairwise(family, target, require_self=True), (family, target)
-        up_closed = _minimal_members(family) is not None
+        up_closed = _is_up_closed(family)
         seen.add((up_closed, got is None, min(len(family), 3)))
     # every size (3 standing for "3 or more") up-closed or not, passing or failing;
     # the empty family is up-closed and passes

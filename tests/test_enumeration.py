@@ -9,7 +9,6 @@ import pytest
 import hifam.enumeration
 from hifam import (
     Graph,
-    HostClass,
     canonical_key,
     christofides_host,
     complete,
@@ -38,11 +37,11 @@ def test_is_connected_basics():
 
 
 def test_single_edge_class():
-    assert len(connected_graphs(HostClass(2, 1, True))) == 1
+    assert len(connected_graphs(2, 1, True)) == 1
 
 
 def test_two_trees_on_four_vertices():
-    reps = connected_graphs(HostClass(4, 3, True))
+    reps = connected_graphs(4, 3, True)
     assert len(reps) == 2
     keys = {canonical_key(g) for g in reps}
     star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -50,10 +49,10 @@ def test_two_trees_on_four_vertices():
 
 
 def test_six_vertex_regression_counts():
-    assert len(connected_graphs(HostClass(6, 7, True))) == CONNECTED_6_7
-    assert len(connected_graphs(HostClass(6, 8, True))) == CONNECTED_6_8
+    assert len(connected_graphs(6, 7, True)) == CONNECTED_6_7
+    assert len(connected_graphs(6, 8, True)) == CONNECTED_6_8
     total = sum(
-        len(connected_graphs(HostClass(6, m, True))) for m in range(0, 16)
+        len(connected_graphs(6, m, True)) for m in range(0, 16)
     )
     assert total == CONNECTED_6_TOTAL
 
@@ -67,7 +66,7 @@ def test_counts_match_networkx_atlas():
             counts[(n, m)] = counts.get((n, m), 0) + 1
     for n in range(2, 8):
         for m in range(0, pair_count(n) + 1):
-            ours = len(connected_graphs(HostClass(n, m, True)))
+            ours = len(connected_graphs(n, m, True))
             assert ours == counts.get((n, m), 0), (n, m)
 
 
@@ -77,8 +76,8 @@ def test_representatives_cover_every_labeled_graph():
     for n in range(2, 6):
         slots = pair_count(n)
         for m in range(n - 1, slots + 1):
-            reps = connected_graphs(HostClass(n, m, True))
-            keys = [canonical_key(g).key for g in reps]
+            reps = connected_graphs(n, m, True)
+            keys = [canonical_key(g).edges for g in reps]
             assert len(set(keys)) == len(keys)
             assert keys == sorted(keys)  # ascending output order
             key_set = set(keys)
@@ -88,30 +87,26 @@ def test_representatives_cover_every_labeled_graph():
                     edges |= 1 << b
                 g = Graph(n, edges)
                 if is_connected(g):
-                    assert canonical_key(g).key in key_set
+                    assert canonical_key(g).edges in key_set
 
 
 def test_classes_match_labeled_oracle():
     # the same representatives, in the same order, as keying every labeled
     # edge set by the exhaustive canonical key
-    specs = [HostClass(n, m, connected)
+    specs = [(n, m, connected)
              for n in range(1, 6) for m in range(pair_count(n) + 1)
              for connected in (True, False)]
-    specs += [HostClass(6, 7, True), HostClass(6, 8, True), HostClass(6, 11, True)]
+    specs += [(6, 7, True), (6, 8, True), (6, 11, True)]
     for spec in specs:
-        assert list(connected_graphs(spec)) == list(labeled_classes(spec)), spec
+        assert list(connected_graphs(*spec)) == list(labeled_classes(*spec)), spec
 
 
 # (n, edge counts asked for in turn, canonical keys computed) from cold caches
-KEY_CALLS = [((6, [8]), 577), ((6, [7, 8]), 577), ((6, [11]), 124)]
+KEY_CALLS = [((6, [8]), 526), ((6, [7, 8]), 526), ((6, [11]), 121)]
 
 
-def test_augmentation_key_calls(monkeypatch):
-    # one canonical key per child of each level up to half the 15 pairs,
-    # not one per labeled edge set (C(15, 8) = 6435), plus one per complement
-    # above half: m = 8 takes the 553 children of levels 1..7 and the 24
-    # complements of level 7, so m = 7 comes free; m = 11 takes the 115
-    # children of levels 1..4 and the 9 complements of level 4
+def _counting_key_calls(monkeypatch):
+    """Record every graph enumeration passes to canonical_key, from cold caches."""
     calls = []
     original = hifam.enumeration.canonical_key
 
@@ -120,14 +115,41 @@ def test_augmentation_key_calls(monkeypatch):
         return original(g)
 
     monkeypatch.setattr(hifam.enumeration, "canonical_key", counting)
+    connected_graphs.cache_clear()
+    _class_keys.cache_clear()
+    return calls
+
+
+def test_augmentation_key_calls(monkeypatch):
+    # one canonical key per distinct child of each level up to half the 15
+    # pairs, not one per labeled edge set (C(15, 8) = 6435), plus one per
+    # complement above half: m = 8 takes the 502 distinct children of levels
+    # 1..7 and the 24 complements of level 7, so m = 7 comes free; m = 11
+    # takes the 112 distinct children of levels 1..4 and the 9 complements
+    # of level 4
+    calls = _counting_key_calls(monkeypatch)
     try:
         for (n, edge_counts), expected in KEY_CALLS:
             calls.clear()
             connected_graphs.cache_clear()
             _class_keys.cache_clear()
             for m in edge_counts:
-                connected_graphs(HostClass(n, m, True))
+                connected_graphs(n, m, True)
             assert len(calls) == expected, (n, edge_counts)
+    finally:
+        connected_graphs.cache_clear()
+        _class_keys.cache_clear()
+
+
+def test_no_labeled_graph_is_keyed_twice(monkeypatch):
+    # duplicate children within a level are merged before keying, so no
+    # canonical key is computed twice in one enumeration
+    calls = _counting_key_calls(monkeypatch)
+    try:
+        for n in range(1, 7):
+            for m in range(pair_count(n) + 1):
+                connected_graphs(n, m, False)
+        assert calls and len(set(calls)) == len(calls)
     finally:
         connected_graphs.cache_clear()
         _class_keys.cache_clear()
@@ -139,24 +161,24 @@ def test_every_eight_vertex_class(request):
     if not request.config.getoption("--run-large-verify"):
         pytest.skip("needs --run-large-verify")
     levels = range(pair_count(8) + 1)
-    assert sum(len(connected_graphs(HostClass(8, m, False))) for m in levels) == 12_346
-    assert sum(len(connected_graphs(HostClass(8, m, True))) for m in levels) == 11_117
+    assert sum(len(connected_graphs(8, m, False)) for m in levels) == 12_346
+    assert sum(len(connected_graphs(8, m, True)) for m in levels) == 11_117
 
 
 def test_representatives_have_requested_shape():
-    for g in connected_graphs(HostClass(6, 7, True)):
+    for g in connected_graphs(6, 7, True):
         assert g.n == 6 and g.edge_count == 7 and is_connected(g)
 
 
 def test_infeasible_classes_are_empty():
-    assert connected_graphs(HostClass(4, 7, True)) == ()
-    assert connected_graphs(HostClass(4, 2, True)) == ()  # below n-1
-    assert len(connected_graphs(HostClass(4, 2, False))) > 0
+    assert connected_graphs(4, 7, True) == ()
+    assert connected_graphs(4, 2, True) == ()  # below n-1
+    assert len(connected_graphs(4, 2, False)) > 0
 
 
 def test_enumeration_size_cap():
     with pytest.raises(ValueError):
-        connected_graphs(HostClass(9, 8, True))
+        connected_graphs(9, 8, True)
 
 
 # ---------------------------------------------------------------------------

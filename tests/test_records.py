@@ -9,13 +9,11 @@ from pathlib import Path
 import pytest
 
 from hifam import (
-    CanonicalKey,
     CliqueResult,
     CompatibilityGraph,
     ConstructionSpec,
     DyadicDensity,
     Graph,
-    HostClass,
     MultipartiteFamily,
     MultipartiteTarget,
     SearchRecord,
@@ -36,7 +34,6 @@ def _family():
 # give equal, distinct objects
 FROZEN = {
     "Graph": (lambda: Graph(6, 5), lambda: Graph(6, 6)),
-    "CanonicalKey": (lambda: CanonicalKey(6, 5), lambda: CanonicalKey(7, 5)),
     "DyadicDensity": (lambda: DyadicDensity(34, 8), lambda: DyadicDensity(17, 8)),
     "MultipartiteTarget": (lambda: MultipartiteTarget([2, 3]), lambda: MultipartiteTarget([3, 2])),
     "SubgraphFamily": (lambda: SubgraphFamily(Graph(3, 7), [1, 3]),
@@ -44,7 +41,6 @@ FROZEN = {
     "ConstructionSpec": (lambda: ConstructionSpec([2, 2], 4), lambda: ConstructionSpec([2, 2], 5)),
     "MultipartiteFamily": (_family, lambda: multipartite_family(ConstructionSpec((1,), 3))),
     "SeedCheck": (lambda: SeedCheck(True, False, 19), lambda: SeedCheck(True, True, 19)),
-    "HostClass": (lambda: HostClass(6, 7), lambda: HostClass(6, 7, False)),
 }
 MUTABLE = {
     "CompatibilityGraph": (lambda: CompatibilityGraph([1, 3], [2, 1], 2, [3, 2], [1, 3]),
@@ -77,7 +73,7 @@ def test_equal_by_fields(name):
 
 
 def test_equality_needs_the_same_class():
-    assert Graph(6, 5) != CanonicalKey(6, 5)
+    assert Graph(3, 5) != DyadicDensity(3, 5)  # both hold the fields (3, 5)
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
@@ -112,7 +108,6 @@ def test_mutable_records_are_unhashable_and_assignable(name):
 def test_positional_and_keyword_construction_with_defaults():
     assert Graph(6) == Graph(n=6, edges=0) == Graph(6, 0)
     assert Graph(6).edges == 0
-    assert HostClass(6, 7) == HostClass(n=6, m=7, connected_only=True)
     result = CliqueResult(3)
     assert (result.size, result.witness, result.density) == (3, [], DyadicDensity(0, 0))
     assert (result.phase1_nodes, result.phase2_nodes) == (0, 0)
@@ -150,16 +145,6 @@ def test_constructors_still_validate_and_normalize():
     assert DyadicDensity(0, 9) == DyadicDensity(0, 0)
 
 
-def test_canonical_key_order():
-    keys = [CanonicalKey(6, 9), CanonicalKey(5, 20), CanonicalKey(6, 3), CanonicalKey(5, 2)]
-    assert sorted(keys) == [CanonicalKey(5, 2), CanonicalKey(5, 20),
-                            CanonicalKey(6, 3), CanonicalKey(6, 9)]
-    assert CanonicalKey(5, 20) < CanonicalKey(6, 0) <= CanonicalKey(6, 0)
-    assert CanonicalKey(6, 1) > CanonicalKey(6, 0) >= CanonicalKey(6, 0)
-    with pytest.raises(TypeError):
-        CanonicalKey(6, 0) < (6, 1)
-
-
 def test_dyadic_density_order():
     assert DyadicDensity(17, 7) > DyadicDensity(1, 3) >= DyadicDensity(2, 4)
     assert DyadicDensity(1, 3) <= DyadicDensity(16, 7) < DyadicDensity(17, 7)
@@ -169,9 +154,7 @@ def test_dyadic_density_order():
 
 def test_dataclass_style_repr():
     assert repr(Graph(6, 5)) == "Graph(n=6, edges=5)"
-    assert repr(CanonicalKey(6, 5)) == "CanonicalKey(n=6, key=5)"
     assert repr(DyadicDensity(34, 8)) == "DyadicDensity(numerator=17, exponent=7)"
-    assert repr(HostClass(6, 7)) == "HostClass(n=6, m=7, connected_only=True)"
     assert repr(MultipartiteTarget([2, 3])) == "MultipartiteTarget(parts=(2, 3))"
     assert repr(CliqueResult(3)) == (
         "CliqueResult(size=3, witness=[], density=DyadicDensity(numerator=0, exponent=0), "
