@@ -10,7 +10,6 @@ with m = s_1 + ... + s_{k-1}.  At t >= 2^m this beats the trivial
 
 from hifam import (
     ConstructionSpec,
-    MultipartiteTarget,
     complete_multipartite,
     improvement_margin,
     multipartite_family,
@@ -53,7 +52,7 @@ def main() -> None:
     # the smallest instance is cheap enough to verify pair by pair right here
     spec = ConstructionSpec((1,), 2)
     built = multipartite_family(spec)
-    failure = verify_intersecting(built.family, MultipartiteTarget((1, 2)))
+    failure = verify_intersecting(built.family, complete_multipartite((1, 2)))
     print()
     print(f"full pairwise check of the K_{{1,2}} instance "
           f"({len(built.family)} members): {'ok' if failure is None else failure}")

@@ -26,12 +26,10 @@ from .construct import (
 )
 from .density import DyadicDensity, density_string
 from .detect import (
-    MultipartiteTarget,
     contains_multipartite,
     contains_p4,
     contains_subgraph,
     containment_check,
-    intersection,
 )
 from .enumeration import connected_graphs, is_connected
 from .graphs import (
@@ -71,7 +69,6 @@ __all__ = [
     "Graph",
     "Graph6Error",
     "MultipartiteFamily",
-    "MultipartiteTarget",
     "SearchRecord",
     "SearchSummary",
     "SeedCheck",
@@ -96,7 +93,6 @@ __all__ = [
     "emit_graph6",
     "from_edges",
     "improvement_margin",
-    "intersection",
     "is_connected",
     "lifted_count_string",
     "load_records",

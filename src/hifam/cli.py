@@ -25,7 +25,6 @@ from .construct import (
     verify_intersecting,
 )
 from .density import density_string
-from .detect import MultipartiteTarget
 from .enumeration import connected_graphs
 from .graphs import (
     Graph,
@@ -196,14 +195,13 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     parts = tuple(_parse_int_list(args.parts))
-    try:  # part sizes below 1
+    try:  # part sizes below 1; the host's cap before the target's
         spec = ConstructionSpec(parts, args.t)
-        verify_target = MultipartiteTarget(
-            spec.parts + (spec.t if args.target_t is None else args.target_t,)
-        )
+        built = multipartite_family(spec)
+        verify_parts = spec.parts + (spec.t if args.target_t is None else args.target_t,)
+        verify_target = complete_multipartite(verify_parts)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    built = multipartite_family(spec)
     host = built.host
     trivial = trivial_density(spec.target)
     e_host = host.edge_count
@@ -245,7 +243,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         print(f"lifted count at n={host.n}: {lifted_count_string(len(built.family), e_host, host.n)}")
         print(verdict)
         if args.verify:
-            target_name = "K_{" + ",".join(str(p) for p in verify_target.parts) + "}"
+            target_name = "K_{" + ",".join(str(p) for p in verify_parts) + "}"
             if verify_failure is None:
                 print(f"verified: every pair intersection contains {target_name}")
             else:

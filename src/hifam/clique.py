@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .density import DyadicDensity
-from .detect import MultipartiteTarget, TargetLike, containment_check
+from .detect import containment_check
 from .graphs import Graph, Record, UserError, submasks
 
 MAX_HOST_EDGES = 16
@@ -29,25 +29,19 @@ class CompatibilityGraph(Record):
     ``host_edges`` is the host's edge count, the density exponent.
     ``sup[i]`` and ``sub[i]`` are bitsets over candidate indices too: the
     candidates whose labels contain ``labels[i]``, and those it contains,
-    i itself in both.  Synthetic instances (e.g. solver tests) may leave
-    host_edges 0 and sup and sub None; the solver then takes every
-    candidate to contain only itself.
+    i itself in both.
     """
 
     __slots__ = ("labels", "adjacency", "host_edges", "sup", "sub")
     labels: list[int]
     adjacency: list[int]
     host_edges: int
-    sup: list[int] | None
-    sub: list[int] | None
+    sup: list[int]
+    sub: list[int]
 
     def __init__(
-        self,
-        labels: list[int],
-        adjacency: list[int],
-        host_edges: int = 0,
-        sup: list[int] | None = None,
-        sub: list[int] | None = None,
+        self, labels: list[int], adjacency: list[int], host_edges: int,
+        sup: list[int], sub: list[int],
     ) -> None:
         self.labels = labels
         self.adjacency = adjacency
@@ -90,13 +84,6 @@ class CliqueResult(Record):
         self.phase2_nodes = phase2_nodes
 
 
-def _copy_vertex_count(target: TargetLike) -> int:
-    """Vertices a copy of the target touches: its non-isolated ones."""
-    if isinstance(target, MultipartiteTarget):
-        return target.vertex_count if len(target.parts) > 1 else 0
-    return sum(1 for row in target.adjacency() if row)
-
-
 @lru_cache(maxsize=None)
 def _clear_masks(e: int) -> tuple[int, ...]:
     """Per edge bit i < e, the compact indices below 2^e whose bit i is 0.
@@ -109,7 +96,7 @@ def _clear_masks(e: int) -> tuple[int, ...]:
     return tuple(full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(e))
 
 
-def build_compatibility(host: Graph, target: TargetLike) -> CompatibilityGraph:
+def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     """Compatibility graph of all target-containing edge subsets of the host.
 
     Candidates are the edge subsets that contain the target themselves (any
@@ -123,8 +110,9 @@ def build_compatibility(host: Graph, target: TargetLike) -> CompatibilityGraph:
     Every subset that holds the target contains a copy of it: a subset with
     the target's k edges that holds it, and whose edges therefore touch
     exactly as many vertices as the target has non-isolated ones.  So the
-    containment predicate runs only on the k-edge subsets that touch that
-    many vertices; the others cannot hold the target.  The copies, as set
+    containment predicate, detect.containment_check's for the target, runs
+    only on the k-edge subsets that touch that many vertices; the others
+    cannot hold the target.  The copies, as set
     bits of one 2^e-bit table, are then closed upward by one shift per edge
     bit i, which passes each index with bit i clear on to the index with
     bit i set.  With k = 0 the empty set is the one copy and every subset a
@@ -150,7 +138,7 @@ def build_compatibility(host: Graph, target: TargetLike) -> CompatibilityGraph:
     check = containment_check(target)
     subsets = list(submasks(host.edges))
     ends = [1 << i | 1 << j for i, j in host.edge_pairs()]
-    cover = _copy_vertex_count(target)
+    cover = sum(1 for row in target.adjacency() if row)
     table = 0
     for edges in combinations(range(e), target.edge_count):
         c = touched = 0
@@ -227,15 +215,13 @@ def max_clique(cg: CompatibilityGraph) -> CliqueResult:
     _upset_search over all candidates, which searches up-closed cliques
     only.  Phase 2 builds the witness one vertex at a time in ascending
     order, taking the first vertex whose remaining candidate set still
-    holds a clique of the needed size; see _lex_min_clique.  Without sup
-    and sub every candidate contains only itself, and both phases search
-    every clique.
+    holds a clique of the needed size; see _lex_min_clique.  Both phases
+    read the ``sup`` and ``sub`` rows; with rows that hold only their own
+    candidate (a plain graph, not a lattice) they search every clique.
     """
     n = cg.size
     adj = cg.adjacency
     sup, sub = cg.sup, cg.sub
-    if sup is None or sub is None:
-        sup = sub = [1 << v for v in range(n)]
     best, clique, phase1_nodes = _upset_search((1 << n) - 1, 0, n + 1, adj, sup, sub)
     witness, phase2_nodes = _lex_min_clique(adj, sup, sub, n, best, clique)
     return CliqueResult(best, witness, DyadicDensity(best, cg.host_edges),

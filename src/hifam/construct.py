@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 from .density import DyadicDensity
-from .detect import MultipartiteTarget, TargetLike, containment_check
+from .detect import containment_check
 from .graphs import (
     FrozenRecord,
     Graph,
@@ -71,8 +71,8 @@ class ConstructionSpec(FrozenRecord):
         return sum(self.parts)
 
     @property
-    def target(self) -> MultipartiteTarget:
-        return MultipartiteTarget(self.parts + (self.t,))
+    def target(self) -> Graph:
+        return complete_multipartite(self.parts + (self.t,))
 
     @property
     def host_parts(self) -> tuple[int, ...]:
@@ -131,7 +131,7 @@ class SeedCheck(FrozenRecord):
         object.__setattr__(self, "family_size", family_size)
 
 
-def check_seeds(host: Graph, seeds: Sequence[int], target: TargetLike) -> SeedCheck:
+def check_seeds(host: Graph, seeds: Sequence[int], target: Graph) -> SeedCheck:
     """Check the two conditions that make a seed set glue into a family.
 
     Condition 1 (intersection property) quantifies over ALL pairs including
@@ -178,7 +178,7 @@ def _minimal_members(family: SubgraphFamily) -> list[int]:
     return [x for x in family.members if all(x ^ 1 << b not in present for b in iter_bits(x))]
 
 
-def verify_intersecting(family: SubgraphFamily, target: TargetLike) -> tuple[int, int] | None:
+def verify_intersecting(family: SubgraphFamily, target: Graph) -> tuple[int, int] | None:
     """Check every pair i <= j of members for the target; None means all pass.
 
     A member paired with itself must hold the target on its own.  Returns
@@ -197,7 +197,7 @@ def verify_intersecting(family: SubgraphFamily, target: TargetLike) -> tuple[int
     return _first_pair_lacking(n, family.members, check)
 
 
-def trivial_density(target: TargetLike) -> DyadicDensity:
+def trivial_density(target: Graph) -> DyadicDensity:
     """Density of the all-supergraphs-of-one-copy family: 1 / 2^e(target)."""
     return DyadicDensity(1, target.edge_count)
 

@@ -11,38 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
-from .graphs import FrozenRecord, Graph, iter_bits
-
-
-class MultipartiteTarget(FrozenRecord):
-    """A complete multipartite pattern given by its part sizes."""
-
-    __slots__ = ("parts",)
-    parts: tuple[int, ...]
-
-    def __init__(self, parts: Sequence[int]):
-        if not parts or any(p < 1 for p in parts):
-            raise ValueError(f"part sizes must all be >= 1, got {list(parts)}")
-        object.__setattr__(self, "parts", tuple(parts))
-
-    @property
-    def vertex_count(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def edge_count(self) -> int:
-        total = self.vertex_count
-        return (total * total - sum(p * p for p in self.parts)) // 2
-
-
-TargetLike = Graph | MultipartiteTarget
-
-
-def intersection(f: Graph, f2: Graph) -> Graph:
-    """Edge intersection of two graphs on the same labeled vertex set."""
-    if f.n != f2.n:
-        raise ValueError(f"vertex counts differ: {f.n} vs {f2.n}")
-    return Graph(f.n, f.edges & f2.edges)
+from .graphs import Graph, iter_bits
 
 
 def contains_subgraph(g: Graph, h: Graph) -> bool:
@@ -112,18 +81,19 @@ def contains_p4(g: Graph) -> bool:
     return False
 
 
-def contains_multipartite(g: Graph, target: MultipartiteTarget) -> bool:
-    """True iff g contains a complete multipartite pattern of the given sizes.
+def contains_multipartite(g: Graph, parts: Sequence[int]) -> bool:
+    """True iff g contains the complete multipartite pattern with these part sizes.
 
-    Recurses part by part, smallest first; every later part is restricted
-    to the common neighborhood of all vertices chosen so far.  Within a
-    part, vertices are taken in ascending order, so each placement is tried
-    once.  The last part, the largest, needs no search: the pattern is
+    The sizes may come in any order; one part, or none, is an edgeless
+    pattern, which every graph contains.  Recurses part by part, smallest
+    first; every later part is restricted to the common neighborhood of all
+    vertices chosen so far.  Within a part, vertices are taken in ascending
+    order, so each placement is tried once.  The last part, the largest, needs no search: the pattern is
     there exactly when the common neighborhood holds at least that many
     vertices, since any of them will do.
     """
-    sizes = sorted(target.parts)
-    if len(sizes) == 1:
+    sizes = sorted(parts)
+    if len(sizes) <= 1:
         return True  # edgeless pattern
     if sum(sizes) > g.n:
         return False
@@ -158,15 +128,25 @@ def contains_multipartite(g: Graph, target: MultipartiteTarget) -> bool:
         del pick  # break the closure's reference to itself
 
 
-def containment_check(target: TargetLike) -> Callable[[Graph], bool]:
+def containment_check(target: Graph) -> Callable[[Graph], bool]:
     """Containment predicate for one target: the one dispatch to the tests above.
 
-    Complete multipartite patterns go to contains_multipartite; a 4-vertex
-    3-edge graph with degrees 1, 1, 2, 2 (only P4 has them) goes to the
-    contains_p4 scan; any other graph to the generic backtracking test.
+    Only the target's core, its non-isolated vertices, counts.  A core with
+    degrees 1, 1, 2, 2 (only P4 has them) goes to the contains_p4 scan.  A
+    core in which each vertex's part, itself plus its non-neighbours, is
+    also the part of every vertex in it is complete multipartite with those
+    parts: any such target (K3, K_{2,4}, a star, an edgeless graph) goes to
+    contains_multipartite.  Any other target goes to the generic
+    backtracking test.  The tests are looked up in this module's globals,
+    so one replaced there (as perfbench's tracer does) is the one that runs.
     """
-    if isinstance(target, MultipartiteTarget):
-        return lambda g: contains_multipartite(g, target)
-    if target.n == 4 and target.edge_count == 3 and target.degree_sequence() == [1, 1, 2, 2]:
+    adj = target.adjacency()
+    core = [v for v in range(target.n) if adj[v]]
+    if sorted(adj[v].bit_count() for v in core) == [1, 1, 2, 2]:
         return contains_p4
+    core_mask = sum(1 << v for v in core)
+    part = {v: core_mask & ~adj[v] for v in core}
+    if all(part[u] == part[v] for v in core for u in iter_bits(part[v])):
+        sizes = sorted(p.bit_count() for p in set(part.values()))
+        return lambda g: contains_multipartite(g, sizes)
     return lambda g: contains_subgraph(g, target)

@@ -154,9 +154,6 @@ class Graph(FrozenRecord):
     def edge_count(self) -> int:
         return self.edges.bit_count()
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.edges >> edge_index(i, j, self.n) & 1)
-
     def edge_pairs(self) -> list[tuple[int, int]]:
         return [edge_pair(b, self.n) for b in iter_bits(self.edges)]
 

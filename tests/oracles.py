@@ -12,13 +12,25 @@ from hifam import (
     CompatibilityGraph,
     DyadicDensity,
     Graph,
-    MultipartiteTarget,
     SubgraphFamily,
     containment_check,
     is_connected,
 )
-from hifam.detect import TargetLike
 from hifam.graphs import edge_index, edge_pair, iter_bits, pair_count, submasks
+
+
+def plain_instance(
+    adjacency: list[int], labels: list[int] | None = None, host_edges: int = 0
+) -> CompatibilityGraph:
+    """A plain graph as a solver input: every candidate contains only
+    itself (identity sup and sub rows), so the solver searches every clique.
+
+    Labels default to the vertex indices.
+    """
+    rows = [1 << v for v in range(len(adjacency))]
+    if labels is None:
+        labels = list(range(len(adjacency)))
+    return CompatibilityGraph(labels, adjacency, host_edges, rows, rows)
 
 
 def brute_force_clique(cg: CompatibilityGraph) -> int:
@@ -46,12 +58,13 @@ def brute_force_clique(cg: CompatibilityGraph) -> int:
     return best
 
 
-def pairwise_compatibility(host: Graph, target) -> CompatibilityGraph:
+def pairwise_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     """The compatibility graph by a containment test on every edge subset
     and a loop over every pair of candidates.
 
     This is how clique.build_compatibility worked before it swept the
-    subset lattice.
+    subset lattice.  Its sup and sub rows are plain_instance's: it computes
+    no containment rows (containment_rows does).
     """
     check = containment_check(target)
     subsets = list(submasks(host.edges))
@@ -63,7 +76,7 @@ def pairwise_compatibility(host: Graph, target) -> CompatibilityGraph:
             if table[ca & cands[b]]:
                 adjacency[a] |= 1 << b
                 adjacency[b] |= 1 << a
-    return CompatibilityGraph([subsets[c] for c in cands], adjacency, host.edge_count)
+    return plain_instance(adjacency, [subsets[c] for c in cands], host.edge_count)
 
 
 def degree_ordered_clique_size(cg: CompatibilityGraph) -> int:
@@ -391,7 +404,7 @@ def incident_edge_mask_by_edges(g: Graph, v: int) -> int:
 
 
 def verify_pairwise(
-    family: SubgraphFamily, target: TargetLike, require_self: bool = False
+    family: SubgraphFamily, target: Graph, require_self: bool = False
 ) -> tuple[int, int] | None:
     """The quadratic scan behind verify_intersecting: every pair, in order.
 
@@ -412,8 +425,8 @@ def verify_pairwise(
     return None
 
 
-def largest_first_multipartite(g: Graph, target: MultipartiteTarget) -> bool:
-    """True iff g contains a complete multipartite pattern of the given sizes.
+def largest_first_multipartite(g: Graph, parts: list[int]) -> bool:
+    """True iff g contains the complete multipartite pattern with these part sizes.
 
     Recurses part by part (largest first); every later part is restricted to
     the common neighborhood of all vertices chosen so far.  Within a part,
@@ -421,7 +434,7 @@ def largest_first_multipartite(g: Graph, target: MultipartiteTarget) -> bool:
     This is how detect.contains_multipartite worked before it took parts
     smallest first and closed the last one by a count.
     """
-    sizes = sorted(target.parts, reverse=True)
+    sizes = sorted(parts, reverse=True)
     if len(sizes) == 1:
         return True  # edgeless pattern
     if sum(sizes) > g.n:

@@ -14,7 +14,6 @@ import pytest
 from hifam import (
     ConstructionSpec,
     Graph,
-    MultipartiteTarget,
     apply_permutation,
     canonical_key,
     check_seeds,
@@ -33,12 +32,11 @@ from hifam import (
     verify_records,
     load_records,
 )
-from hifam.clique import CompatibilityGraph
 from hifam.cli import main
 from hifam.graphs import pair_count
 
 from conftest import record_acceptance
-from oracles import brute_force_clique
+from oracles import brute_force_clique, plain_instance
 
 
 @contextmanager
@@ -150,7 +148,7 @@ def test_criterion_6_intersecting_property_of_19_member_families():
         for parts, t in (((2,), 4), ((1, 1), 4)):
             built = multipartite_family(ConstructionSpec(parts, t))
             assert len(built.family) == 19
-            failure = verify_intersecting(built.family, MultipartiteTarget(parts + (t,)))
+            failure = verify_intersecting(built.family, complete_multipartite(parts + (t,)))
             assert failure is None, (parts, t, failure)
 
 
@@ -172,7 +170,7 @@ def test_criterion_8_seed_check_consistency():
                 spec = ConstructionSpec(parts, t)
                 built = multipartite_family(spec)
                 report = check_seeds(
-                    built.host, built.seeds, MultipartiteTarget(parts + (t,))
+                    built.host, built.seeds, complete_multipartite(parts + (t,))
                 )
                 assert report.intersection_property, (parts, t)
                 assert report.disjoint_complement, (parts, t)
@@ -194,7 +192,7 @@ def test_criterion_9_property_suites():
                     if rng.random() < p:
                         adjacency[i] |= 1 << j
                         adjacency[j] |= 1 << i
-            cg = CompatibilityGraph(labels=list(range(size)), adjacency=adjacency)
+            cg = plain_instance(adjacency)
             assert max_clique(cg).size == brute_force_clique(cg)
 
         # specialized containment engines vs the generic one, exhaustively
@@ -206,8 +204,7 @@ def test_criterion_9_property_suites():
                 g = Graph(n, edges)
                 assert contains_p4(g) == contains_subgraph(g, p4)
                 for parts, target_graph in targets:
-                    assert contains_multipartite(g, MultipartiteTarget(parts)) == \
-                        contains_subgraph(g, target_graph)
+                    assert contains_multipartite(g, parts) == contains_subgraph(g, target_graph)
 
         # canonical key permutation invariance, 1000 randomized cases
         for _ in range(1000):

@@ -9,7 +9,6 @@ import pytest
 from hifam import (
     CompatibilityGraph,
     Graph,
-    MultipartiteTarget,
     build_compatibility,
     canonical_key,
     christofides_host,
@@ -20,7 +19,6 @@ from hifam import (
     contains_subgraph,
     cycle,
     from_edges,
-    intersection,
     is_connected,
     max_clique,
     parse_graph6,
@@ -37,12 +35,9 @@ from oracles import (
     containment_rows,
     degree_ordered_clique_size,
     pairwise_compatibility,
+    plain_instance,
     validate_compatibility,
 )
-
-
-def _instance(adjacency: list[int]) -> CompatibilityGraph:
-    return CompatibilityGraph(labels=list(range(len(adjacency))), adjacency=adjacency)
 
 
 def _random_instance(rng, size, p):
@@ -52,7 +47,7 @@ def _random_instance(rng, size, p):
             if rng.random() < p:
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
-    return _instance(adjacency)
+    return plain_instance(adjacency)
 
 
 def _random_upset_instance(rng, e):
@@ -66,7 +61,7 @@ def _random_upset_instance(rng, e):
         sum(1 << j for j, b in enumerate(labels) if j != i and a & b in holds)
         for i, a in enumerate(labels)
     ]
-    cg = CompatibilityGraph(labels, adjacency, e)
+    cg = plain_instance(adjacency, labels, e)
     cg.sup, cg.sub = containment_rows(cg)
     return cg
 
@@ -76,7 +71,7 @@ def _from_pairs(size, pairs):
     for i, j in pairs:
         adjacency[i] |= 1 << j
         adjacency[j] |= 1 << i
-    return _instance(adjacency)
+    return plain_instance(adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +120,7 @@ def _all_hosts(n):
     (lambda: connected_graphs(6, 11, True), complete(3)),
     (lambda: [christofides_host()], path(4)),
     (lambda: [christofides_host(), complete(4), complete_multipartite([2, 3])],
-     MultipartiteTarget((1, 2))),
+     complete_multipartite([1, 2])),
     # K5 has 893 P4 candidates: minutes for the old solver
     (lambda: [g for g in _all_hosts(5) if g.edge_count < 10], path(4)),
     (lambda: _all_hosts(5), complete(3)),
@@ -205,12 +200,12 @@ def test_containment_calls_only_on_copies(monkeypatch, host, target, calls):
 
 @pytest.mark.parametrize("target", [
     Graph(3, 0),
-    MultipartiteTarget((3,)),
+    complete_multipartite([6]),  # more isolated vertices than the host has
     from_edges(5, [(0, 1), (2, 3)]),  # 2K2 with an isolated vertex
     cycle(4),
     complete_multipartite([1, 3]),
-    MultipartiteTarget((1, 1, 1)),
-    MultipartiteTarget((2, 2)),
+    complete_multipartite([1, 1, 1]),
+    complete_multipartite([2, 2]),
     complete(5),
 ], ids=["edgeless", "one-part", "2k2", "c4", "k13", "k111", "k22", "k5"])
 def test_builder_matches_oracle_on_edge_case_targets(target):
@@ -224,8 +219,11 @@ def test_builder_matches_oracle_on_edge_case_targets(target):
         assert (cg.sup, cg.sub) == containment_rows(cg)
 
 
-@pytest.mark.parametrize("target", [complete(3), MultipartiteTarget((1, 1, 1))], ids=["k3", "k111"])
-def test_solving_a_host_leaves_no_reference_cycles(target):
+@pytest.mark.parametrize("target, size", [
+    (complete(3), 256),  # contains_multipartite
+    (from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), 128),  # the paw: contains_subgraph
+], ids=["k3", "paw"])
+def test_solving_a_host_leaves_no_reference_cycles(target, size):
     """The recursive closures of the solver and the containment tests must
     not keep a host's rows alive until the cycle collector runs."""
     host = connected_graphs(6, 11, True)[-1]
@@ -233,7 +231,7 @@ def test_solving_a_host_leaves_no_reference_cycles(target):
     gc.disable()
     try:
         result = max_clique(build_compatibility(host, target))
-        assert result.size == 256
+        assert result.size == size
         del result
         assert gc.collect() == 0
     finally:
@@ -283,7 +281,7 @@ def test_witness_is_valid_intersecting_family():
     for a in range(len(members)):
         assert contains_subgraph(members[a], target)
         for b in range(a + 1, len(members)):
-            assert contains_subgraph(intersection(members[a], members[b]), target)
+            assert contains_subgraph(Graph(host.n, members[a].edges & members[b].edges), target)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +290,14 @@ def test_witness_is_valid_intersecting_family():
 
 
 def test_empty_instance():
-    result = max_clique(_instance([]))
+    result = max_clique(plain_instance([]))
     assert result.size == 0 and result.witness == []
 
 
 def test_complete_instance():
     k = 6
     adjacency = [((1 << k) - 1) & ~(1 << v) for v in range(k)]
-    result = max_clique(_instance(adjacency))
+    result = max_clique(plain_instance(adjacency))
     assert result.size == k
     assert result.witness == list(range(k))
 
@@ -411,7 +409,7 @@ def test_solver_restores_recursion_limit(monkeypatch):
     assert max_clique(build_compatibility(christofides_host(), path(4))).size == 17
     dense = connected_graphs(6, 11, True)[-1]
     assert max_clique(build_compatibility(dense, complete(3))).size == 256
-    assert max_clique(_instance([0] * 300)).witness == [0]
+    assert max_clique(plain_instance([0] * 300)).witness == [0]
 
 
 def test_phase_two_fails_loudly_without_a_clique():
@@ -454,17 +452,17 @@ def test_lifting_inequality_over_one_edge_pairs():
 
 def test_brute_force_size_cap():
     with pytest.raises(ValueError):
-        brute_force_clique(_instance([0] * 26))
+        brute_force_clique(plain_instance([0] * 26))
 
 
 def test_validate_rejects_broken_adjacency():
-    bad = CompatibilityGraph(labels=[0, 1], adjacency=[0b10, 0b00])
+    bad = plain_instance([0b10, 0b00])
     with pytest.raises(ValueError):
         validate_compatibility(bad)
-    reflexive = CompatibilityGraph(labels=[0], adjacency=[0b1])
+    reflexive = plain_instance([0b1])
     with pytest.raises(ValueError):
         validate_compatibility(reflexive)
-    duplicates = CompatibilityGraph(labels=[5, 5], adjacency=[0, 0])
+    duplicates = plain_instance([0, 0], [5, 5])
     with pytest.raises(ValueError):
         validate_compatibility(duplicates)
     # labels 1 and 3: candidate 1 contains candidate 0

@@ -10,13 +10,11 @@ from hifam import (
     ConstructionSpec,
     DyadicDensity,
     Graph,
-    MultipartiteTarget,
     SubgraphFamily,
     check_seeds,
     complete,
     complete_multipartite,
     contains_multipartite,
-    contains_subgraph,
     from_edges,
     improvement_margin,
     lifted_count_string,
@@ -111,7 +109,7 @@ def test_smallest_instance_fully_verified():
     assert built.host.n == 5 and built.host.edge_count == 4  # K_{1,4}
     assert len(built.family) == 5
     assert built.density == DyadicDensity(5, 4)
-    assert verify_intersecting(built.family, MultipartiteTarget([1, 2])) is None
+    assert verify_intersecting(built.family, complete_multipartite([1, 2])) is None
 
 
 def test_family_members_are_distinct_host_subsets():
@@ -147,7 +145,7 @@ def test_seed_check_agrees_with_size_formula():
         for t in (1, 1 << m, (1 << m) + 2):
             spec = ConstructionSpec(parts, t)
             built = multipartite_family(spec)
-            report = check_seeds(built.host, built.seeds, MultipartiteTarget(parts + (t,)))
+            report = check_seeds(built.host, built.seeds, complete_multipartite(parts + (t,)))
             assert report.intersection_property
             assert report.disjoint_complement
             assert report.family_size == len(built.family)
@@ -163,14 +161,14 @@ def test_seed_check_agrees_with_size_formula():
 def test_intersecting_property_on_hosts_up_to_14_vertices(parts, t, target_parts):
     built = multipartite_family(ConstructionSpec(parts, t))
     assert built.host.n <= 14
-    failure = verify_intersecting(built.family, MultipartiteTarget(target_parts))
+    failure = verify_intersecting(built.family, complete_multipartite(target_parts))
     assert failure is None
 
 
 @pytest.mark.parametrize("parts,t", [((4,), 16), ((5,), 32)])
 def test_intersecting_property_on_large_hosts(request, parts, t):
     built = multipartite_family(ConstructionSpec(parts, t))
-    target = MultipartiteTarget(parts + (t,))
+    target = complete_multipartite(parts + (t,))
     failure = verify_intersecting(built.family, target)
     assert failure is None
     if request.config.getoption("--run-large-verify"):
@@ -181,13 +179,13 @@ def test_up_closed_verification_checks_only_minimal_pairs(monkeypatch):
     # the t + 2 seeds are the minimal members: (t+2)(t+3)/2 pairs i <= j
     calls = []
 
-    def counting(g, target):
+    def counting(g, parts):
         calls.append(g)
-        return contains_multipartite(g, target)
+        return contains_multipartite(g, parts)
 
     monkeypatch.setattr(detect, "contains_multipartite", counting)
     built = multipartite_family(ConstructionSpec((4,), 16))
-    assert verify_intersecting(built.family, MultipartiteTarget((4, 16))) is None
+    assert verify_intersecting(built.family, complete_multipartite((4, 16))) is None
     assert len(calls) == 18 * 19 // 2
 
 
@@ -246,11 +244,12 @@ def test_verify_reports_first_failing_pair():
 def test_family_that_is_not_up_closed_is_decided_by_its_minimal_pairs(monkeypatch):
     calls = []
 
-    def counting(g, h):
+    def counting(g, parts):
         calls.append(g)
-        return contains_subgraph(g, h)
+        return contains_multipartite(g, parts)
 
-    monkeypatch.setattr(detect, "contains_subgraph", counting)
+    # path(2), one edge, is K_{1,1}: the multipartite test decides it
+    monkeypatch.setattr(detect, "contains_multipartite", counting)
     host = complete(4)
     triangle = from_edges(4, [(0, 1), (0, 2), (1, 2)]).edges
     matching = from_edges(4, [(0, 1), (2, 3)]).edges
@@ -311,7 +310,7 @@ def _is_up_closed(family):
 
 def test_up_closure_path_matches_quadratic_oracle():
     rng = random.Random(2024)
-    targets = [path(2), path(3), path(4), complete(3), MultipartiteTarget([1, 2])]
+    targets = [path(2), path(3), path(4), complete(3), complete_multipartite([1, 2])]
     seen = set()
     for _ in range(600):
         n = rng.randint(3, 6)

@@ -6,7 +6,6 @@ import pytest
 
 from hifam import (
     Graph,
-    MultipartiteTarget,
     apply_permutation,
     canonical_key,
     complete,
@@ -17,10 +16,10 @@ from hifam import (
     containment_check,
     cycle,
     from_edges,
-    intersection,
     multipartite_family,
     path,
 )
+from hifam import detect
 from hifam.construct import ConstructionSpec
 from hifam.graphs import pair_count
 
@@ -39,43 +38,6 @@ def _random_graph(rng, n, p=0.5):
         if rng.random() < p:
             mask |= 1 << b
     return Graph(n, mask)
-
-
-# ---------------------------------------------------------------------------
-# intersection
-# ---------------------------------------------------------------------------
-
-
-def test_intersection_idempotent_and_absorbing():
-    g = from_edges(4, [(0, 1), (1, 2)])
-    assert intersection(g, g) == g
-    assert intersection(g, Graph(4, 0)) == Graph(4, 0)
-
-
-def test_intersection_requires_same_vertex_count():
-    with pytest.raises(ValueError):
-        intersection(Graph(3, 0), Graph(4, 0))
-
-
-def test_deleted_vertex_overlap_in_small_star_host():
-    # host K_{1,4}; removing the edges at two different leaves leaves K_{1,2}
-    built = multipartite_family(ConstructionSpec((1,), 2))
-    host = built.host
-    a = Graph(host.n, built.seeds[0])
-    b = Graph(host.n, built.seeds[1])
-    common = intersection(a, b)
-    expected = from_edges(host.n, [(0, 3), (0, 4)])  # K_{1,2} plus isolates
-    assert canonical_key(common) == canonical_key(expected)
-
-
-def test_intersection_bitwise_laws():
-    rng = random.Random(23)
-    for _ in range(100):
-        n = rng.randint(2, 7)
-        a, b, c = (_random_graph(rng, n) for _ in range(3))
-        assert intersection(a, b) == intersection(b, a)
-        assert intersection(intersection(a, b), c) == intersection(a, intersection(b, c))
-        assert intersection(a, a) == a
 
 
 # ---------------------------------------------------------------------------
@@ -144,20 +106,30 @@ def test_p4_basics():
 
 
 def test_multipartite_basics():
-    assert contains_multipartite(complete_multipartite([2, 6]), MultipartiteTarget([2, 4]))
+    assert contains_multipartite(complete_multipartite([2, 6]), [2, 4])
     matching = from_edges(6, [(0, 1), (2, 3), (4, 5)])
-    assert not contains_multipartite(matching, MultipartiteTarget([1, 2]))
+    assert not contains_multipartite(matching, [1, 2])
+
+
+def test_deleted_vertex_overlap_in_small_star_host():
+    # host K_{1,4}; removing the edges at two different leaves leaves K_{1,2}
+    built = multipartite_family(ConstructionSpec((1,), 2))
+    n = built.host.n
+    common = Graph(n, built.seeds[0] & built.seeds[1])
+    expected = from_edges(n, [(0, 3), (0, 4)])  # K_{1,2} plus isolates
+    assert canonical_key(common) == canonical_key(expected)
 
 
 def test_deleted_vertex_overlap_contains_shrunk_pattern():
     built = multipartite_family(ConstructionSpec((2,), 4))  # host K_{2,6}
     a, b = built.seeds[0], built.seeds[1]
     common = Graph(built.host.n, a & b)
-    assert contains_multipartite(common, MultipartiteTarget([2, 4]))
+    assert contains_multipartite(common, [4, 2])
 
 
 def test_single_part_target_is_edgeless():
-    assert contains_multipartite(Graph(2, 0), MultipartiteTarget([5]))
+    assert contains_multipartite(Graph(2, 0), [5])
+    assert contains_multipartite(Graph(2, 0), [])
 
 
 def test_multipartite_matches_largest_first_oracle_on_random_graphs():
@@ -166,8 +138,7 @@ def test_multipartite_matches_largest_first_oracle_on_random_graphs():
         n = rng.randint(1, 30)
         g = _random_graph(rng, n, rng.choice([0.3, 0.6, 0.9]))
         parts = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
-        target = MultipartiteTarget(parts)
-        assert contains_multipartite(g, target) == largest_first_multipartite(g, target)
+        assert contains_multipartite(g, parts) == largest_first_multipartite(g, parts)
 
 
 def test_multipartite_matches_largest_first_oracle_on_seed_intersections():
@@ -176,24 +147,15 @@ def test_multipartite_matches_largest_first_oracle_on_seed_intersections():
     n = built.host.n
     hits = {}
     for parts in ((4, 24), (4, 25), (3, 26), (1, 1, 2)):
-        target = MultipartiteTarget(parts)
         hits[parts] = 0
         for i, a in enumerate(built.seeds):
             for b in built.seeds[i:]:
                 g = Graph(n, a & b)
-                found = contains_multipartite(g, target)
-                assert found == largest_first_multipartite(g, target)
+                found = contains_multipartite(g, parts)
+                assert found == largest_first_multipartite(g, parts)
                 hits[parts] += found
     # a pair of distinct seeds misses two vertices of the 26-part, one seed one
     assert hits == {(4, 24): 351, (4, 25): 26, (3, 26): 0, (1, 1, 2): 0}
-
-
-def test_multipartite_target_validation():
-    with pytest.raises(ValueError):
-        MultipartiteTarget([])
-    with pytest.raises(ValueError):
-        MultipartiteTarget([1, 0])
-    assert MultipartiteTarget([2, 2, 16]).edge_count == 68
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +171,7 @@ def test_specialized_engines_match_generic_exhaustively():
             g = Graph(n, edges)
             assert contains_p4(g) == contains_subgraph(g, p4)
             for parts, target_graph in targets:
-                assert contains_multipartite(g, MultipartiteTarget(parts)) == \
-                    contains_subgraph(g, target_graph)
+                assert contains_multipartite(g, parts) == contains_subgraph(g, target_graph)
 
 
 def test_containment_check_dispatch():
@@ -226,5 +187,94 @@ def test_containment_check_dispatch():
         for _ in range(50):
             g = _random_graph(rng, 5)
             assert check(g) == contains_subgraph(g, target)
-    check = containment_check(MultipartiteTarget([1, 2]))
+    check = containment_check(complete_multipartite([1, 2]))
     assert check(path(3)) and not check(Graph(3, 1))
+
+
+ROUTES = ("contains_multipartite", "contains_p4", "contains_subgraph")
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """(test name, arguments after the graph) of every containment test
+    called through detect's module globals."""
+    calls = []
+    for name in ROUTES:
+        def counted(g, *rest, name=name, test=getattr(detect, name)):
+            calls.append((name, rest))
+            return test(g, *rest)
+
+        monkeypatch.setattr(detect, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("target, route, parts", [
+    (complete(3), "contains_multipartite", [1, 1, 1]),
+    (cycle(4), "contains_multipartite", [2, 2]),  # K_{2,2}
+    (from_edges(4, [(3, 0), (3, 1), (3, 2)]), "contains_multipartite", [1, 3]),
+    (complete(2), "contains_multipartite", [1, 1]),
+    (complete_multipartite([1, 1, 2]), "contains_multipartite", [1, 1, 2]),
+    (from_edges(4, [(1, 2), (1, 3), (2, 3)]), "contains_multipartite", [1, 1, 1]),
+    (path(4), "contains_p4", None),
+    (from_edges(5, [(4, 2), (2, 0), (0, 3)]), "contains_p4", None),
+    (cycle(5), "contains_subgraph", None),
+    (path(5), "contains_subgraph", None),
+    (from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), "contains_subgraph", None),
+], ids=["k3", "k22", "k13", "k11", "k112", "k3+isolated", "p4", "p4+isolated", "c5", "p5",
+        "paw"])
+def test_containment_check_route(routes, target, route, parts):
+    check = containment_check(target)
+    rng = random.Random(11)
+    for _ in range(30):
+        g = _random_graph(rng, 6)
+        assert check(g) == contains_subgraph(g, target)
+    assert {name for name, _ in routes} == {route}
+    if parts is not None:
+        assert all(sorted(rest[0]) == parts for _, rest in routes)
+
+
+def _core_key(g):
+    """Canonical key of g's core, its non-isolated vertices; None without edges."""
+    adj = g.adjacency()
+    core = [v for v in range(g.n) if adj[v]]
+    if not core:
+        return None
+    index = {v: k for k, v in enumerate(core)}
+    return canonical_key(from_edges(len(core), [(index[i], index[j]) for i, j in g.edge_pairs()]))
+
+
+def _partitions(n, low=1):
+    """Every ascending tuple of part sizes >= low summing to n."""
+    if n == 0:
+        yield ()
+    for first in range(low, n + 1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_containment_check_agrees_with_generic_on_every_small_target(routes):
+    """Every labeled target on at most 5 vertices: the dispatched predicate
+    agrees with the generic test, and the multipartite route is taken
+    exactly when the target's core is complete multipartite."""
+    multipartite = {_core_key(complete_multipartite(parts))
+                    for n in range(1, 6) for parts in _partitions(n)}
+    p4 = _core_key(path(4))
+    rng = random.Random(5)
+    hosts = [_random_graph(rng, 6, p) for p in (0.3, 0.5, 0.7, 0.9) for _ in range(4)]
+    targets = 0
+    outcomes = set()
+    for n in range(1, 6):
+        for edges in range(1 << pair_count(n)):
+            target = Graph(n, edges)
+            key = _core_key(target)
+            routes.clear()
+            check = containment_check(target)
+            for g in hosts:
+                found = check(g)
+                assert found == contains_subgraph(g, target), (target, g)
+                outcomes.add(found)
+            expected = ("contains_p4" if key == p4 else
+                        "contains_multipartite" if key in multipartite else "contains_subgraph")
+            assert {name for name, _ in routes} == {expected}, target
+            targets += 1
+    assert targets == 1099 and outcomes == {True, False}

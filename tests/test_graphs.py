@@ -234,6 +234,8 @@ def test_multipartite_examples():
     assert (g.n, g.edge_count) == (13, 33)
     g = complete_multipartite([5])
     assert (g.n, g.edge_count) == (5, 0)
+    g = complete_multipartite([2, 2, 16])
+    assert (g.n, g.edge_count) == (20, 68)
 
 
 def test_multipartite_rejects_bad_parts():
@@ -253,9 +255,8 @@ def test_bipartite_edge_count_and_triangle_freeness():
 
 
 def test_multipartite_layout_is_consecutive():
-    g = complete_multipartite([2, 3])
-    assert not g.has_edge(0, 1)  # same part
-    assert g.has_edge(0, 2) and g.has_edge(1, 4)
+    # parts {0, 1} and {2, 3, 4}: no edge inside a part, every edge across
+    assert complete_multipartite([2, 3]) == from_edges(5, [(i, j) for i in (0, 1) for j in (2, 3, 4)])
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,14 @@ from hifam import (
     DyadicDensity,
     Graph,
     MultipartiteFamily,
-    MultipartiteTarget,
     SearchRecord,
     SearchSummary,
     SeedCheck,
     SubgraphFamily,
     multipartite_family,
 )
+
+from oracles import plain_instance
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -35,7 +36,6 @@ def _family():
 FROZEN = {
     "Graph": (lambda: Graph(6, 5), lambda: Graph(6, 6)),
     "DyadicDensity": (lambda: DyadicDensity(34, 8), lambda: DyadicDensity(17, 8)),
-    "MultipartiteTarget": (lambda: MultipartiteTarget([2, 3]), lambda: MultipartiteTarget([3, 2])),
     "SubgraphFamily": (lambda: SubgraphFamily(Graph(3, 7), [1, 3]),
                        lambda: SubgraphFamily(Graph(3, 7), [3, 1])),
     "ConstructionSpec": (lambda: ConstructionSpec([2, 2], 4), lambda: ConstructionSpec([2, 2], 5)),
@@ -44,7 +44,7 @@ FROZEN = {
 }
 MUTABLE = {
     "CompatibilityGraph": (lambda: CompatibilityGraph([1, 3], [2, 1], 2, [3, 2], [1, 3]),
-                           lambda: CompatibilityGraph([1, 3], [2, 1], 2)),
+                           lambda: plain_instance([2, 1], [1, 3], 2)),
     "CliqueResult": (lambda: CliqueResult(2, [0, 1], DyadicDensity(2, 3), 4, 1),
                      lambda: CliqueResult(2, [0, 1], DyadicDensity(2, 3), 4, 2)),
     "SearchRecord": (lambda: SearchRecord("Ch", 4, 3, 1, "1/2^3", ["0x7"]),
@@ -113,9 +113,10 @@ def test_positional_and_keyword_construction_with_defaults():
     assert (result.phase1_nodes, result.phase2_nodes) == (0, 0)
     assert CliqueResult(3).witness is not CliqueResult(3).witness
     assert CliqueResult(size=3, phase2_nodes=4).phase2_nodes == 4
-    cg = CompatibilityGraph([1], [0])
-    assert (cg.host_edges, cg.sup, cg.sub, cg.size) == (0, None, None, 1)
-    assert CompatibilityGraph(labels=[1], adjacency=[0], host_edges=3).host_edges == 3
+    cg = CompatibilityGraph(labels=[1], adjacency=[0], host_edges=3, sup=[1], sub=[1])
+    assert cg == CompatibilityGraph([1], [0], 3, [1], [1]) == plain_instance([0], [1], 3)
+    with pytest.raises(TypeError):
+        CompatibilityGraph([1], [0], 3)  # every field is required
     record = SearchRecord(host_graph6="Ch", n=4, m=3, clique_size=1, density="1/2^3",
                           witness_hex=["0x7"])
     assert record == SearchRecord("Ch", 4, 3, 1, "1/2^3", ["0x7"])
@@ -124,7 +125,6 @@ def test_positional_and_keyword_construction_with_defaults():
     assert SeedCheck(intersection_property=True, disjoint_complement=True,
                      family_size=1).family_size == 1
     assert ConstructionSpec(parts=[2], t=4).parts == (2,)
-    assert MultipartiteTarget(parts=[1, 2]).parts == (1, 2)
     family = _family()
     assert MultipartiteFamily(host=family.host, seeds=family.seeds, family=family.family,
                               density=family.density) == family
@@ -134,8 +134,6 @@ def test_positional_and_keyword_construction_with_defaults():
 def test_constructors_still_validate_and_normalize():
     with pytest.raises(ValueError):
         Graph(0)
-    with pytest.raises(ValueError):
-        MultipartiteTarget([])
     with pytest.raises(ValueError):
         ConstructionSpec([1], 0)
     with pytest.raises(ValueError):
@@ -155,7 +153,6 @@ def test_dyadic_density_order():
 def test_dataclass_style_repr():
     assert repr(Graph(6, 5)) == "Graph(n=6, edges=5)"
     assert repr(DyadicDensity(34, 8)) == "DyadicDensity(numerator=17, exponent=7)"
-    assert repr(MultipartiteTarget([2, 3])) == "MultipartiteTarget(parts=(2, 3))"
     assert repr(CliqueResult(3)) == (
         "CliqueResult(size=3, witness=[], density=DyadicDensity(numerator=0, exponent=0), "
         "phase1_nodes=0, phase2_nodes=0)"
