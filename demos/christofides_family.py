@@ -9,6 +9,7 @@ all-supergraphs-of-one-path family achieves on any 7-edge host.
 """
 
 from hifam import (
+    DyadicDensity,
     Graph,
     SubgraphFamily,
     build_compatibility,
@@ -35,7 +36,8 @@ def main() -> None:
 
     result = max_clique(cg)
     print(f"maximum family size: {result.size}")
-    print(f"density: {result.density}  (trivial bound: {trivial_density(target)})")
+    density = DyadicDensity(result.size, host.edge_count)
+    print(f"density: {density}  (trivial bound: {trivial_density(target)})")
     print()
 
     print("the family, one member per line (edge subsets of the host):")

@@ -41,16 +41,8 @@ from .graphs import (
 )
 from .search import load_records, search_hosts, solve_host, verify_records, write_records
 
-BUILTIN_GRAPHS = {
-    "christofides": christofides_host,
-}
-
 _SHAPE_RE = re.compile(r"^([pck])(\d+)$", re.IGNORECASE)
 _PARTS_RE = re.compile(r"^k(\d+(?:,\d+)+)$", re.IGNORECASE)
-
-
-class InputError(UserError):
-    """User-supplied graph or flag text that cannot be interpreted."""
 
 
 def resolve_graph(text: str) -> Graph:
@@ -66,16 +58,15 @@ def resolve_graph(text: str) -> Graph:
         try:
             return _graph_from_text(sys.stdin.read())
         except UnicodeDecodeError as exc:
-            raise InputError(f"cannot read the graph on stdin: {exc}") from exc
+            raise UserError(f"cannot read the graph on stdin: {exc}") from exc
     if s.startswith("@"):
         try:
             with open(s[1:], "r", encoding="ascii") as fh:
                 return _graph_from_text(fh.read())
         except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read graph file {s[1:]!r}: {exc}") from exc
-    name = s.lower()
-    if name in BUILTIN_GRAPHS:
-        return BUILTIN_GRAPHS[name]()
+            raise UserError(f"cannot read graph file {s[1:]!r}: {exc}") from exc
+    if s.lower() == "christofides":
+        return christofides_host()
     match = _SHAPE_RE.match(s)
     if match:
         kind, size = match.group(1).lower(), int(match.group(2))
@@ -86,38 +77,38 @@ def resolve_graph(text: str) -> Graph:
                 return cycle(size)
             return complete(size)
         except ValueError as exc:
-            raise InputError(str(exc)) from exc
+            raise UserError(str(exc)) from exc
     match = _PARTS_RE.match(s)
     if match:
         parts = [int(tok) for tok in match.group(1).split(",")]
         try:
             return complete_multipartite(parts)
         except ValueError as exc:
-            raise InputError(str(exc)) from exc
+            raise UserError(str(exc)) from exc
     return _graph_from_text(s)
 
 
 def _graph_from_text(text: str) -> Graph:
     stripped = text.strip()
     if not stripped:
-        raise InputError("empty graph input")
+        raise UserError("empty graph input")
     first = stripped.splitlines()[0].strip()
     if " " in first or "\t" in first:
         try:
             return parse_edge_list(stripped)
         except ValueError as exc:
-            raise InputError(f"bad edge list: {exc}") from exc
+            raise UserError(f"bad edge list: {exc}") from exc
     try:
         return parse_graph6(first)
     except Graph6Error as exc:
-        raise InputError(f"bad graph6: {exc}") from exc
+        raise UserError(f"bad graph6: {exc}") from exc
 
 
 def _parse_int_list(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise InputError(f"expected comma-separated integers, got {text!r}") from exc
+        raise UserError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +158,7 @@ def cmd_clique(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     if args.jobs < 1:
-        raise InputError(f"--jobs must be a positive integer, got {args.jobs}")
+        raise UserError(f"--jobs must be a positive integer, got {args.jobs}")
     target = resolve_graph(args.target)
     edge_counts = _parse_int_list(args.edges)
     records, summary = search_hosts(
@@ -195,15 +186,14 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     parts = tuple(_parse_int_list(args.parts))
-    try:  # part sizes below 1; the host's cap before the target's
+    try:  # part sizes below 1, or a host past its caps
         spec = ConstructionSpec(parts, args.t)
         built = multipartite_family(spec)
-        verify_parts = spec.parts + (spec.t if args.target_t is None else args.target_t,)
-        verify_target = complete_multipartite(verify_parts)
     except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise UserError(str(exc)) from exc
+    target = spec.target
     host = built.host
-    trivial = trivial_density(spec.target)
+    trivial = trivial_density(target)
     e_host = host.edge_count
     family_str = density_string(len(built.family), e_host)
     trivial_str = density_string(trivial.scaled_numerator(e_host), e_host)
@@ -214,7 +204,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
     verify_failure = None
     if args.verify:
-        verify_failure = verify_intersecting(built.family, verify_target)
+        verify_failure = verify_intersecting(built.family, target)
 
     if args.json:
         obj = {
@@ -243,7 +233,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         print(f"lifted count at n={host.n}: {lifted_count_string(len(built.family), e_host, host.n)}")
         print(verdict)
         if args.verify:
-            target_name = "K_{" + ",".join(str(p) for p in verify_parts) + "}"
+            target_name = "K_{" + ",".join(str(p) for p in spec.parts + (spec.t,)) + "}"
             if verify_failure is None:
                 print(f"verified: every pair intersection contains {target_name}")
             else:
@@ -310,10 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("--verify", action="store_true",
                              help="check that every pair intersection contains the "
                                   "target (pairs of minimal members)")
-    p_construct.add_argument("--target-t", type=int, default=None,
-                             help="final part size of the --verify target "
-                                  "(default: the construction's t); the verdict "
-                                  "always uses the construction's own target")
     p_construct.add_argument("--json", action="store_true")
     p_construct.set_defaults(func=cmd_construct)
 
@@ -331,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UserError, OSError) as exc:  # InputError and Graph6Error included
+    except (UserError, OSError) as exc:  # Graph6Error is a UserError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .density import DyadicDensity
 from .detect import containment_check
 from .graphs import Graph, Record, UserError, submasks
 
@@ -25,27 +24,24 @@ class CompatibilityGraph(Record):
     """Auxiliary graph: candidate edge subsets plus adjacency bitsets.
 
     ``labels[i]`` is the i-th candidate as a bitset over the host's edge
-    indexing; ``adjacency[i]`` is a bitset over candidate indices;
-    ``host_edges`` is the host's edge count, the density exponent.
+    indexing; ``adjacency[i]`` is a bitset over candidate indices.
     ``sup[i]`` and ``sub[i]`` are bitsets over candidate indices too: the
     candidates whose labels contain ``labels[i]``, and those it contains,
-    i itself in both.
+    i itself in both.  The host is not kept: a family's density is the
+    caller's to render from the host (see search.solve_host).
     """
 
-    __slots__ = ("labels", "adjacency", "host_edges", "sup", "sub")
+    __slots__ = ("labels", "adjacency", "sup", "sub")
     labels: list[int]
     adjacency: list[int]
-    host_edges: int
     sup: list[int]
     sub: list[int]
 
     def __init__(
-        self, labels: list[int], adjacency: list[int], host_edges: int,
-        sup: list[int], sub: list[int],
+        self, labels: list[int], adjacency: list[int], sup: list[int], sub: list[int]
     ) -> None:
         self.labels = labels
         self.adjacency = adjacency
-        self.host_edges = host_edges
         self.sup = sup
         self.sub = sub
 
@@ -55,17 +51,16 @@ class CompatibilityGraph(Record):
 
 
 class CliqueResult(Record):
-    """An exact maximum clique with its family density on the host.
+    """An exact maximum clique: its size and its candidate indices.
 
     ``phase1_nodes`` and ``phase2_nodes`` count the search nodes of phase 1
     (the optimum) and of phase 2's feasibility searches (the witness);
     they are machine-independent work counters.
     """
 
-    __slots__ = ("size", "witness", "density", "phase1_nodes", "phase2_nodes")
+    __slots__ = ("size", "witness", "phase1_nodes", "phase2_nodes")
     size: int
     witness: list[int]
-    density: DyadicDensity
     phase1_nodes: int
     phase2_nodes: int
 
@@ -73,13 +68,11 @@ class CliqueResult(Record):
         self,
         size: int,
         witness: list[int] | None = None,
-        density: DyadicDensity = DyadicDensity(0, 0),
         phase1_nodes: int = 0,
         phase2_nodes: int = 0,
     ) -> None:
         self.size = size
         self.witness = [] if witness is None else witness
-        self.density = density
         self.phase1_nodes = phase1_nodes
         self.phase2_nodes = phase2_nodes
 
@@ -174,7 +167,7 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
                 down[c] |= down[c ^ bit]
     adjacency = [up[c] & ~(1 << i) for i, c in enumerate(cands)]
     sub = [down[c] for c in cands]
-    return CompatibilityGraph([subsets[c] for c in cands], adjacency, e, sup, sub)
+    return CompatibilityGraph([subsets[c] for c in cands], adjacency, sup, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +217,7 @@ def max_clique(cg: CompatibilityGraph) -> CliqueResult:
     sup, sub = cg.sup, cg.sub
     best, clique, phase1_nodes = _upset_search((1 << n) - 1, 0, n + 1, adj, sup, sub)
     witness, phase2_nodes = _lex_min_clique(adj, sup, sub, n, best, clique)
-    return CliqueResult(best, witness, DyadicDensity(best, cg.host_edges),
-                        phase1_nodes, phase2_nodes)
+    return CliqueResult(best, witness, phase1_nodes, phase2_nodes)
 
 
 def _upset_search(

@@ -135,18 +135,17 @@ def check_seeds(host: Graph, seeds: Sequence[int], target: Graph) -> SeedCheck:
     """Check the two conditions that make a seed set glue into a family.
 
     Condition 1 (intersection property) quantifies over ALL pairs including
-    i = j, so every seed must contain the target itself.  Condition 2
-    (disjoint complement) asks that distinct seeds union to the full host
-    edge set.  The reported family size 1 + sum(2^(e(host)-e(seed)) - 1) is
-    meaningful only when both conditions hold.
+    i = j, so every seed must contain the target itself: it is
+    verify_intersecting on the seeds as a family, and SubgraphFamily's
+    ValueError rejects a seed outside the host or a repeated one.
+    Condition 2 (disjoint complement) asks that distinct seeds union to the
+    full host edge set.  The reported family size
+    1 + sum(2^(e(host)-e(seed)) - 1) is meaningful only when both
+    conditions hold.
     """
-    seeds = list(seeds)
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seed subgraphs must be pairwise distinct")
-    for s in seeds:
-        if s & ~host.edges:
-            raise ValueError(f"seed {s:#x} is not an edge subset of the host")
-    intersection_property = _first_pair_lacking(host.n, seeds, containment_check(target)) is None
+    family = SubgraphFamily(host, seeds)
+    seeds = family.members
+    intersection_property = verify_intersecting(family, target) is None
     disjoint_complement = all(
         seeds[i] | seeds[j] == host.edges
         for i in range(len(seeds))

@@ -128,7 +128,7 @@ def search_hosts(
     if jobs > 1 and len(tasks) > 1:
         from multiprocessing import Pool  # only a parallel run pays for its import
 
-        with Pool(processes=jobs) as pool:
+        with Pool(processes=min(jobs, len(tasks))) as pool:
             records = pool.map(_solve_host, tasks)
     else:
         records = [_solve_host(t) for t in tasks]

@@ -10,7 +10,6 @@ from functools import lru_cache
 from hifam import (
     CliqueResult,
     CompatibilityGraph,
-    DyadicDensity,
     Graph,
     SubgraphFamily,
     containment_check,
@@ -19,9 +18,7 @@ from hifam import (
 from hifam.graphs import edge_index, edge_pair, iter_bits, pair_count, submasks
 
 
-def plain_instance(
-    adjacency: list[int], labels: list[int] | None = None, host_edges: int = 0
-) -> CompatibilityGraph:
+def plain_instance(adjacency: list[int], labels: list[int] | None = None) -> CompatibilityGraph:
     """A plain graph as a solver input: every candidate contains only
     itself (identity sup and sub rows), so the solver searches every clique.
 
@@ -30,7 +27,7 @@ def plain_instance(
     rows = [1 << v for v in range(len(adjacency))]
     if labels is None:
         labels = list(range(len(adjacency)))
-    return CompatibilityGraph(labels, adjacency, host_edges, rows, rows)
+    return CompatibilityGraph(labels, adjacency, rows, rows)
 
 
 def brute_force_clique(cg: CompatibilityGraph) -> int:
@@ -76,7 +73,7 @@ def pairwise_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
             if table[ca & cands[b]]:
                 adjacency[a] |= 1 << b
                 adjacency[b] |= 1 << a
-    return plain_instance(adjacency, [subsets[c] for c in cands], host.edge_count)
+    return plain_instance(adjacency, [subsets[c] for c in cands])
 
 
 def degree_ordered_clique_size(cg: CompatibilityGraph) -> int:
@@ -141,7 +138,7 @@ def coloring_max_clique(cg: CompatibilityGraph) -> CliqueResult:
     """
     n = cg.size
     if n == 0:
-        return CliqueResult(0, [], DyadicDensity(0, cg.host_edges))
+        return CliqueResult(0, [])
     adj = cg.adjacency
 
     best = 0
@@ -161,7 +158,7 @@ def coloring_max_clique(cg: CompatibilityGraph) -> CliqueResult:
 
     expand((1 << n) - 1, 0)
     witness = _lex_min_clique(cg.adjacency, n, best)
-    return CliqueResult(best, witness, DyadicDensity(best, cg.host_edges))
+    return CliqueResult(best, witness)
 
 
 def _top_first_coloring(p_mask: int, adj: list[int]) -> list[tuple[int, int]]:

@@ -24,6 +24,7 @@ from hifam import (
     parse_graph6,
     path,
     search_hosts,
+    solve_host,
 )
 from hifam import clique
 from hifam.clique import MAX_CANDIDATES, MAX_HOST_EDGES, _color_sort, _lex_min_clique
@@ -61,7 +62,7 @@ def _random_upset_instance(rng, e):
         sum(1 << j for j, b in enumerate(labels) if j != i and a & b in holds)
         for i, a in enumerate(labels)
     ]
-    cg = plain_instance(adjacency, labels, e)
+    cg = plain_instance(adjacency, labels)
     cg.sup, cg.sub = containment_rows(cg)
     return cg
 
@@ -131,7 +132,6 @@ def test_builder_and_solver_match_oracles(hosts, target):
         old = pairwise_compatibility(host, target)
         assert cg.labels == old.labels
         assert cg.adjacency == old.adjacency
-        assert cg.host_edges == old.host_edges
         assert (cg.sup, cg.sub) == containment_rows(cg)
         result = max_clique(cg)
         expected = coloring_max_clique(cg)
@@ -215,7 +215,7 @@ def test_builder_matches_oracle_on_edge_case_targets(target):
     for host in _all_hosts(5):
         cg = build_compatibility(host, target)
         old = pairwise_compatibility(host, target)
-        assert (cg.labels, cg.adjacency, cg.host_edges) == (old.labels, old.adjacency, old.host_edges)
+        assert (cg.labels, cg.adjacency) == (old.labels, old.adjacency)
         assert (cg.sup, cg.sub) == containment_rows(cg)
 
 
@@ -265,10 +265,10 @@ def test_candidate_cap_admits_every_connected_six_vertex_host():
 
 
 def test_christofides_maximum_family_size():
-    cg = build_compatibility(christofides_host(), path(4))
-    result = max_clique(cg)
-    assert result.size == 17
-    assert str(result.density) == "17/2^7"
+    host = christofides_host()
+    cg = build_compatibility(host, path(4))
+    assert max_clique(cg).size == 17
+    assert solve_host(host, cg).density == "17/2^7"
 
 
 def test_witness_is_valid_intersecting_family():
@@ -466,7 +466,7 @@ def test_validate_rejects_broken_adjacency():
     with pytest.raises(ValueError):
         validate_compatibility(duplicates)
     # labels 1 and 3: candidate 1 contains candidate 0
-    validate_compatibility(CompatibilityGraph([1, 3], [0b10, 0b01], 2, [0b11, 0b10], [0b01, 0b11]))
+    validate_compatibility(CompatibilityGraph([1, 3], [0b10, 0b01], [0b11, 0b10], [0b01, 0b11]))
     for sup, sub in [
         ([0b10, 0b10], [0b01, 0b11]),  # 0 missing from sup[0]
         ([0b11, 0b10], [0b01, 0b10]),  # 0 in sup[0]... but not in sub[1]
@@ -474,4 +474,4 @@ def test_validate_rejects_broken_adjacency():
         ([0b11, 0b10], None),
     ]:
         with pytest.raises(ValueError):
-            validate_compatibility(CompatibilityGraph([1, 3], [0b10, 0b01], 2, sup, sub))
+            validate_compatibility(CompatibilityGraph([1, 3], [0b10, 0b01], sup, sub))

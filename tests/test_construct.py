@@ -222,9 +222,9 @@ def test_seed_check_detects_missing_intersection():
 
 def test_seed_check_rejects_duplicates_and_non_subsets():
     host = complete(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^duplicate member 0x3$"):
         check_seeds(host, [0b011, 0b011], path(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^member 0x2 is not an edge subset of the host$"):
         check_seeds(path(3), [0b010], path(2))  # slot 1 is not a P3 edge
 
 

@@ -1,4 +1,4 @@
-"""The README's quick demos run to completion."""
+"""The README's quick demos run to completion and print their headline."""
 
 import os
 import subprocess
@@ -10,9 +10,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize(
-    "script", ["christofides_family.py", "host_search.py", "multipartite_bounds.py"]
-)
+HEADLINES = {
+    "christofides_family.py": "density: 17/2^7  (trivial bound: 1/2^3)",
+    "host_search.py": "best density: 17/2^7",
+    "multipartite_bounds.py": "full pairwise check of the K_{1,2} instance (5 members): ok",
+}
+
+
+@pytest.mark.parametrize("script", sorted(HEADLINES))
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -23,3 +28,4 @@ def test_demo_runs(script):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    assert HEADLINES[script] in proc.stdout.splitlines()

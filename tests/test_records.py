@@ -43,10 +43,9 @@ FROZEN = {
     "SeedCheck": (lambda: SeedCheck(True, False, 19), lambda: SeedCheck(True, True, 19)),
 }
 MUTABLE = {
-    "CompatibilityGraph": (lambda: CompatibilityGraph([1, 3], [2, 1], 2, [3, 2], [1, 3]),
-                           lambda: plain_instance([2, 1], [1, 3], 2)),
-    "CliqueResult": (lambda: CliqueResult(2, [0, 1], DyadicDensity(2, 3), 4, 1),
-                     lambda: CliqueResult(2, [0, 1], DyadicDensity(2, 3), 4, 2)),
+    "CompatibilityGraph": (lambda: CompatibilityGraph([1, 3], [2, 1], [3, 2], [1, 3]),
+                           lambda: plain_instance([2, 1], [1, 3])),
+    "CliqueResult": (lambda: CliqueResult(2, [0, 1], 4, 1), lambda: CliqueResult(2, [0, 1], 4, 2)),
     "SearchRecord": (lambda: SearchRecord("Ch", 4, 3, 1, "1/2^3", ["0x7"]),
                      lambda: SearchRecord("Ch", 4, 3, 1, "1/2^3", ["0x3"])),
     "SearchSummary": (lambda: SearchSummary(2, 17, DyadicDensity(17, 7), ["E?zW"]),
@@ -109,14 +108,14 @@ def test_positional_and_keyword_construction_with_defaults():
     assert Graph(6) == Graph(n=6, edges=0) == Graph(6, 0)
     assert Graph(6).edges == 0
     result = CliqueResult(3)
-    assert (result.size, result.witness, result.density) == (3, [], DyadicDensity(0, 0))
+    assert (result.size, result.witness) == (3, [])
     assert (result.phase1_nodes, result.phase2_nodes) == (0, 0)
     assert CliqueResult(3).witness is not CliqueResult(3).witness
     assert CliqueResult(size=3, phase2_nodes=4).phase2_nodes == 4
-    cg = CompatibilityGraph(labels=[1], adjacency=[0], host_edges=3, sup=[1], sub=[1])
-    assert cg == CompatibilityGraph([1], [0], 3, [1], [1]) == plain_instance([0], [1], 3)
+    cg = CompatibilityGraph(labels=[1], adjacency=[0], sup=[1], sub=[1])
+    assert cg == CompatibilityGraph([1], [0], [1], [1]) == plain_instance([0], [1])
     with pytest.raises(TypeError):
-        CompatibilityGraph([1], [0], 3)  # every field is required
+        CompatibilityGraph([1], [0], [1])  # every field is required
     record = SearchRecord(host_graph6="Ch", n=4, m=3, clique_size=1, density="1/2^3",
                           witness_hex=["0x7"])
     assert record == SearchRecord("Ch", 4, 3, 1, "1/2^3", ["0x7"])
@@ -154,8 +153,7 @@ def test_dataclass_style_repr():
     assert repr(Graph(6, 5)) == "Graph(n=6, edges=5)"
     assert repr(DyadicDensity(34, 8)) == "DyadicDensity(numerator=17, exponent=7)"
     assert repr(CliqueResult(3)) == (
-        "CliqueResult(size=3, witness=[], density=DyadicDensity(numerator=0, exponent=0), "
-        "phase1_nodes=0, phase2_nodes=0)"
+        "CliqueResult(size=3, witness=[], phase1_nodes=0, phase2_nodes=0)"
     )
 
 

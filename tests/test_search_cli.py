@@ -7,12 +7,15 @@ import pytest
 
 from hifam import (
     DyadicDensity,
+    MultipartiteFamily,
     SearchRecord,
+    SubgraphFamily,
     christofides_host,
     complete,
     emit_edge_list,
     emit_graph6,
     load_records,
+    multipartite_family,
     parse_graph6,
     path,
     search_hosts,
@@ -22,7 +25,7 @@ from hifam import (
 )
 import hifam.cli
 from hifam import Graph6Error
-from hifam.cli import InputError, main, resolve_graph
+from hifam.cli import main, resolve_graph
 from hifam.graphs import UserError
 
 
@@ -53,6 +56,30 @@ def test_small_search_matches_hand_results(tmp_path):
     write_records(records, str(out))
     reloaded = load_records(str(out))
     assert [r.to_json() for r in reloaded] == [r.to_json() for r in records]
+
+
+def test_search_starts_no_more_workers_than_hosts(monkeypatch):
+    import multiprocessing
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks):
+            return [func(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    records, _ = search_hosts(4, [3], path(4), jobs=8)
+    assert started == [2]  # two hosts, P4 and K_{1,3}
+    assert records == search_hosts(4, [3], path(4), jobs=1)[0]
 
 
 def test_verify_records_round_trip(tmp_path):
@@ -121,9 +148,9 @@ def test_resolve_stdin(monkeypatch):
 
 
 def test_resolve_rejects_junk():
-    with pytest.raises(InputError):
+    with pytest.raises(UserError):
         resolve_graph("not a graph :: at all")
-    with pytest.raises(InputError):
+    with pytest.raises(UserError):
         resolve_graph("@/no/such/file")
 
 
@@ -205,40 +232,28 @@ def test_cli_construct_verify(capsys):
     assert obj["family_size"] == 5
 
 
-def test_cli_construct_reduced_target(capsys):
-    # verify against a smaller final part than the construction's own t
-    assert main([
-        "construct", "--parts", "2", "--t", "4", "--verify", "--target-t", "3", "--json",
-    ]) == 0
-    assert json.loads(capsys.readouterr().out)["verified"] is True
+def test_cli_construct_reports_a_violation(monkeypatch, capsys):
+    # no input reaches a failing family, so hand the command one whose first
+    # member, the empty edge set, lacks the target
+    def broken(spec):
+        built = multipartite_family(spec)
+        family = SubgraphFamily(built.host, (0,) + built.family.members)
+        return MultipartiteFamily(built.host, built.seeds, family, built.density)
 
-
-@pytest.mark.parametrize("target_t", ["3", "5", "7"])
-@pytest.mark.parametrize("form", [[], ["--json"]])
-def test_cli_construct_verdict_ignores_the_verify_target(capsys, target_t, form):
-    # the verdict compares with the construction's own K_{2,4}, whatever --target-t says
-    argv = ["construct", "--parts", "2", "--t", "4"] + form
-    assert main(argv) == 0
-    plain = capsys.readouterr().out
-    assert main(argv + ["--target-t", target_t]) == 0
-    assert capsys.readouterr().out == plain
-
-
-def test_cli_construct_larger_verify_target_is_a_violation(capsys):
-    argv = ["construct", "--parts", "2", "--t", "4", "--verify", "--target-t", "7"]
+    monkeypatch.setattr(hifam.cli, "multipartite_family", broken)
+    argv = ["construct", "--parts", "2", "--t", "4", "--verify"]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    lines = captured.out.splitlines()
-    assert lines[-2:] == [
-        "19/2^12 > 16/2^12: improved",
-        "VIOLATION: members (0, 0) lack a K_{2,7} intersection",
-    ]
+    assert captured.out.splitlines()[-1] == "VIOLATION: members (0, 0) lack a K_{2,4} intersection"
     assert captured.err == ""
+    assert main(argv + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["verified"] is False
 
 
 @pytest.mark.parametrize("argv", [
     ["search", "-n", "4", "-m", "3", "--out", "OUT", "--timings"],
     ["verify", "--records", "OUT", "--no-self"],
+    ["construct", "--parts", "2", "--t", "4", "--verify", "--target-t", "3"],
 ])
 def test_cli_removed_flags_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "records.jsonl"
@@ -342,7 +357,7 @@ def test_cli_a_plain_value_error_is_a_bug_not_exit_2(monkeypatch):
 
 
 def test_user_errors_share_one_class():
-    assert issubclass(InputError, UserError) and issubclass(Graph6Error, UserError)
+    assert issubclass(Graph6Error, UserError)
     assert issubclass(UserError, ValueError)
 
 
@@ -352,8 +367,7 @@ def test_user_errors_share_one_class():
     (["search", "-n", "7", "-m", "21", "--out", "OUT"],
      "compatibility graphs capped at 16 host edges, got 21"),
     (["construct", "--parts", "0", "--t", "2"], "fixed part sizes must all be >= 1, got [0]"),
-    (["construct", "--parts", "2", "--t", "4", "--target-t", "0"],
-     "part sizes must all be >= 1, got [2, 0]"),
+    (["construct", "--parts", "2", "--t", "0"], "final part size must be >= 1, got 0"),
     (["construct", "--parts", "21", "--t", "2"], "fixed parts drop 21 edges per seed; cap is 20"),
     (["construct", "--parts", "2", "--t", "70"], "74 vertices exceeds the 64-vertex cap"),
 ])
