@@ -39,7 +39,14 @@ from .graphs import (
     parse_graph6,
     path,
 )
-from .search import load_records, search_hosts, solve_host, verify_records, write_records
+from .search import (
+    load_records,
+    search_hosts,
+    solve_host,
+    summarize,
+    verify_records,
+    write_records,
+)
 
 _SHAPE_RE = re.compile(r"^([pck])(\d+)$", re.IGNORECASE)
 _PARTS_RE = re.compile(r"^k(\d+(?:,\d+)+)$", re.IGNORECASE)
@@ -161,26 +168,28 @@ def cmd_search(args: argparse.Namespace) -> int:
         raise UserError(f"--jobs must be a positive integer, got {args.jobs}")
     target = resolve_graph(args.target)
     edge_counts = _parse_int_list(args.edges)
-    records, summary = search_hosts(
-        args.vertices, edge_counts, target,
-        connected=args.connected, jobs=args.jobs,
-    )
+    if not edge_counts:
+        raise UserError(f"--edges needs at least one edge count, got {args.edges!r}")
+    hosts = (g for m in sorted(set(edge_counts))
+             for g in connected_graphs(args.vertices, m, args.connected))
+    records = search_hosts(hosts, target, jobs=args.jobs)
     write_records(records, args.out)
+    summary = summarize(records)
     max_density = density_string(summary.max_density.numerator, summary.max_density.exponent)
     if args.json:
         print(json.dumps({
-            "hosts": summary.host_count,
+            "hosts": len(records),
             "max_clique": summary.max_clique_size,
             "max_density": max_density,
             "argmax_hosts": summary.argmax_hosts,
             "out": args.out,
         }))
     else:
-        print(f"hosts: {summary.host_count}")
+        print(f"hosts: {len(records)}")
         print(f"max clique: {summary.max_clique_size}")
         print(f"max density: {max_density}")
         print(f"argmax hosts: {' '.join(summary.argmax_hosts) if summary.argmax_hosts else '-'}")
-        print(f"wrote {summary.host_count} records to {args.out}")
+        print(f"wrote {len(records)} records to {args.out}")
     return 0
 
 

@@ -1,10 +1,10 @@
-"""Exhaustive host-class search driver with JSONL persistence.
+"""Host search driver with JSONL persistence.
 
 Each host graph is an independent job: build its compatibility graph, solve
-exact maximum clique, record the result.  Hosts are distributed across
-worker processes; records are merged back in deterministic (edge count,
-canonical key) order, so output files are byte-identical no matter how many
-jobs ran.
+exact maximum clique, record the result.  The caller picks the hosts, and
+records come back in the order the hosts were given, however many worker
+processes solved them; ``hifam search`` orders its hosts by edge count and
+then canonical key, so its output files are byte-identical across --jobs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from collections.abc import Iterable, Sequence
 from .clique import CompatibilityGraph, build_compatibility, max_clique
 from .construct import SubgraphFamily, verify_intersecting
 from .density import DyadicDensity, density_string
-from .enumeration import connected_graphs
 from .graphs import Graph, Record, UserError, emit_graph6, parse_graph6
 
 # A record's fields in file order, each with the JSON type its value must have.
@@ -76,20 +75,17 @@ class SearchRecord(Record):
 
 
 class SearchSummary(Record):
-    __slots__ = ("host_count", "max_clique_size", "max_density", "argmax_hosts")
-    host_count: int
+    __slots__ = ("max_clique_size", "max_density", "argmax_hosts")
     max_clique_size: int
     max_density: DyadicDensity
     argmax_hosts: list[str]
 
     def __init__(
         self,
-        host_count: int,
         max_clique_size: int,
         max_density: DyadicDensity,
         argmax_hosts: list[str],
     ) -> None:
-        self.host_count = host_count
         self.max_clique_size = max_clique_size
         self.max_density = max_density
         self.argmax_hosts = argmax_hosts
@@ -108,35 +104,22 @@ def solve_host(host: Graph, cg: CompatibilityGraph) -> SearchRecord:
     )
 
 
-def _solve_host(args: tuple[Graph, Graph]) -> SearchRecord:
-    host, target = args
+def _solve_host(host: Graph, target: Graph) -> SearchRecord:
     return solve_host(host, build_compatibility(host, target))
 
 
-def search_hosts(
-    n: int,
-    edge_counts: Sequence[int],
-    target: Graph,
-    connected: bool = True,
-    jobs: int = 1,
-) -> tuple[list[SearchRecord], SearchSummary]:
-    """Solve every host class representative; deterministic record order."""
-    hosts: list[Graph] = []
-    for m in sorted(set(edge_counts)):
-        hosts.extend(connected_graphs(n, m, connected))
-    tasks = [(host, target) for host in hosts]
-    if jobs > 1 and len(tasks) > 1:
+def search_hosts(hosts: Iterable[Graph], target: Graph, jobs: int = 1) -> list[SearchRecord]:
+    """Solve each host exactly; one record per host, in the order given."""
+    hosts = list(hosts)
+    if jobs > 1 and len(hosts) > 1:
         from multiprocessing import Pool  # only a parallel run pays for its import
 
-        with Pool(processes=min(jobs, len(tasks))) as pool:
-            records = pool.map(_solve_host, tasks)
-    else:
-        records = [_solve_host(t) for t in tasks]
-    return records, summarize(records)
+        with Pool(processes=min(jobs, len(hosts))) as pool:
+            return pool.starmap(_solve_host, [(host, target) for host in hosts])
+    return [_solve_host(host, target) for host in hosts]
 
 
 def summarize(records: Iterable[SearchRecord]) -> SearchSummary:
-    records = list(records)
     best = DyadicDensity(0, 0)
     best_clique = 0
     argmax: list[str] = []
@@ -149,7 +132,7 @@ def summarize(records: Iterable[SearchRecord]) -> SearchSummary:
         elif d == best:
             argmax.append(rec.host_graph6)
             best_clique = max(best_clique, rec.clique_size)
-    return SearchSummary(len(records), best_clique, best, argmax)
+    return SearchSummary(best_clique, best, argmax)
 
 
 def write_records(records: Sequence[SearchRecord], path: str) -> None:

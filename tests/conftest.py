@@ -13,8 +13,9 @@ def pytest_addoption(parser):
         help="also run the slow cross-checks: the quadratic pairwise oracle "
              "against verify_intersecting on the largest construction instances, "
              "the old clique solver on the 9-edge 6-vertex hosts, the 10-edge "
-             "6-vertex search, and the enumeration of every 8-vertex class "
-             "against the OEIS totals (minutes)",
+             "P4 searches on 6 and 7 vertices (the 7-vertex row takes about 3 "
+             "minutes), and the enumeration of every 8-vertex class against "
+             "the OEIS totals (minutes)",
     )
 
 

@@ -3,6 +3,7 @@
 import gc
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -25,6 +26,7 @@ from hifam import (
     path,
     search_hosts,
     solve_host,
+    summarize,
 )
 from hifam import clique
 from hifam.clique import MAX_CANDIDATES, MAX_HOST_EDGES, _color_sort, _lex_min_clique
@@ -164,12 +166,53 @@ def test_ten_edge_hosts_reach_the_paper_density(request):
     seconds)."""
     if not request.config.getoption("--run-large-verify"):
         pytest.skip("needs --run-large-verify")
-    records, summary = search_hosts(6, [10], path(4))
+    records = search_hosts(connected_graphs(6, 10), path(4))
+    summary = summarize(records)
     assert str(summary.max_density) == "17/2^7"
     assert summary.max_clique_size == 136
     assert len(summary.argmax_hosts) == 13
     assert {r.host_graph6: r.clique_size for r in records
             if r.clique_size != 136} == {"Etv_": 128}
+
+
+@pytest.fixture(scope="module")
+def p4_records():
+    """P4 records of every connected host with 6 or 7 vertices and 6 to 9
+    edges, keyed by (n, m); solved once for the tests below (a few seconds)."""
+    return {(n, m): search_hosts(connected_graphs(n, m), path(4))
+            for n in (6, 7) for m in range(6, 10)}
+
+
+@pytest.mark.parametrize("n, m, sizes, best", [
+    (6, 7, {16: 18, 17: 1}, "17/2^7"),
+    (6, 8, {32: 18, 34: 4}, "17/2^7"),
+    (6, 9, {64: 12, 68: 8}, "17/2^7"),
+    (7, 6, {0: 1, 8: 10}, "1/2^3"),
+    (7, 7, {16: 33}, "1/2^3"),
+    (7, 8, {32: 63, 34: 4}, "17/2^7"),
+    (7, 9, {64: 87, 68: 20}, "17/2^7"),
+])
+def test_p4_rows(p4_records, n, m, sizes, best):
+    """Hosts per P4 clique size over the connected hosts with n vertices and
+    m edges: 17/2^7 stays the best density, and 1/2^3 is best on 7 vertices
+    below 8 edges."""
+    records = p4_records[n, m]
+    assert Counter(r.clique_size for r in records) == sizes
+    summary = summarize(records)
+    assert str(summary.max_density) == best
+    if (n, m) == (7, 8):
+        assert summary.argmax_hosts == ["F]qC?", "F]pC?", "FlhC?", "FbXc?"]
+
+
+def test_seven_vertex_ten_edge_p4_row(request):
+    """The connected 7-vertex hosts with 10 edges: 60 of the 132 classes
+    reach 17/2^7, and F~LC? lies strictly between 1/8 and 17/2^7 (about 3
+    minutes)."""
+    if not request.config.getoption("--run-large-verify"):
+        pytest.skip("needs --run-large-verify")
+    records = search_hosts(connected_graphs(7, 10), path(4))
+    assert Counter(r.clique_size for r in records) == {128: 71, 132: 1, 136: 60}
+    assert [r.host_graph6 for r in records if r.clique_size == 132] == ["F~LC?"]
 
 
 @pytest.mark.parametrize("host, target, calls", [
@@ -432,22 +475,24 @@ def test_node_counters():
     assert (phase1, phase2) == (1294, 416)
 
 
-def test_lifting_inequality_over_one_edge_pairs():
+def test_lifting_inequality_over_one_edge_pairs(p4_records):
     """opt(G) >= 2 opt(G - e): a family on G - e and its members with e
     added form a family on G, twice as large and still intersecting.  Every
-    connected 6-vertex host with 7 to 9 edges against the records one edge
-    below it; an undercounting builder or solver breaks the inequality."""
-    records, _ = search_hosts(6, range(6, 10), path(4))
-    opt = {canonical_key(parse_graph6(r.host_graph6)): r.clique_size for r in records}
-    pairs = 0
-    for record in records:
-        host = parse_graph6(record.host_graph6)
-        for b in iter_bits(host.edges):
-            child = Graph(host.n, host.edges ^ 1 << b)
-            if record.m > 6 and is_connected(child):
-                assert record.clique_size >= 2 * opt[canonical_key(child)], record.host_graph6
-                pairs += 1
-    assert pairs == 448
+    connected host with 6 or 7 vertices and 7 to 9 edges against the
+    records one edge below it; an undercounting builder or solver breaks
+    the inequality."""
+    pairs = Counter()
+    for n in (6, 7):
+        records = [r for m in range(6, 10) for r in p4_records[n, m]]
+        opt = {canonical_key(parse_graph6(r.host_graph6)): r.clique_size for r in records}
+        for record in records:
+            host = parse_graph6(record.host_graph6)
+            for b in iter_bits(host.edges):
+                child = Graph(host.n, host.edges ^ 1 << b)
+                if record.m > 6 and is_connected(child):
+                    assert record.clique_size >= 2 * opt[canonical_key(child)], record.host_graph6
+                    pairs[n] += 1
+    assert pairs == {6: 448, 7: 1374}
 
 
 def test_brute_force_size_cap():

@@ -20,10 +20,12 @@ from hifam import (
     lifted_count_string,
     multipartite_family,
     path,
+    search_hosts,
     trivial_density,
     verify_intersecting,
 )
 from hifam import detect
+from hifam.clique import MAX_HOST_EDGES
 from hifam.construct import _minimal_members
 from hifam.graphs import edge_index, iter_bits
 
@@ -102,6 +104,32 @@ def test_construction_table(parts, t, size, host_edges):
     assert built.host.edge_count == host_edges
     assert built.density == DyadicDensity(size, host_edges)
     assert len(built.seeds) == t + 2
+
+
+# every (fixed parts, t) whose host K_{parts,t+2} is within the solver's edge
+# cap; every other part tuple has more than 16 host edges already at t = 1
+SOLVABLE_CONSTRUCTIONS = [
+    (parts, t)
+    for parts in [(1,), (2,), (3,), (4,), (5,), (1, 1), (1, 2), (1, 3), (2, 2), (1, 1, 1)]
+    for t in range(1, 15)
+    if complete_multipartite(parts + (t + 2,)).edge_count <= MAX_HOST_EDGES
+]
+
+
+@pytest.mark.parametrize("parts,t", SOLVABLE_CONSTRUCTIONS,
+                         ids=[f"{','.join(map(str, p))}-{t}" for p, t in SOLVABLE_CONSTRUCTIONS])
+def test_exact_optimum_is_the_construction_or_the_trivial_family(parts, t):
+    """On its own host the construction is optimal from t = 2^m on; below
+    that the trivial family of one copy's supergraphs is, and the two tie at
+    t = 2^m - 1, where (2^m + 1)(2^m - 1) + 1 = 2^(2m)."""
+    spec = ConstructionSpec(parts, t)
+    built = multipartite_family(spec)
+    [record] = search_hosts([built.host], spec.target)
+    construction = len(built.family)
+    trivial = 1 << (built.host.edge_count - spec.target.edge_count)
+    assert record.clique_size == max(construction, trivial)
+    threshold = 1 << spec.m
+    assert (construction > trivial, construction == trivial) == (t >= threshold, t == threshold - 1)
 
 
 def test_smallest_instance_fully_verified():

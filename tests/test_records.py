@@ -48,8 +48,8 @@ MUTABLE = {
     "CliqueResult": (lambda: CliqueResult(2, [0, 1], 4, 1), lambda: CliqueResult(2, [0, 1], 4, 2)),
     "SearchRecord": (lambda: SearchRecord("Ch", 4, 3, 1, "1/2^3", ["0x7"]),
                      lambda: SearchRecord("Ch", 4, 3, 1, "1/2^3", ["0x3"])),
-    "SearchSummary": (lambda: SearchSummary(2, 17, DyadicDensity(17, 7), ["E?zW"]),
-                      lambda: SearchSummary(2, 17, DyadicDensity(17, 7), [])),
+    "SearchSummary": (lambda: SearchSummary(17, DyadicDensity(17, 7), ["E?zW"]),
+                      lambda: SearchSummary(17, DyadicDensity(17, 7), [])),
 }
 ALL = {**FROZEN, **MUTABLE}
 
@@ -119,8 +119,8 @@ def test_positional_and_keyword_construction_with_defaults():
     record = SearchRecord(host_graph6="Ch", n=4, m=3, clique_size=1, density="1/2^3",
                           witness_hex=["0x7"])
     assert record == SearchRecord("Ch", 4, 3, 1, "1/2^3", ["0x7"])
-    assert SearchSummary(host_count=0, max_clique_size=0, max_density=DyadicDensity(0, 0),
-                         argmax_hosts=[]).host_count == 0
+    assert SearchSummary(max_clique_size=0, max_density=DyadicDensity(0, 0),
+                         argmax_hosts=[]).max_clique_size == 0
     assert SeedCheck(intersection_property=True, disjoint_complement=True,
                      family_size=1).family_size == 1
     assert ConstructionSpec(parts=[2], t=4).parts == (2,)

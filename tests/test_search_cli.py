@@ -12,6 +12,7 @@ from hifam import (
     SubgraphFamily,
     christofides_host,
     complete,
+    connected_graphs,
     emit_edge_list,
     emit_graph6,
     load_records,
@@ -46,8 +47,9 @@ def test_record_json_round_trip():
 
 
 def test_small_search_matches_hand_results(tmp_path):
-    records, summary = search_hosts(4, [3], path(4), connected=True, jobs=1)
-    assert summary.host_count == 2
+    records = search_hosts(connected_graphs(4, 3), path(4), jobs=1)
+    summary = summarize(records)
+    assert len(records) == 2
     assert summary.max_clique_size == 1
     assert summary.max_density == DyadicDensity(1, 3)
     by_size = sorted(r.clique_size for r in records)
@@ -73,22 +75,29 @@ def test_search_starts_no_more_workers_than_hosts(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, func, tasks):
-            return [func(t) for t in tasks]
+        def starmap(self, func, tasks):
+            return [func(*t) for t in tasks]
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    records, _ = search_hosts(4, [3], path(4), jobs=8)
+    records = search_hosts(connected_graphs(4, 3), path(4), jobs=8)
     assert started == [2]  # two hosts, P4 and K_{1,3}
-    assert records == search_hosts(4, [3], path(4), jobs=1)[0]
+    assert records == search_hosts(connected_graphs(4, 3), path(4), jobs=1)
+
+
+def test_search_returns_records_in_the_order_given():
+    hosts = [g for m in (3, 4) for g in connected_graphs(4, m)]
+    records = search_hosts(iter(hosts), path(4))  # a one-shot iterator is read once
+    assert [r.host_graph6 for r in records] == [emit_graph6(g) for g in hosts]
+    assert search_hosts(reversed(hosts), path(4)) == records[::-1]
 
 
 def test_verify_records_round_trip(tmp_path):
-    records, _ = search_hosts(4, [3, 4], path(4), connected=True, jobs=1)
+    records = search_hosts([g for m in (3, 4) for g in connected_graphs(4, m)], path(4), jobs=1)
     assert verify_records(records, path(4)) == []
 
 
 def test_verify_records_flags_corruption():
-    records, _ = search_hosts(4, [4], path(4), connected=True, jobs=1)
+    records = search_hosts(connected_graphs(4, 4), path(4), jobs=1)
     rec = next(r for r in records if r.clique_size >= 1)
     broken = SearchRecord(
         rec.host_graph6, rec.n, rec.m, rec.clique_size,
@@ -370,6 +379,10 @@ def test_user_errors_share_one_class():
     (["construct", "--parts", "2", "--t", "0"], "final part size must be >= 1, got 0"),
     (["construct", "--parts", "21", "--t", "2"], "fixed parts drop 21 edges per seed; cap is 20"),
     (["construct", "--parts", "2", "--t", "70"], "74 vertices exceeds the 64-vertex cap"),
+    (["search", "-n", "6", "-m", "", "--out", "OUT"],
+     "--edges needs at least one edge count, got ''"),
+    (["search", "-n", "6", "-m", ",", "--out", "OUT"],
+     "--edges needs at least one edge count, got ','"),
 ])
 def test_cli_caps_and_bad_sizes_exit_2(tmp_path, capsys, argv, message):
     out = tmp_path / "records.jsonl"
