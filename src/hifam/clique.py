@@ -40,10 +40,7 @@ class CompatibilityGraph(Record):
     def __init__(
         self, labels: list[int], adjacency: list[int], sup: list[int], sub: list[int]
     ) -> None:
-        self.labels = labels
-        self.adjacency = adjacency
-        self.sup = sup
-        self.sub = sub
+        super().__init__(labels, adjacency, sup, sub)
 
     @property
     def size(self) -> int:
@@ -51,30 +48,24 @@ class CompatibilityGraph(Record):
 
 
 class CliqueResult(Record):
-    """An exact maximum clique: its size and its candidate indices.
+    """An exact maximum clique: its candidate indices, ascending.
 
     ``phase1_nodes`` and ``phase2_nodes`` count the search nodes of phase 1
     (the optimum) and of phase 2's feasibility searches (the witness);
     they are machine-independent work counters.
     """
 
-    __slots__ = ("size", "witness", "phase1_nodes", "phase2_nodes")
-    size: int
+    __slots__ = ("witness", "phase1_nodes", "phase2_nodes")
     witness: list[int]
     phase1_nodes: int
     phase2_nodes: int
 
-    def __init__(
-        self,
-        size: int,
-        witness: list[int] | None = None,
-        phase1_nodes: int = 0,
-        phase2_nodes: int = 0,
-    ) -> None:
-        self.size = size
-        self.witness = [] if witness is None else witness
-        self.phase1_nodes = phase1_nodes
-        self.phase2_nodes = phase2_nodes
+    def __init__(self, witness: list[int], phase1_nodes: int = 0, phase2_nodes: int = 0) -> None:
+        super().__init__(witness, phase1_nodes, phase2_nodes)
+
+    @property
+    def size(self) -> int:
+        return len(self.witness)
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +208,7 @@ def max_clique(cg: CompatibilityGraph) -> CliqueResult:
     sup, sub = cg.sup, cg.sub
     best, clique, phase1_nodes = _upset_search((1 << n) - 1, 0, n + 1, adj, sup, sub)
     witness, phase2_nodes = _lex_min_clique(adj, sup, sub, n, best, clique)
-    return CliqueResult(best, witness, phase1_nodes, phase2_nodes)
+    return CliqueResult(witness, phase1_nodes, phase2_nodes)
 
 
 def _upset_search(

@@ -15,8 +15,8 @@ from collections.abc import Callable, Sequence
 from .density import DyadicDensity
 from .detect import containment_check
 from .graphs import (
-    FrozenRecord,
     Graph,
+    Record,
     UserError,
     complete_multipartite,
     iter_bits,
@@ -27,7 +27,7 @@ from .graphs import (
 MAX_SPARE_EDGES = 20
 
 
-class SubgraphFamily(FrozenRecord):
+class SubgraphFamily(Record):
     """A host graph plus distinct member edge subsets of it."""
 
     __slots__ = ("host", "members")
@@ -43,14 +43,13 @@ class SubgraphFamily(FrozenRecord):
             if m in seen:
                 raise ValueError(f"duplicate member {m:#x}")
             seen.add(m)
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "members", members)
+        super().__init__(host, members)
 
     def __len__(self) -> int:
         return len(self.members)
 
 
-class ConstructionSpec(FrozenRecord):
+class ConstructionSpec(Record):
     """Part sizes for the construction: fixed parts plus the final part size t."""
 
     __slots__ = ("parts", "t")
@@ -62,8 +61,7 @@ class ConstructionSpec(FrozenRecord):
             raise ValueError(f"fixed part sizes must all be >= 1, got {list(parts)}")
         if t < 1:
             raise ValueError(f"final part size must be >= 1, got {t}")
-        object.__setattr__(self, "parts", tuple(parts))
-        object.__setattr__(self, "t", t)
+        super().__init__(tuple(parts), t)
 
     @property
     def m(self) -> int:
@@ -79,22 +77,23 @@ class ConstructionSpec(FrozenRecord):
         return self.parts + (self.t + 2,)
 
 
-class MultipartiteFamily(FrozenRecord):
-    """Built construction: host, seed subgraphs, the family, its density."""
+class MultipartiteFamily(Record):
+    """Built construction: the seed subgraphs and the family on the host."""
 
-    __slots__ = ("host", "seeds", "family", "density")
-    host: Graph
+    __slots__ = ("seeds", "family")
     seeds: tuple[int, ...]
     family: SubgraphFamily
-    density: DyadicDensity
 
-    def __init__(
-        self, host: Graph, seeds: tuple[int, ...], family: SubgraphFamily, density: DyadicDensity
-    ) -> None:
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "density", density)
+    def __init__(self, seeds: tuple[int, ...], family: SubgraphFamily) -> None:
+        super().__init__(seeds, family)
+
+    @property
+    def host(self) -> Graph:
+        return self.family.host
+
+    @property
+    def density(self) -> DyadicDensity:
+        return DyadicDensity(len(self.family), self.host.edge_count)
 
 
 def multipartite_family(spec: ConstructionSpec) -> MultipartiteFamily:
@@ -110,12 +109,10 @@ def multipartite_family(spec: ConstructionSpec) -> MultipartiteFamily:
     seeds = [host.edges & ~host.incident_edge_mask(w) for w in range(spec.m, host.n)]
     # every supergraph of every seed; the full extension is the host itself
     members = {seed | added for seed in seeds for added in submasks(host.edges ^ seed)}
-    family = SubgraphFamily(host, sorted(members))
-    density = DyadicDensity(len(members), host.edge_count)
-    return MultipartiteFamily(host, tuple(seeds), family, density)
+    return MultipartiteFamily(tuple(seeds), SubgraphFamily(host, sorted(members)))
 
 
-class SeedCheck(FrozenRecord):
+class SeedCheck(Record):
     """Report on a proposed seed set for the general gluing recipe."""
 
     __slots__ = ("intersection_property", "disjoint_complement", "family_size")
@@ -126,9 +123,7 @@ class SeedCheck(FrozenRecord):
     def __init__(
         self, intersection_property: bool, disjoint_complement: bool, family_size: int
     ) -> None:
-        object.__setattr__(self, "intersection_property", intersection_property)
-        object.__setattr__(self, "disjoint_complement", disjoint_complement)
-        object.__setattr__(self, "family_size", family_size)
+        super().__init__(intersection_property, disjoint_complement, family_size)
 
 
 def check_seeds(host: Graph, seeds: Sequence[int], target: Graph) -> SeedCheck:

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from functools import total_ordering
 
-from .graphs import FrozenRecord
+from .graphs import Record
 
 
 @total_ordering
-class DyadicDensity(FrozenRecord):
+class DyadicDensity(Record):
     """value = numerator / 2**exponent, stored normalized (numerator odd or zero)."""
 
     __slots__ = ("numerator", "exponent")
@@ -29,8 +29,7 @@ class DyadicDensity(FrozenRecord):
             while numerator % 2 == 0 and exponent > 0:
                 numerator //= 2
                 exponent -= 1
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "exponent", exponent)
+        super().__init__(numerator, exponent)
 
     def __lt__(self, other: "DyadicDensity") -> bool:
         if not isinstance(other, DyadicDensity):

@@ -72,15 +72,16 @@ def connected_graphs(n: int, m: int, connected: bool = True) -> tuple[Graph, ...
     """One canonical representative per class of n-vertex graphs with m edges.
 
     With connected set, only the connected classes.  Representatives are
-    the canonical forms themselves, in ascending order of edge bitset.
-    Infeasible (n, m) combinations yield an empty tuple.
+    the canonical forms themselves, in ascending order of edge bitset.  An
+    edge count outside 0..C(n, 2) raises UserError, after n's own check; a
+    connected class with too few edges is empty.
     """
     if not 1 <= n <= CANONICAL_MAX_VERTICES:
         raise UserError(
             f"host enumeration supports 1 <= n <= {CANONICAL_MAX_VERTICES}, got n={n}"
         )
-    if m < 0 or m > pair_count(n):
-        return ()
+    if not 0 <= m <= pair_count(n):
+        raise UserError(f"edge count {m} outside 0..{pair_count(n)} for n={n}")
     if connected and m < n - 1:
         return ()
     graphs = (Graph(n, key) for key in _class_keys(n, m))

@@ -80,33 +80,43 @@ def submasks(mask: int) -> Iterator[int]:
 
 
 class Record:
-    """Base of the package's value classes, whose fields are their ``__slots__``.
+    """Base of the package's value classes: immutable, with the fields in ``__slots__``.
 
-    Two records are equal when they are of the same class and their fields
-    are equal; repr lists the fields as ``Name(field=value, ...)``.  Every
-    subclass's constructor takes its fields positionally in slot order,
-    which is how copies and pickles rebuild it.  Plain records are mutable
-    and unhashable.
+    A subclass's constructor validates its arguments and passes the field
+    values, in slot order, to Record.__init__, which is also how copies and
+    pickles rebuild it; any later assignment or deletion raises
+    AttributeError.  Two records are equal when they are of the same class
+    and their fields are equal, and a record hashes as its field tuple
+    does, so a list-valued field makes hash raise TypeError.  repr lists
+    the fields as ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
-    _values: tuple = ()  # the field tuple; a subclass with fields reads it by attrgetter
+    # the field tuple, read by attrgetter; with one slot that would be the
+    # bare value, so every record has at least two fields
+    _values: tuple
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        names = cls.__slots__
-        if len(names) == 1:  # attrgetter of one name gives the bare value, not a 1-tuple
-            one = attrgetter(names[0])
-            cls._values = property(lambda self: (one(self),))
-        elif names:
-            cls._values = property(attrgetter(*names))
+        cls._values = property(attrgetter(*cls.__slots__))
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a record")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a record")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return self._values == other._values
         return NotImplemented
 
-    __hash__ = None
+    def __hash__(self) -> int:
+        return hash(self._values)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -116,26 +126,7 @@ class Record:
         return self.__class__, self._values
 
 
-class FrozenRecord(Record):
-    """Immutable record, hashable by its fields.
-
-    Its __init__ sets the fields with object.__setattr__; any other
-    assignment or deletion raises AttributeError.
-    """
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._values)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
-
-
-class Graph(FrozenRecord):
+class Graph(Record):
     """Immutable simple graph: vertex count plus edge bitset."""
 
     __slots__ = ("n", "edges")
@@ -147,8 +138,7 @@ class Graph(FrozenRecord):
             raise ValueError(f"vertex count {n} outside [1, {MAX_VERTICES}]")
         if edges < 0 or edges >> pair_count(n):
             raise ValueError(f"edge bitset has bits outside [0, {pair_count(n)})")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
+        super().__init__(n, edges)
 
     @property
     def edge_count(self) -> int:

@@ -43,12 +43,7 @@ class SearchRecord(Record):
         density: str,
         witness_hex: list[str],
     ) -> None:
-        self.host_graph6 = host_graph6
-        self.n = n
-        self.m = m
-        self.clique_size = clique_size
-        self.density = density
-        self.witness_hex = witness_hex
+        super().__init__(host_graph6, n, m, clique_size, density, witness_hex)
 
     def to_json(self) -> str:
         return json.dumps({name: getattr(self, name) for name in RECORD_FIELDS},
@@ -86,9 +81,7 @@ class SearchSummary(Record):
         max_density: DyadicDensity,
         argmax_hosts: list[str],
     ) -> None:
-        self.max_clique_size = max_clique_size
-        self.max_density = max_density
-        self.argmax_hosts = argmax_hosts
+        super().__init__(max_clique_size, max_density, argmax_hosts)
 
 
 def solve_host(host: Graph, cg: CompatibilityGraph) -> SearchRecord:

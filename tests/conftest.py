@@ -12,9 +12,10 @@ def pytest_addoption(parser):
         default=False,
         help="also run the slow cross-checks: the quadratic pairwise oracle "
              "against verify_intersecting on the largest construction instances, "
-             "the old clique solver on the 9-edge 6-vertex hosts, the 10-edge "
-             "P4 searches on 6 and 7 vertices (the 7-vertex row takes about 3 "
-             "minutes), and the enumeration of every 8-vertex class against "
+             "the old clique solver on the 9-edge hosts with 6 and 7 vertices, "
+             "the 10-edge P4 searches on 6 and 7 vertices (the 7-vertex row "
+             "takes about 3 minutes) with the lifting inequality against the "
+             "9-edge rows, and the enumeration of every 8-vertex class against "
              "the OEIS totals (minutes)",
     )
 

@@ -138,7 +138,7 @@ def coloring_max_clique(cg: CompatibilityGraph) -> CliqueResult:
     """
     n = cg.size
     if n == 0:
-        return CliqueResult(0, [])
+        return CliqueResult([])
     adj = cg.adjacency
 
     best = 0
@@ -158,7 +158,7 @@ def coloring_max_clique(cg: CompatibilityGraph) -> CliqueResult:
 
     expand((1 << n) - 1, 0)
     witness = _lex_min_clique(cg.adjacency, n, best)
-    return CliqueResult(best, witness)
+    return CliqueResult(witness)
 
 
 def _top_first_coloring(p_mask: int, adj: list[int]) -> list[tuple[int, int]]:

@@ -64,9 +64,8 @@ def _random_upset_instance(rng, e):
         sum(1 << j for j, b in enumerate(labels) if j != i and a & b in holds)
         for i, a in enumerate(labels)
     ]
-    cg = plain_instance(adjacency, labels)
-    cg.sup, cg.sub = containment_rows(cg)
-    return cg
+    sup, sub = containment_rows(plain_instance(adjacency, labels))
+    return CompatibilityGraph(labels, adjacency, sup, sub)
 
 
 def _from_pairs(size, pairs):
@@ -121,13 +120,17 @@ def _all_hosts(n):
     (lambda: connected_graphs(6, 7, True), path(4)),
     (lambda: connected_graphs(6, 8, True), path(4)),
     (lambda: connected_graphs(6, 11, True), complete(3)),
+    (lambda: connected_graphs(7, 6, True), path(4)),
+    (lambda: connected_graphs(7, 7, True), path(4)),
+    (lambda: connected_graphs(7, 8, True), path(4)),
     (lambda: [christofides_host()], path(4)),
     (lambda: [christofides_host(), complete(4), complete_multipartite([2, 3])],
      complete_multipartite([1, 2])),
     # K5 has 893 P4 candidates: minutes for the old solver
     (lambda: [g for g in _all_hosts(5) if g.edge_count < 10], path(4)),
     (lambda: _all_hosts(5), complete(3)),
-], ids=["p4-m7", "p4-m8", "k3-m11", "christofides", "k12", "p4-n5", "k3-n5"])
+], ids=["p4-m7", "p4-m8", "k3-m11", "p4-n7-m6", "p4-n7-m7", "p4-n7-m8", "christofides", "k12",
+        "p4-n5", "k3-n5"])
 def test_builder_and_solver_match_oracles(hosts, target):
     for host in hosts():
         cg = build_compatibility(host, target)
@@ -142,8 +145,8 @@ def test_builder_and_solver_match_oracles(hosts, target):
 
 
 def test_large_hosts_match_oracles(request):
-    """Every connected 6-vertex host with 9 edges against the old solver, and
-    K5's optimum against the degree-ordered one (seconds)."""
+    """Every connected host with 6 or 7 vertices and 9 edges against the old
+    solver, and K5's optimum against the degree-ordered one (about 40 s)."""
     if not request.config.getoption("--run-large-verify"):
         pytest.skip("needs --run-large-verify")
     cg = build_compatibility(complete(5), path(4))
@@ -152,7 +155,7 @@ def test_large_hosts_match_oracles(request):
     members = {cg.labels[i] for i in result.witness}
     assert len(members) == 128
     assert all(contains_subgraph(Graph(5, a & b), path(4)) for a in members for b in members)
-    for host in connected_graphs(6, 9, True):
+    for host in connected_graphs(6, 9, True) + connected_graphs(7, 9, True):
         cg = build_compatibility(host, path(4))
         assert (cg.sup, cg.sub) == containment_rows(cg)
         result = max_clique(cg)
@@ -160,13 +163,19 @@ def test_large_hosts_match_oracles(request):
         assert (result.size, result.witness) == (expected.size, expected.witness)
 
 
-def test_ten_edge_hosts_reach_the_paper_density(request):
-    """17/2^7 is the best P4 density over connected 6-vertex hosts with 10
-    edges: 13 of the 14 classes reach 136 and Etv_ reaches 128 (tens of
-    seconds)."""
+@pytest.fixture(scope="module")
+def ten_edge_records(request):
+    """P4 records of every connected host with 6 or 7 vertices and 10 edges,
+    keyed by n; solved once for the tests below (about 3 minutes)."""
     if not request.config.getoption("--run-large-verify"):
         pytest.skip("needs --run-large-verify")
-    records = search_hosts(connected_graphs(6, 10), path(4))
+    return {n: search_hosts(connected_graphs(n, 10), path(4)) for n in (6, 7)}
+
+
+def test_ten_edge_hosts_reach_the_paper_density(ten_edge_records):
+    """17/2^7 is the best P4 density over connected 6-vertex hosts with 10
+    edges: 13 of the 14 classes reach 136 and Etv_ reaches 128."""
+    records = ten_edge_records[6]
     summary = summarize(records)
     assert str(summary.max_density) == "17/2^7"
     assert summary.max_clique_size == 136
@@ -204,13 +213,10 @@ def test_p4_rows(p4_records, n, m, sizes, best):
         assert summary.argmax_hosts == ["F]qC?", "F]pC?", "FlhC?", "FbXc?"]
 
 
-def test_seven_vertex_ten_edge_p4_row(request):
+def test_seven_vertex_ten_edge_p4_row(ten_edge_records):
     """The connected 7-vertex hosts with 10 edges: 60 of the 132 classes
-    reach 17/2^7, and F~LC? lies strictly between 1/8 and 17/2^7 (about 3
-    minutes)."""
-    if not request.config.getoption("--run-large-verify"):
-        pytest.skip("needs --run-large-verify")
-    records = search_hosts(connected_graphs(7, 10), path(4))
+    reach 17/2^7, and F~LC? lies strictly between 1/8 and 17/2^7."""
+    records = ten_edge_records[7]
     assert Counter(r.clique_size for r in records) == {128: 71, 132: 1, 136: 60}
     assert [r.host_graph6 for r in records if r.clique_size == 132] == ["F~LC?"]
 
@@ -475,24 +481,40 @@ def test_node_counters():
     assert (phase1, phase2) == (1294, 416)
 
 
+def _lifting_pairs(records, below):
+    """Check opt(G) >= 2 opt(G - e) for each record's host G and each edge e
+    whose removal leaves G connected, opt(G - e) taken from the records one
+    edge below; returns the number of pairs checked.
+
+    A family on G - e and its members with e added form a family on G,
+    twice as large and still intersecting, so an undercounting builder or
+    solver breaks the inequality.
+    """
+    opt = {canonical_key(parse_graph6(r.host_graph6)): r.clique_size for r in below}
+    pairs = 0
+    for record in records:
+        host = parse_graph6(record.host_graph6)
+        for b in iter_bits(host.edges):
+            child = Graph(host.n, host.edges ^ 1 << b)
+            if is_connected(child):
+                assert record.clique_size >= 2 * opt[canonical_key(child)], record.host_graph6
+                pairs += 1
+    return pairs
+
+
 def test_lifting_inequality_over_one_edge_pairs(p4_records):
-    """opt(G) >= 2 opt(G - e): a family on G - e and its members with e
-    added form a family on G, twice as large and still intersecting.  Every
-    connected host with 6 or 7 vertices and 7 to 9 edges against the
-    records one edge below it; an undercounting builder or solver breaks
-    the inequality."""
-    pairs = Counter()
-    for n in (6, 7):
-        records = [r for m in range(6, 10) for r in p4_records[n, m]]
-        opt = {canonical_key(parse_graph6(r.host_graph6)): r.clique_size for r in records}
-        for record in records:
-            host = parse_graph6(record.host_graph6)
-            for b in iter_bits(host.edges):
-                child = Graph(host.n, host.edges ^ 1 << b)
-                if record.m > 6 and is_connected(child):
-                    assert record.clique_size >= 2 * opt[canonical_key(child)], record.host_graph6
-                    pairs[n] += 1
+    """Every connected host with 6 or 7 vertices and 7 to 9 edges against
+    the records one edge below it."""
+    pairs = {n: sum(_lifting_pairs(p4_records[n, m], p4_records[n, m - 1]) for m in (7, 8, 9))
+             for n in (6, 7)}
     assert pairs == {6: 448, 7: 1374}
+
+
+def test_lifting_inequality_on_the_ten_edge_rows(p4_records, ten_edge_records):
+    """Every connected host with 6 or 7 vertices and 10 edges against the
+    9-edge records."""
+    pairs = {n: _lifting_pairs(ten_edge_records[n], p4_records[n, 9]) for n in (6, 7)}
+    assert pairs == {6: 138, 7: 1232}
 
 
 def test_brute_force_size_cap():

@@ -18,7 +18,7 @@ from hifam import (
     path,
 )
 from hifam.enumeration import _class_keys
-from hifam.graphs import edge_index, pair_count, submasks
+from hifam.graphs import UserError, edge_index, pair_count, submasks
 
 from oracles import labeled_classes
 
@@ -171,7 +171,6 @@ def test_representatives_have_requested_shape():
 
 
 def test_infeasible_classes_are_empty():
-    assert connected_graphs(4, 7, True) == ()
     assert connected_graphs(4, 2, True) == ()  # below n-1
     assert len(connected_graphs(4, 2, False)) > 0
 
@@ -179,6 +178,9 @@ def test_infeasible_classes_are_empty():
 def test_enumeration_size_cap():
     with pytest.raises(ValueError):
         connected_graphs(9, 8, True)
+    for m in (-1, 7):  # edge counts that no 4-vertex graph has
+        with pytest.raises(UserError, match=f"^edge count {m} outside 0..6 for n=4$"):
+            connected_graphs(4, m, False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Value classes: construction, equality, hashing, immutability, repr; import cost."""
+"""Value records: construction, equality, hashing, immutability, repr; import cost."""
 
 import os
 import pickle
@@ -19,8 +19,10 @@ from hifam import (
     SearchSummary,
     SeedCheck,
     SubgraphFamily,
+    complete_multipartite,
     multipartite_family,
 )
+from hifam.graphs import Record
 
 from oracles import plain_instance
 
@@ -33,7 +35,7 @@ def _family():
 
 # (build, build something that differs in one field); two calls of build
 # give equal, distinct objects
-FROZEN = {
+RECORDS = {
     "Graph": (lambda: Graph(6, 5), lambda: Graph(6, 6)),
     "DyadicDensity": (lambda: DyadicDensity(34, 8), lambda: DyadicDensity(17, 8)),
     "SubgraphFamily": (lambda: SubgraphFamily(Graph(3, 7), [1, 3]),
@@ -41,29 +43,28 @@ FROZEN = {
     "ConstructionSpec": (lambda: ConstructionSpec([2, 2], 4), lambda: ConstructionSpec([2, 2], 5)),
     "MultipartiteFamily": (_family, lambda: multipartite_family(ConstructionSpec((1,), 3))),
     "SeedCheck": (lambda: SeedCheck(True, False, 19), lambda: SeedCheck(True, True, 19)),
-}
-MUTABLE = {
     "CompatibilityGraph": (lambda: CompatibilityGraph([1, 3], [2, 1], [3, 2], [1, 3]),
                            lambda: plain_instance([2, 1], [1, 3])),
-    "CliqueResult": (lambda: CliqueResult(2, [0, 1], 4, 1), lambda: CliqueResult(2, [0, 1], 4, 2)),
+    "CliqueResult": (lambda: CliqueResult([0, 1], 4, 1), lambda: CliqueResult([0, 1], 4, 2)),
     "SearchRecord": (lambda: SearchRecord("Ch", 4, 3, 1, "1/2^3", ["0x7"]),
                      lambda: SearchRecord("Ch", 4, 3, 1, "1/2^3", ["0x3"])),
     "SearchSummary": (lambda: SearchSummary(17, DyadicDensity(17, 7), ["E?zW"]),
                       lambda: SearchSummary(17, DyadicDensity(17, 7), [])),
 }
-ALL = {**FROZEN, **MUTABLE}
+# the records with a list-valued field
+UNHASHABLE = {"CliqueResult", "CompatibilityGraph", "SearchRecord", "SearchSummary"}
 
 
 def test_every_value_class_is_covered():
     import hifam
 
     classes = {name for name in hifam.__all__ if isinstance(getattr(hifam, name), type)}
-    assert classes - {"Graph6Error"} == set(ALL)
+    assert classes - {"Graph6Error"} == set(RECORDS)
 
 
-@pytest.mark.parametrize("name", sorted(ALL))
+@pytest.mark.parametrize("name", sorted(RECORDS))
 def test_equal_by_fields(name):
-    build, other = ALL[name]
+    build, other = RECORDS[name]
     a, b = build(), build()
     assert a is not b and a == b and not a != b
     assert a != other()
@@ -75,43 +76,52 @@ def test_equality_needs_the_same_class():
     assert Graph(3, 5) != DyadicDensity(3, 5)  # both hold the fields (3, 5)
 
 
-@pytest.mark.parametrize("name", sorted(FROZEN))
+@pytest.mark.parametrize("name", sorted(RECORDS))
 def test_frozen_records_hash_by_fields_and_refuse_assignment(name):
-    build, _ = FROZEN[name]
+    """Every record is frozen and hashes as its field tuple: equal records
+    hash alike, and a list-valued field makes hash raise TypeError, as it
+    does for a tuple."""
+    build, _ = RECORDS[name]
     a = build()
-    assert hash(a) == hash(build())
-    assert len({a, build()}) == 1
-    field = a.__slots__[0]
-    with pytest.raises(AttributeError):
-        setattr(a, field, getattr(a, field))
-    with pytest.raises(AttributeError):
-        delattr(a, field)
-    with pytest.raises(AttributeError):
-        a.extra = 1
-
-
-@pytest.mark.parametrize("name", sorted(MUTABLE))
-def test_mutable_records_are_unhashable_and_assignable(name):
-    build, other = MUTABLE[name]
-    a = build()
-    with pytest.raises(TypeError):
-        hash(a)
-    b = other()
+    has_list = any(isinstance(getattr(a, f), list) for f in a.__slots__)
+    assert has_list == (name in UNHASHABLE)
+    if has_list:
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            hash(a)
+    else:
+        assert hash(a) == hash(build()) == hash(tuple(getattr(a, f) for f in a.__slots__))
+        assert len({a, build()}) == 1
     for field in a.__slots__:
-        setattr(a, field, getattr(b, field))
-    assert a == b
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(a, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
     with pytest.raises(AttributeError):
         a.extra = 1
+    assert a == build()
+
+
+def test_record_init_sets_the_slots_in_order():
+    class Pair(Record):
+        __slots__ = ("first", "second")
+
+    pair = Pair(1, [2])
+    assert (pair.first, pair.second) == (1, [2])
+    assert repr(pair).endswith("Pair(first=1, second=[2])")
+    for values in [(1,), (1, 2, 3)]:
+        with pytest.raises(ValueError, match="zip"):  # the arity check
+            Pair(*values)
 
 
 def test_positional_and_keyword_construction_with_defaults():
     assert Graph(6) == Graph(n=6, edges=0) == Graph(6, 0)
     assert Graph(6).edges == 0
-    result = CliqueResult(3)
-    assert (result.size, result.witness) == (3, [])
+    result = CliqueResult([0, 2, 5])
+    assert (result.size, result.witness) == (3, [0, 2, 5])  # the size is the witness's
     assert (result.phase1_nodes, result.phase2_nodes) == (0, 0)
-    assert CliqueResult(3).witness is not CliqueResult(3).witness
-    assert CliqueResult(size=3, phase2_nodes=4).phase2_nodes == 4
+    assert CliqueResult(witness=[], phase2_nodes=4).phase2_nodes == 4
+    with pytest.raises(TypeError):
+        CliqueResult()  # the witness is required
     cg = CompatibilityGraph(labels=[1], adjacency=[0], sup=[1], sub=[1])
     assert cg == CompatibilityGraph([1], [0], [1], [1]) == plain_instance([0], [1])
     with pytest.raises(TypeError):
@@ -125,8 +135,10 @@ def test_positional_and_keyword_construction_with_defaults():
                      family_size=1).family_size == 1
     assert ConstructionSpec(parts=[2], t=4).parts == (2,)
     family = _family()
-    assert MultipartiteFamily(host=family.host, seeds=family.seeds, family=family.family,
-                              density=family.density) == family
+    assert MultipartiteFamily(seeds=family.seeds, family=family.family) == family
+    # the host and the density come from the family
+    assert family.host == family.family.host == complete_multipartite([1, 4])
+    assert family.density == DyadicDensity(len(family.family), 4) == DyadicDensity(5, 4)
     assert SubgraphFamily(host=Graph(3, 7), members=[1]).members == (1,)
 
 
@@ -152,8 +164,8 @@ def test_dyadic_density_order():
 def test_dataclass_style_repr():
     assert repr(Graph(6, 5)) == "Graph(n=6, edges=5)"
     assert repr(DyadicDensity(34, 8)) == "DyadicDensity(numerator=17, exponent=7)"
-    assert repr(CliqueResult(3)) == (
-        "CliqueResult(size=3, witness=[], phase1_nodes=0, phase2_nodes=0)"
+    assert repr(CliqueResult([0, 2])) == (
+        "CliqueResult(witness=[0, 2], phase1_nodes=0, phase2_nodes=0)"
     )
 
 

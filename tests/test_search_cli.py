@@ -101,9 +101,8 @@ def test_verify_records_flags_corruption():
     rec = next(r for r in records if r.clique_size >= 1)
     broken = SearchRecord(
         rec.host_graph6, rec.n, rec.m, rec.clique_size,
-        rec.density, list(rec.witness_hex),
+        rec.density, ["0x5"] * rec.clique_size,  # 2-edge member, no P4
     )
-    broken.witness_hex = ["0x5"] * broken.clique_size  # 2-edge member, no P4
     problems = verify_records([broken], path(4))
     assert problems
     assert "target" in problems[0] or "witness" in problems[0]
@@ -247,7 +246,7 @@ def test_cli_construct_reports_a_violation(monkeypatch, capsys):
     def broken(spec):
         built = multipartite_family(spec)
         family = SubgraphFamily(built.host, (0,) + built.family.members)
-        return MultipartiteFamily(built.host, built.seeds, family, built.density)
+        return MultipartiteFamily(built.seeds, family)
 
     monkeypatch.setattr(hifam.cli, "multipartite_family", broken)
     argv = ["construct", "--parts", "2", "--t", "4", "--verify"]
@@ -383,6 +382,11 @@ def test_user_errors_share_one_class():
      "--edges needs at least one edge count, got ''"),
     (["search", "-n", "6", "-m", ",", "--out", "OUT"],
      "--edges needs at least one edge count, got ','"),
+    (["search", "-n", "6", "-m", "-3", "--out", "OUT"], "edge count -3 outside 0..15 for n=6"),
+    (["search", "-n", "6", "-m", "16", "--out", "OUT"], "edge count 16 outside 0..15 for n=6"),
+    (["search", "-n", "6", "-m", "99", "--out", "OUT"], "edge count 99 outside 0..15 for n=6"),
+    (["search", "-n", "6", "-m", "7,99", "--out", "OUT"], "edge count 99 outside 0..15 for n=6"),
+    (["enumerate", "-n", "6", "-m", "99"], "edge count 99 outside 0..15 for n=6"),
 ])
 def test_cli_caps_and_bad_sizes_exit_2(tmp_path, capsys, argv, message):
     out = tmp_path / "records.jsonl"
