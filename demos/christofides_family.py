@@ -9,16 +9,15 @@ all-supergraphs-of-one-path family achieves on any 7-edge host.
 """
 
 from hifam import (
-    DyadicDensity,
     Graph,
     SubgraphFamily,
     build_compatibility,
     christofides_host,
+    density_string,
     emit_graph6,
     lifted_count_string,
     max_clique,
     path,
-    trivial_density,
     verify_intersecting,
 )
 
@@ -36,8 +35,8 @@ def main() -> None:
 
     result = max_clique(cg)
     print(f"maximum family size: {result.size}")
-    density = DyadicDensity(result.size, host.edge_count)
-    print(f"density: {density}  (trivial bound: {trivial_density(target)})")
+    density = density_string(result.size, host.edge_count)
+    print(f"density: {density}  (trivial bound: 1/2^{target.edge_count})")
     print()
 
     print("the family, one member per line (edge subsets of the host):")

@@ -2,8 +2,8 @@
 
 Small immutable graphs on edge bitsets, non-induced containment tests,
 host-class enumeration, exact maximum clique over compatibility graphs,
-multipartite family constructions with exact dyadic densities, and a
-search driver with JSONL persistence.
+multipartite family constructions, and a search driver with JSONL
+persistence; a density is a count over 2^(host edge count), two integers.
 """
 
 from .clique import (
@@ -18,13 +18,10 @@ from .construct import (
     SeedCheck,
     SubgraphFamily,
     check_seeds,
-    improvement_margin,
     lifted_count_string,
     multipartite_family,
-    trivial_density,
     verify_intersecting,
 )
-from .density import DyadicDensity, density_string
 from .detect import (
     contains_multipartite,
     contains_p4,
@@ -53,6 +50,7 @@ from .graphs import (
 from .search import (
     SearchRecord,
     SearchSummary,
+    density_string,
     load_records,
     search_hosts,
     solve_host,
@@ -65,7 +63,6 @@ __all__ = [
     "CliqueResult",
     "CompatibilityGraph",
     "ConstructionSpec",
-    "DyadicDensity",
     "Graph",
     "Graph6Error",
     "MultipartiteFamily",
@@ -92,7 +89,6 @@ __all__ = [
     "emit_edge_list",
     "emit_graph6",
     "from_edges",
-    "improvement_margin",
     "is_connected",
     "lifted_count_string",
     "load_records",
@@ -104,7 +100,6 @@ __all__ = [
     "search_hosts",
     "solve_host",
     "summarize",
-    "trivial_density",
     "verify_intersecting",
     "verify_records",
     "write_records",

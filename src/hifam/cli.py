@@ -12,19 +12,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
 from .clique import build_compatibility
 from .construct import (
     ConstructionSpec,
-    improvement_margin,
     lifted_count_string,
     multipartite_family,
-    trivial_density,
     verify_intersecting,
 )
-from .density import density_string
 from .enumeration import connected_graphs
 from .graphs import (
     Graph,
@@ -40,6 +38,7 @@ from .graphs import (
     path,
 )
 from .search import (
+    density_string,
     load_records,
     search_hosts,
     solve_host,
@@ -172,22 +171,37 @@ def cmd_search(args: argparse.Namespace) -> int:
         raise UserError(f"--edges needs at least one edge count, got {args.edges!r}")
     hosts = (g for m in sorted(set(edge_counts))
              for g in connected_graphs(args.vertices, m, args.connected))
-    records = search_hosts(hosts, target, jobs=args.jobs)
-    write_records(records, args.out)
+    # made before any host is solved, with open(args.out, "w")'s mode, and
+    # renamed onto --out once every record is in it
+    partial = f"{args.out}.{os.getpid()}.tmp"
+    if os.path.isdir(args.out):
+        raise UserError(f"cannot write {args.out}: Is a directory")
+    try:
+        os.close(os.open(partial, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666))
+    except OSError as exc:
+        raise UserError(f"cannot write {args.out}: {exc.strerror}") from exc
+    try:
+        if os.path.exists(args.out):  # whose mode open(args.out, "w") keeps
+            os.chmod(partial, os.stat(args.out).st_mode)
+        records = search_hosts(hosts, target, jobs=args.jobs)
+        write_records(records, partial)
+        os.replace(partial, args.out)
+    except BaseException:
+        os.remove(partial)
+        raise
     summary = summarize(records)
-    max_density = density_string(summary.max_density.numerator, summary.max_density.exponent)
     if args.json:
         print(json.dumps({
             "hosts": len(records),
             "max_clique": summary.max_clique_size,
-            "max_density": max_density,
+            "max_density": summary.max_density,
             "argmax_hosts": summary.argmax_hosts,
             "out": args.out,
         }))
     else:
         print(f"hosts: {len(records)}")
         print(f"max clique: {summary.max_clique_size}")
-        print(f"max density: {max_density}")
+        print(f"max density: {summary.max_density}")
         print(f"argmax hosts: {' '.join(summary.argmax_hosts) if summary.argmax_hosts else '-'}")
         print(f"wrote {len(records)} records to {args.out}")
     return 0
@@ -202,14 +216,15 @@ def cmd_construct(args: argparse.Namespace) -> int:
         raise UserError(str(exc)) from exc
     target = spec.target
     host = built.host
-    trivial = trivial_density(target)
     e_host = host.edge_count
-    family_str = density_string(len(built.family), e_host)
-    trivial_str = density_string(trivial.scaled_numerator(e_host), e_host)
-    improved = built.density > trivial
-    op = ">" if improved else ("=" if built.density == trivial else "<")
+    # over 2^e_host: the family's count, and the trivial family's (one target copy's supergraphs)
+    size = len(built.family)
+    trivial = 1 << (e_host - target.edge_count)
+    family_str = density_string(size, e_host)
+    trivial_str = density_string(trivial, e_host)
+    improved = size > trivial
+    op = ">" if improved else ("=" if size == trivial else "<")
     verdict = f"{family_str} {op} {trivial_str}: {'improved' if improved else 'not improved'}"
-    lhs, rhs = improvement_margin(spec)
 
     verify_failure = None
     if args.verify:
@@ -223,12 +238,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
             "host_graph6": emit_graph6(host),
             "n": host.n,
             "m": e_host,
-            "family_size": len(built.family),
+            "family_size": size,
             "density": family_str,
             "trivial_density": trivial_str,
-            "margin": [lhs, rhs],
+            "margin": [size, trivial],
             "improved": improved,
-            "lifted": lifted_count_string(len(built.family), e_host, host.n),
+            "lifted": lifted_count_string(size, e_host, host.n),
         }
         if args.verify:
             obj["verified"] = verify_failure is None
@@ -236,10 +251,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
     else:
         host_name = "K_{" + ",".join(str(p) for p in spec.host_parts) + "}"
         print(f"host: {host_name} = {emit_graph6(host)} (n={host.n}, m={e_host})")
-        print(f"family size: {len(built.family)}")
+        print(f"family size: {size}")
         print(f"density: {family_str}")
-        print(f"trivial density: {trivial} = {trivial_str}")
-        print(f"lifted count at n={host.n}: {lifted_count_string(len(built.family), e_host, host.n)}")
+        print(f"trivial density: 1/2^{target.edge_count} = {trivial_str}")
+        print(f"lifted count at n={host.n}: {lifted_count_string(size, e_host, host.n)}")
         print(verdict)
         if args.verify:
             target_name = "K_{" + ",".join(str(p) for p in spec.parts + (spec.t,)) + "}"

@@ -1,4 +1,4 @@
-"""Multipartite constructions of intersecting families, with exact arithmetic.
+"""Multipartite constructions of intersecting families.
 
 The central recipe: host the complete multipartite graph whose final part
 has two spare vertices, seed one subgraph per final-part vertex w (the host
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
-from .density import DyadicDensity
 from .detect import containment_check
 from .graphs import (
     Graph,
@@ -24,7 +23,7 @@ from .graphs import (
     submasks,
 )
 
-MAX_SPARE_EDGES = 20
+MAX_MEMBERS = 1 << 22  # a member costs 300-400 B at peak and 3-5 µs to build (CPython 3.11)
 
 
 class SubgraphFamily(Record):
@@ -91,21 +90,19 @@ class MultipartiteFamily(Record):
     def host(self) -> Graph:
         return self.family.host
 
-    @property
-    def density(self) -> DyadicDensity:
-        return DyadicDensity(len(self.family), self.host.edge_count)
-
 
 def multipartite_family(spec: ConstructionSpec) -> MultipartiteFamily:
     """Build the family: the host plus all proper supergraphs of every seed.
 
     Seeds are the host minus all edges at one final-part vertex; each seed
     misses exactly m = sum(parts) edges, so it contributes 2^m - 1 proper
-    supergraphs and the family has (t+2)(2^m - 1) + 1 members.
+    supergraphs and the family has (t+2)(2^m - 1) + 1 members, a count
+    checked against MAX_MEMBERS before any member is built.
     """
-    if spec.m > MAX_SPARE_EDGES:
-        raise UserError(f"fixed parts drop {spec.m} edges per seed; cap is {MAX_SPARE_EDGES}")
     host = complete_multipartite(spec.host_parts)  # raises past the vertex cap
+    size = (spec.t + 2) * ((1 << spec.m) - 1) + 1
+    if size > MAX_MEMBERS:
+        raise UserError(f"the family would have {size} members; cap is {MAX_MEMBERS}")
     seeds = [host.edges & ~host.incident_edge_mask(w) for w in range(spec.m, host.n)]
     # every supergraph of every seed; the full extension is the host itself
     members = {seed | added for seed in seeds for added in submasks(host.edges ^ seed)}
@@ -189,24 +186,6 @@ def verify_intersecting(family: SubgraphFamily, target: Graph) -> tuple[int, int
     if _first_pair_lacking(n, _minimal_members(family), check) is None:
         return None
     return _first_pair_lacking(n, family.members, check)
-
-
-def trivial_density(target: Graph) -> DyadicDensity:
-    """Density of the all-supergraphs-of-one-copy family: 1 / 2^e(target)."""
-    return DyadicDensity(1, target.edge_count)
-
-
-def improvement_margin(spec: ConstructionSpec) -> tuple[int, int]:
-    """Family size vs the trivial family rewritten over the host edge count.
-
-    Returns (lhs, rhs) = ((t+2)(2^m - 1) + 1, 2^(2m)); the construction
-    beats the trivial bound exactly when lhs > rhs, and t >= 2^m guarantees
-    lhs >= 2^(2m) + 2^m - 1.
-    """
-    m = spec.m
-    lhs = (spec.t + 2) * ((1 << m) - 1) + 1
-    rhs = 1 << (2 * m)
-    return lhs, rhs
 
 
 def lifted_count_string(family_size: int, host_edges: int, n: int) -> str:

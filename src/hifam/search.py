@@ -14,7 +14,6 @@ from collections.abc import Iterable, Sequence
 
 from .clique import CompatibilityGraph, build_compatibility, max_clique
 from .construct import SubgraphFamily, verify_intersecting
-from .density import DyadicDensity, density_string
 from .graphs import Graph, Record, UserError, emit_graph6, parse_graph6
 
 # A record's fields in file order, each with the JSON type its value must have.
@@ -69,16 +68,23 @@ class SearchRecord(Record):
         return cls(*[obj[name] for name in RECORD_FIELDS])
 
 
+def density_string(count: int, exponent: int) -> str:
+    """The density count/2^exponent as a record writes it: 'k/2^e', unreduced."""
+    return f"{count}/2^{exponent}"
+
+
 class SearchSummary(Record):
+    """The best density over the records, in lowest terms, and the hosts at it."""
+
     __slots__ = ("max_clique_size", "max_density", "argmax_hosts")
     max_clique_size: int
-    max_density: DyadicDensity
+    max_density: str
     argmax_hosts: list[str]
 
     def __init__(
         self,
         max_clique_size: int,
-        max_density: DyadicDensity,
+        max_density: str,
         argmax_hosts: list[str],
     ) -> None:
         super().__init__(max_clique_size, max_density, argmax_hosts)
@@ -113,19 +119,19 @@ def search_hosts(hosts: Iterable[Graph], target: Graph, jobs: int = 1) -> list[S
 
 
 def summarize(records: Iterable[SearchRecord]) -> SearchSummary:
-    best = DyadicDensity(0, 0)
-    best_clique = 0
+    """The best density (k/2^m against k'/2^m' as k << m' against k' << m), reduced."""
+    count = exponent = best_clique = 0
     argmax: list[str] = []
     for rec in records:
-        d = DyadicDensity(rec.clique_size, rec.m)
-        if not argmax or d > best:
-            best = d
+        k, m = rec.clique_size, rec.m
+        if not argmax or k << exponent > count << m:
+            count, exponent, best_clique = k, m, k
             argmax = [rec.host_graph6]
-            best_clique = rec.clique_size
-        elif d == best:
+        elif k << exponent == count << m:
             argmax.append(rec.host_graph6)
-            best_clique = max(best_clique, rec.clique_size)
-    return SearchSummary(best_clique, best, argmax)
+            best_clique = max(best_clique, k)
+    shift = min(exponent, (count & -count).bit_length() - 1) if count else exponent
+    return SearchSummary(best_clique, density_string(count >> shift, exponent - shift), argmax)
 
 
 def write_records(records: Sequence[SearchRecord], path: str) -> None:

@@ -10,6 +10,7 @@ from functools import lru_cache
 from hifam import (
     CliqueResult,
     CompatibilityGraph,
+    ConstructionSpec,
     Graph,
     SubgraphFamily,
     containment_check,
@@ -464,3 +465,16 @@ def largest_first_multipartite(g: Graph, parts: list[int]) -> bool:
         return pick(0, sizes[0], full, full)
     finally:
         del pick  # break the closure's reference to itself
+
+
+def construction_counts(spec: ConstructionSpec) -> tuple[int, int]:
+    """The closed form of the multipartite construction on its host.
+
+    Returns ((t+2)(2^m - 1) + 1, 2^(2m)): the family's member count, and the
+    trivial family's (all supergraphs of one target copy), which on the host
+    K_{parts,t+2} is 2^(e(host) - e(target)) with e(host) - e(target) = 2m.
+    The construction beats the trivial family exactly when the first is the
+    larger, and t >= 2^m gives it 2^(2m) + 2^m - 1.
+    """
+    m = spec.m
+    return (spec.t + 2) * ((1 << m) - 1) + 1, 1 << (2 * m)

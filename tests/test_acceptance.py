@@ -23,7 +23,6 @@ from hifam import (
     contains_p4,
     contains_subgraph,
     emit_graph6,
-    improvement_margin,
     max_clique,
     multipartite_family,
     parse_graph6,
@@ -36,7 +35,7 @@ from hifam.cli import main
 from hifam.graphs import pair_count
 
 from conftest import record_acceptance
-from oracles import brute_force_clique, plain_instance
+from oracles import brute_force_clique, construction_counts, plain_instance
 
 
 @contextmanager
@@ -155,7 +154,7 @@ def test_criterion_6_intersecting_property_of_19_member_families():
 def test_criterion_7_margin_chain():
     with criterion(7, "at t=2^m the family size is 2^(2m)+2^m-1 > 2^(2m) for m=1..10"):
         for m in range(1, 11):
-            lhs, rhs = improvement_margin(ConstructionSpec((m,), 1 << m))
+            lhs, rhs = construction_counts(ConstructionSpec((m,), 1 << m))
             assert lhs == (1 << (2 * m)) + (1 << m) - 1
             assert rhs == 1 << (2 * m)
             assert lhs > rhs

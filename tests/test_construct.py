@@ -1,4 +1,4 @@
-"""Family constructions, seed checks, and exact density arithmetic."""
+"""Family constructions, seed checks, and exact density arithmetic on counts."""
 
 import itertools
 import random
@@ -8,28 +8,28 @@ import pytest
 
 from hifam import (
     ConstructionSpec,
-    DyadicDensity,
     Graph,
+    SearchRecord,
     SubgraphFamily,
     check_seeds,
     complete,
     complete_multipartite,
     contains_multipartite,
+    density_string,
     from_edges,
-    improvement_margin,
     lifted_count_string,
     multipartite_family,
     path,
     search_hosts,
-    trivial_density,
+    summarize,
     verify_intersecting,
 )
 from hifam import detect
 from hifam.clique import MAX_HOST_EDGES
 from hifam.construct import _minimal_members
-from hifam.graphs import edge_index, iter_bits
+from hifam.graphs import UserError, edge_index, iter_bits
 
-from oracles import verify_pairwise
+from oracles import construction_counts, verify_pairwise
 
 
 # ---------------------------------------------------------------------------
@@ -37,44 +37,49 @@ from oracles import verify_pairwise
 # ---------------------------------------------------------------------------
 
 
+def _summary_of(densities):
+    """Summarize one record per (count, exponent) pair, its host named by its index."""
+    return summarize([SearchRecord(str(i), 1, m, k, density_string(k, m), [])
+                      for i, (k, m) in enumerate(densities)])
+
+
 def test_density_normalization():
-    assert DyadicDensity(34, 8) == DyadicDensity(17, 7)
-    assert DyadicDensity(34, 8).numerator == 17
-    d = DyadicDensity(0, 9)
-    assert (d.numerator, d.exponent) == (0, 0)
-    assert DyadicDensity(12, 0) == DyadicDensity(12, 0)  # exponent floor at 0
-
-
-def test_density_validation():
-    with pytest.raises(ValueError):
-        DyadicDensity(-1, 3)
-    with pytest.raises(ValueError):
-        DyadicDensity(1, -3)
+    # records keep k/2^m as solved; the summary reduces its best density by
+    # one shift, never past 2^0, and writes a zero count as 0/2^0
+    for k, m, reduced in [(34, 8, "17/2^7"), (17, 7, "17/2^7"), (0, 9, "0/2^0"),
+                          (12, 0, "12/2^0"), (8, 2, "2/2^0"), (1 << 40, 40, "1/2^0")]:
+        assert _summary_of([(k, m)]).max_density == reduced
+    assert summarize([]).max_density == "0/2^0"
 
 
 def test_density_strings():
-    assert str(DyadicDensity(17, 7)) == "17/2^7"
-    assert str(DyadicDensity(1, 0)) == "1"
-    assert str(DyadicDensity(0, 5)) == "0"
-
-
-def test_density_rescaling():
-    assert DyadicDensity(1, 8).scaled_numerator(12) == 16
-    with pytest.raises(ValueError):
-        DyadicDensity(17, 7).scaled_numerator(3)
+    assert density_string(17, 7) == "17/2^7"
+    assert density_string(34, 8) == "34/2^8"  # unreduced, as a record writes it
+    assert density_string(0, 5) == "0/2^5"
+    assert density_string(1, 0) == "1/2^0"
 
 
 def test_density_order_matches_fractions():
-    def fraction(d):
-        return Fraction(d.numerator, 1 << d.exponent)
-
+    """summarize against Fraction arithmetic: the best density in lowest
+    terms, every host at it in record order, and their largest count."""
     rng = random.Random(13)
-    for _ in range(500):
-        a = DyadicDensity(rng.randint(0, 1 << 20), rng.randint(0, 40))
-        b = DyadicDensity(rng.randint(0, 1 << 20), rng.randint(0, 40))
-        assert (a < b) == (fraction(a) < fraction(b))
-        assert (a == b) == (fraction(a) == fraction(b))
-        assert (a > b) == (fraction(a) > fraction(b))
+    for trial in range(500):
+        densities = [(rng.randint(0, 1 << 20), rng.randint(0, 40))
+                     for _ in range(rng.randint(1, 6))]
+        if trial % 5 == 0:  # the same value over another exponent: 17/2^7 and 34/2^8
+            k, m = rng.choice(densities)
+            densities.insert(rng.randint(0, len(densities)), (k << 1, m + 1))
+        values = [Fraction(k, 1 << m) for k, m in densities]
+        best = max(values)
+        argmax = [i for i, v in enumerate(values) if v == best]
+        summary = _summary_of(densities)
+        assert summary.max_density == density_string(best.numerator,
+                                                      best.denominator.bit_length() - 1)
+        assert summary.argmax_hosts == [str(i) for i in argmax]
+        assert summary.max_clique_size == max(densities[i][0] for i in argmax)
+    summary = _summary_of([(1, 3), (17, 7), (2, 4), (34, 8), (16, 7)])
+    assert (summary.max_density, summary.argmax_hosts, summary.max_clique_size) == (
+        "17/2^7", ["1", "3"], 34)
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +104,11 @@ MULTIPARTITE_TABLE = [
 
 @pytest.mark.parametrize("parts,t,size,host_edges", BIPARTITE_TABLE + MULTIPARTITE_TABLE)
 def test_construction_table(parts, t, size, host_edges):
-    built = multipartite_family(ConstructionSpec(parts, t))
+    spec = ConstructionSpec(parts, t)
+    built = multipartite_family(spec)
     assert len(built.family) == size
     assert built.host.edge_count == host_edges
-    assert built.density == DyadicDensity(size, host_edges)
+    assert (size, 1 << (host_edges - spec.target.edge_count)) == construction_counts(spec)
     assert len(built.seeds) == t + 2
 
 
@@ -136,7 +142,6 @@ def test_smallest_instance_fully_verified():
     built = multipartite_family(ConstructionSpec((1,), 2))
     assert built.host.n == 5 and built.host.edge_count == 4  # K_{1,4}
     assert len(built.family) == 5
-    assert built.density == DyadicDensity(5, 4)
     assert verify_intersecting(built.family, complete_multipartite([1, 2])) is None
 
 
@@ -163,8 +168,9 @@ def test_size_formula_over_small_grid():
     for parts in _part_lists_up_to_total(4):
         m = sum(parts)
         for t in range(1, (1 << m) + 3):
-            built = multipartite_family(ConstructionSpec(parts, t))
-            assert len(built.family) == (t + 2) * ((1 << m) - 1) + 1, (parts, t)
+            spec = ConstructionSpec(parts, t)
+            size, _ = construction_counts(spec)
+            assert len(multipartite_family(spec).family) == size, (parts, t)
 
 
 def test_seed_check_agrees_with_size_formula():
@@ -224,6 +230,20 @@ def test_construction_caps():
         ConstructionSpec((), 4)
     with pytest.raises(ValueError):
         ConstructionSpec((2,), 0)
+
+
+def test_member_cap_is_checked_on_the_closed_form(monkeypatch):
+    from hifam import construct
+
+    # --parts 20 --t 2 is the largest single part under the cap, 21 is over it
+    assert construction_counts(ConstructionSpec((20,), 2))[0] <= construct.MAX_MEMBERS
+    assert construction_counts(ConstructionSpec((21,), 2))[0] > construct.MAX_MEMBERS
+    spec = ConstructionSpec((2,), 4)  # 19 members
+    monkeypatch.setattr(construct, "MAX_MEMBERS", 19)
+    assert len(multipartite_family(spec).family) == 19
+    monkeypatch.setattr(construct, "MAX_MEMBERS", 18)
+    with pytest.raises(UserError, match="^the family would have 19 members; cap is 18$"):
+        multipartite_family(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +390,19 @@ def test_family_validation():
 # ---------------------------------------------------------------------------
 
 
+def _trivial_count(built, target):
+    """The trivial family's count over the host: 2^(e(host) - e(target))."""
+    return 1 << (built.host.edge_count - target.edge_count)
+
+
 def test_trivial_densities():
-    assert trivial_density(path(4)) == DyadicDensity(1, 3)
     k24 = complete_multipartite([2, 4])
-    assert trivial_density(k24) == DyadicDensity(1, 8)
-    assert trivial_density(k24).scaled_numerator(12) == 16
-    assert trivial_density(Graph(4, 0)) == DyadicDensity(1, 0)
+    built = multipartite_family(ConstructionSpec((2,), 4))  # on K_{2,6}, 12 edges
+    assert (k24.edge_count, _trivial_count(built, k24)) == (8, 16)  # 1/2^8 = 16/2^12
+    for parts, t in [((1,), 2), ((2,), 4), ((1, 2), 3), ((3,), 1)]:
+        spec = ConstructionSpec(parts, t)
+        built = multipartite_family(spec)
+        assert _trivial_count(built, spec.target) == construction_counts(spec)[1]
 
 
 @pytest.mark.parametrize("parts,t,lhs,rhs", [
@@ -384,25 +411,28 @@ def test_trivial_densities():
     ((5,), 32, 1055, 1024),
 ])
 def test_margin_examples(parts, t, lhs, rhs):
-    assert improvement_margin(ConstructionSpec(parts, t)) == (lhs, rhs)
+    spec = ConstructionSpec(parts, t)
+    assert construction_counts(spec) == (lhs, rhs)
+    built = multipartite_family(spec)
+    assert (len(built.family), _trivial_count(built, spec.target)) == (lhs, rhs)
 
 
 def test_margin_chain_at_threshold():
     for m in range(1, 11):
-        lhs, rhs = improvement_margin(ConstructionSpec((m,), 1 << m))
+        lhs, rhs = construction_counts(ConstructionSpec((m,), 1 << m))
         assert lhs == (1 << (2 * m)) + (1 << m) - 1
         assert lhs > rhs == 1 << (2 * m)
 
 
 def test_density_beats_trivial_iff_margin_does():
+    """The counts cmd_construct compares are the closed form's two sides."""
     for parts in _part_lists_up_to_total(3):
         m = sum(parts)
         for t in range(1, (1 << m) + 3):
             spec = ConstructionSpec(parts, t)
             built = multipartite_family(spec)
-            target = complete_multipartite(parts + (t,))
-            lhs, rhs = improvement_margin(spec)
-            assert (built.density > trivial_density(target)) == (lhs > rhs)
+            counts = (len(built.family), _trivial_count(built, spec.target))
+            assert counts == construction_counts(spec), (parts, t)
 
 
 def test_lifted_count_strings():

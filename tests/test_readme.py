@@ -1,5 +1,6 @@
 """The README's command-line examples, run through the CLI."""
 
+import re
 import shlex
 from pathlib import Path
 
@@ -37,3 +38,14 @@ def test_readme_example_output(capsys, command, shown):
             assert line.startswith(want[:-3]), (want, line)
         else:
             assert line == want
+
+
+def test_library_tour_names_every_module():
+    """The tour's `hifam.<module>` rows are exactly the library's modules."""
+    text = README.read_text(encoding="utf-8")
+    tour = text.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `hifam\.(\w+)` \|", tour, flags=re.MULTILINE)
+    package = README.parent / "src" / "hifam"
+    modules = {p.stem for p in package.glob("*.py")} - {"__init__", "__main__", "cli"}
+    assert len(rows) == len(set(rows))
+    assert set(rows) == modules

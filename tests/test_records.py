@@ -12,7 +12,6 @@ from hifam import (
     CliqueResult,
     CompatibilityGraph,
     ConstructionSpec,
-    DyadicDensity,
     Graph,
     MultipartiteFamily,
     SearchRecord,
@@ -37,7 +36,6 @@ def _family():
 # give equal, distinct objects
 RECORDS = {
     "Graph": (lambda: Graph(6, 5), lambda: Graph(6, 6)),
-    "DyadicDensity": (lambda: DyadicDensity(34, 8), lambda: DyadicDensity(17, 8)),
     "SubgraphFamily": (lambda: SubgraphFamily(Graph(3, 7), [1, 3]),
                        lambda: SubgraphFamily(Graph(3, 7), [3, 1])),
     "ConstructionSpec": (lambda: ConstructionSpec([2, 2], 4), lambda: ConstructionSpec([2, 2], 5)),
@@ -48,8 +46,8 @@ RECORDS = {
     "CliqueResult": (lambda: CliqueResult([0, 1], 4, 1), lambda: CliqueResult([0, 1], 4, 2)),
     "SearchRecord": (lambda: SearchRecord("Ch", 4, 3, 1, "1/2^3", ["0x7"]),
                      lambda: SearchRecord("Ch", 4, 3, 1, "1/2^3", ["0x3"])),
-    "SearchSummary": (lambda: SearchSummary(17, DyadicDensity(17, 7), ["E?zW"]),
-                      lambda: SearchSummary(17, DyadicDensity(17, 7), [])),
+    "SearchSummary": (lambda: SearchSummary(17, "17/2^7", ["E?zW"]),
+                      lambda: SearchSummary(17, "17/2^7", [])),
 }
 # the records with a list-valued field
 UNHASHABLE = {"CliqueResult", "CompatibilityGraph", "SearchRecord", "SearchSummary"}
@@ -73,7 +71,11 @@ def test_equal_by_fields(name):
 
 
 def test_equality_needs_the_same_class():
-    assert Graph(3, 5) != DyadicDensity(3, 5)  # both hold the fields (3, 5)
+    class Pair(Record):
+        __slots__ = ("n", "edges")
+
+    assert Graph(3, 5) != Pair(3, 5)  # both hold the fields (3, 5)
+    assert Pair(3, 5) == Pair(3, 5)
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -129,16 +131,15 @@ def test_positional_and_keyword_construction_with_defaults():
     record = SearchRecord(host_graph6="Ch", n=4, m=3, clique_size=1, density="1/2^3",
                           witness_hex=["0x7"])
     assert record == SearchRecord("Ch", 4, 3, 1, "1/2^3", ["0x7"])
-    assert SearchSummary(max_clique_size=0, max_density=DyadicDensity(0, 0),
+    assert SearchSummary(max_clique_size=0, max_density="0/2^0",
                          argmax_hosts=[]).max_clique_size == 0
     assert SeedCheck(intersection_property=True, disjoint_complement=True,
                      family_size=1).family_size == 1
     assert ConstructionSpec(parts=[2], t=4).parts == (2,)
     family = _family()
     assert MultipartiteFamily(seeds=family.seeds, family=family.family) == family
-    # the host and the density come from the family
+    # the host comes from the family
     assert family.host == family.family.host == complete_multipartite([1, 4])
-    assert family.density == DyadicDensity(len(family.family), 4) == DyadicDensity(5, 4)
     assert SubgraphFamily(host=Graph(3, 7), members=[1]).members == (1,)
 
 
@@ -149,21 +150,11 @@ def test_constructors_still_validate_and_normalize():
         ConstructionSpec([1], 0)
     with pytest.raises(ValueError):
         SubgraphFamily(Graph(3, 1), [2])
-    d = DyadicDensity(34, 8)
-    assert (d.numerator, d.exponent) == (17, 7)
-    assert DyadicDensity(0, 9) == DyadicDensity(0, 0)
-
-
-def test_dyadic_density_order():
-    assert DyadicDensity(17, 7) > DyadicDensity(1, 3) >= DyadicDensity(2, 4)
-    assert DyadicDensity(1, 3) <= DyadicDensity(16, 7) < DyadicDensity(17, 7)
-    with pytest.raises(TypeError):
-        DyadicDensity(1, 3) < 0.5
+    assert ConstructionSpec([2, 2], 4).parts == (2, 2)  # normalized to a tuple
 
 
 def test_dataclass_style_repr():
     assert repr(Graph(6, 5)) == "Graph(n=6, edges=5)"
-    assert repr(DyadicDensity(34, 8)) == "DyadicDensity(numerator=17, exponent=7)"
     assert repr(CliqueResult([0, 2])) == (
         "CliqueResult(witness=[0, 2], phase1_nodes=0, phase2_nodes=0)"
     )

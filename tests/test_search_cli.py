@@ -1,12 +1,13 @@
 """Search driver, JSONL persistence, and the command-line surface."""
 
 import json
+import os
 import time
 
 import pytest
 
 from hifam import (
-    DyadicDensity,
+    ConstructionSpec,
     MultipartiteFamily,
     SearchRecord,
     SubgraphFamily,
@@ -25,9 +26,12 @@ from hifam import (
     write_records,
 )
 import hifam.cli
+import hifam.construct
 from hifam import Graph6Error
 from hifam.cli import main, resolve_graph
 from hifam.graphs import UserError
+
+from oracles import construction_counts
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +55,7 @@ def test_small_search_matches_hand_results(tmp_path):
     summary = summarize(records)
     assert len(records) == 2
     assert summary.max_clique_size == 1
-    assert summary.max_density == DyadicDensity(1, 3)
+    assert summary.max_density == "1/2^3"
     by_size = sorted(r.clique_size for r in records)
     assert by_size == [0, 1]  # the star supports nothing, the path only itself
     out = tmp_path / "records.jsonl"
@@ -233,6 +237,27 @@ def test_cli_construct_verdict_lines(capsys):
     assert "271/2^76 > 256/2^76: improved" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("parts,t,op", [
+    ((2,), 2, "<"), ((2,), 3, "="), ((2,), 4, ">"), ((1, 1), 1, "<"), ((1, 2), 7, "="),
+    ((1,), 5, ">"),
+])
+def test_cli_construct_reads_its_verdict_off_the_counts(capsys, parts, t, op):
+    argv = ["construct", "--parts", ",".join(map(str, parts)), "--t", str(t)]
+    assert main(argv + ["--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    size, trivial = construction_counts(ConstructionSpec(parts, t))
+    assert obj["margin"] == [obj["family_size"], trivial] == [size, trivial]
+    assert obj["density"] == f"{size}/2^{obj['m']}"
+    assert obj["trivial_density"] == f"{trivial}/2^{obj['m']}"
+    assert obj["improved"] == (op == ">")
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    e_target = ConstructionSpec(parts, t).target.edge_count
+    assert lines[3] == f"trivial density: 1/2^{e_target} = {obj['trivial_density']}"
+    verdict = "improved" if op == ">" else "not improved"
+    assert lines[-1] == f"{obj['density']} {op} {obj['trivial_density']}: {verdict}"
+
+
 def test_cli_construct_verify(capsys):
     assert main(["construct", "--parts", "1", "--t", "2", "--verify", "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
@@ -376,7 +401,8 @@ def test_user_errors_share_one_class():
      "compatibility graphs capped at 16 host edges, got 21"),
     (["construct", "--parts", "0", "--t", "2"], "fixed part sizes must all be >= 1, got [0]"),
     (["construct", "--parts", "2", "--t", "0"], "final part size must be >= 1, got 0"),
-    (["construct", "--parts", "21", "--t", "2"], "fixed parts drop 21 edges per seed; cap is 20"),
+    (["construct", "--parts", "21", "--t", "2"],
+     "the family would have 8388605 members; cap is 4194304"),
     (["construct", "--parts", "2", "--t", "70"], "74 vertices exceeds the 64-vertex cap"),
     (["search", "-n", "6", "-m", "", "--out", "OUT"],
      "--edges needs at least one edge count, got ''"),
@@ -387,14 +413,78 @@ def test_user_errors_share_one_class():
     (["search", "-n", "6", "-m", "99", "--out", "OUT"], "edge count 99 outside 0..15 for n=6"),
     (["search", "-n", "6", "-m", "7,99", "--out", "OUT"], "edge count 99 outside 0..15 for n=6"),
     (["enumerate", "-n", "6", "-m", "99"], "edge count 99 outside 0..15 for n=6"),
+    (["construct", "--parts", "18", "--t", "44"],  # 64 vertices, 12,058,579 members
+     "the family would have 12058579 members; cap is 4194304"),
 ])
-def test_cli_caps_and_bad_sizes_exit_2(tmp_path, capsys, argv, message):
+def test_cli_caps_and_bad_sizes_exit_2(tmp_path, monkeypatch, capsys, argv, message):
+    # a cap that let a construction through would build its members here and
+    # fail at once, not exhaust memory
+    def no_members(mask):
+        raise AssertionError("a member was built past the caps")
+
+    monkeypatch.setattr(hifam.construct, "submasks", no_members)
     out = tmp_path / "records.jsonl"
     assert main([str(out) if a == "OUT" else a for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
-    assert not out.exists()
+    assert os.listdir(tmp_path) == []  # neither the records nor a partial file
+
+
+@pytest.mark.parametrize("where,reason", [
+    ("missing/records.jsonl", "No such file or directory"),
+    ("", "Is a directory"),
+])
+def test_cli_search_checks_its_output_before_solving(tmp_path, monkeypatch, capsys,
+                                                     where, reason):
+    def no_solving(*args, **kwargs):
+        raise AssertionError("a host was solved")
+
+    monkeypatch.setattr(hifam.cli, "search_hosts", no_solving)
+    out = tmp_path / where
+    assert main(["search", "-n", "6", "-m", "9", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: {reason}\n"
+    assert os.listdir(tmp_path) == []
+    assert [p.name for p in tmp_path.parent.iterdir() if p.name.endswith(".tmp")] == []
+
+
+def test_cli_search_replaces_its_output_only_when_done(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "records.jsonl"
+    out.write_text("old\n")
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(hifam.cli, "search_hosts", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["search", "-n", "4", "-m", "3", "--out", str(out)])
+    assert os.listdir(tmp_path) == ["records.jsonl"] and out.read_text() == "old\n"
+    monkeypatch.undo()
+
+    def failing_write(records, path):
+        with open(path, "w") as fh:
+            fh.write("half a record")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(hifam.cli, "write_records", failing_write)
+    assert main(["search", "-n", "4", "-m", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert os.listdir(tmp_path) == ["records.jsonl"] and out.read_text() == "old\n"
+    monkeypatch.undo()
+
+    os.chmod(out, 0o600)
+    assert main(["search", "-n", "4", "-m", "3", "--out", str(out)]) == 0
+    assert os.listdir(tmp_path) == ["records.jsonl"]
+    assert len(load_records(str(out))) == 3
+    # the mode open(path, "w") leaves: an existing file's own, and for a new
+    # file the one a plain open gives
+    assert os.stat(out).st_mode & 0o777 == 0o600
+    new, plain = tmp_path / "new.jsonl", tmp_path / "plain.txt"
+    assert main(["search", "-n", "4", "-m", "3", "--out", str(new)]) == 0
+    open(plain, "w").close()
+    assert os.stat(new).st_mode == os.stat(plain).st_mode
 
 
 def test_cli_non_ascii_files_exit_2(tmp_path, capsys):
