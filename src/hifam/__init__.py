@@ -40,7 +40,6 @@ from .graphs import (
     cycle,
     edge_index,
     edge_pair,
-    emit_edge_list,
     emit_graph6,
     from_edges,
     parse_edge_list,
@@ -58,51 +57,3 @@ from .search import (
     verify_records,
     write_records,
 )
-
-__all__ = [
-    "CliqueResult",
-    "CompatibilityGraph",
-    "ConstructionSpec",
-    "Graph",
-    "Graph6Error",
-    "MultipartiteFamily",
-    "SearchRecord",
-    "SearchSummary",
-    "SeedCheck",
-    "SubgraphFamily",
-    "apply_permutation",
-    "build_compatibility",
-    "canonical_key",
-    "check_seeds",
-    "christofides_host",
-    "complete",
-    "complete_multipartite",
-    "connected_graphs",
-    "contains_multipartite",
-    "contains_p4",
-    "contains_subgraph",
-    "containment_check",
-    "cycle",
-    "density_string",
-    "edge_index",
-    "edge_pair",
-    "emit_edge_list",
-    "emit_graph6",
-    "from_edges",
-    "is_connected",
-    "lifted_count_string",
-    "load_records",
-    "max_clique",
-    "multipartite_family",
-    "parse_edge_list",
-    "parse_graph6",
-    "path",
-    "search_hosts",
-    "solve_host",
-    "summarize",
-    "verify_intersecting",
-    "verify_records",
-    "write_records",
-]
-
-__version__ = "0.1.0"

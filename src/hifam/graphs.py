@@ -373,14 +373,8 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def emit_edge_list(g: Graph) -> str:
-    """Plain text form: 'n m' header then one 'i j' line per edge (0-based)."""
-    lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{i} {j}" for i, j in g.edge_pairs())
-    return "\n".join(lines) + "\n"
-
-
 def parse_edge_list(text: str) -> Graph:
+    """Read the plain text form: 'n m' header then one 'i j' line per edge (0-based)."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty edge-list text")

@@ -10,6 +10,7 @@ then canonical key, so its output files are byte-identical across --jobs.
 from __future__ import annotations
 
 import json
+import time
 from collections.abc import Iterable, Sequence
 
 from .clique import CompatibilityGraph, build_compatibility, max_clique
@@ -20,6 +21,15 @@ from .graphs import Graph, Record, UserError, emit_graph6, parse_graph6
 RECORD_TYPES = {"host_graph6": str, "n": int, "m": int, "clique_size": int,
                 "density": str, "witness_hex": list}
 RECORD_FIELDS = tuple(RECORD_TYPES)
+
+# What a worker pool costs a search, from medians of 21 CLI runs on a shared
+# 2-vCPU Linux machine under Python 3.11: handing the last 8 of the 9 hosts of
+# `search -n 6 -m 11 --connected --target k3` (about 65 ms of solving) to 2
+# workers made the run 25 ms slower, and the last 19 of the 20 hosts of
+# `search -n 6 -m 9 --connected` (about 665 ms) 225 ms faster.  Both fit a
+# start-up of about 50 ms and a 1.7x speed-up, so a pool pays once the hosts
+# left would take more than 2 * 60 ms serially.
+POOL_COST_S = 0.06
 
 
 class SearchRecord(Record):
@@ -108,14 +118,25 @@ def _solve_host(host: Graph, target: Graph) -> SearchRecord:
 
 
 def search_hosts(hosts: Iterable[Graph], target: Graph, jobs: int = 1) -> list[SearchRecord]:
-    """Solve each host exactly; one record per host, in the order given."""
-    hosts = list(hosts)
-    if jobs > 1 and len(hosts) > 1:
-        from multiprocessing import Pool  # only a parallel run pays for its import
+    """Solve each host exactly; one record per host, in the order given.
 
-        with Pool(processes=min(jobs, len(hosts))) as pool:
-            return pool.starmap(_solve_host, [(host, target) for host in hosts])
-    return [_solve_host(host, target) for host in hosts]
+    Hosts are solved in order in this process.  With ``jobs`` > 1 the hosts
+    left go to a worker pool once, at their mean time so far, they would take
+    more than twice ``POOL_COST_S``: a pool pays only for long searches.
+    """
+    hosts = list(hosts)
+    records: list[SearchRecord] = []
+    start = time.perf_counter()
+    for done, host in enumerate(hosts):
+        left = len(hosts) - done
+        if (jobs > 1 and left > 1 and done
+                and (time.perf_counter() - start) / done * left > 2 * POOL_COST_S):
+            from multiprocessing import Pool  # only a parallel run pays for its import
+
+            with Pool(processes=min(jobs, left)) as pool:
+                return records + pool.starmap(_solve_host, [(h, target) for h in hosts[done:]])
+        records.append(_solve_host(host, target))
+    return records
 
 
 def summarize(records: Iterable[SearchRecord]) -> SearchSummary:

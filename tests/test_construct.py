@@ -138,6 +138,35 @@ def test_exact_optimum_is_the_construction_or_the_trivial_family(parts, t):
     assert (construction > trivial, construction == trivial) == (t >= threshold, t == threshold - 1)
 
 
+# the same (parts, t) on the host one vertex larger in the last part,
+# K_{parts,t+3}, where that host is within the caps; K_{4,1} on K_{4,4} has
+# 24,033 candidates, over MAX_CANDIDATES
+LARGER_HOSTS = [
+    (parts, t) for parts, t in SOLVABLE_CONSTRUCTIONS
+    if complete_multipartite(parts + (t + 3,)).edge_count <= MAX_HOST_EDGES
+    and (parts, t) != ((4,), 1)
+]
+
+
+@pytest.mark.parametrize("parts,t", LARGER_HOSTS,
+                         ids=[f"{','.join(map(str, p))}-{t}" for p, t in LARGER_HOSTS])
+def test_one_vertex_larger_host_keeps_the_optimum_density(parts, t):
+    """One more vertex adds m = sum(parts) host edges and keeps the best
+    density of K_{parts,t+2}, so the optimum is max(construction, trivial)
+    times 2^m; the one exception is K_{2,1} on K_{2,4}, where 80/2^8 = 5/2^4
+    beats the trivial 1/2^2 of K_{2,3}."""
+    spec = ConstructionSpec(parts, t)
+    host = complete_multipartite(parts + (t + 3,))
+    [record] = search_hosts([host], spec.target)
+    expected = 80 if (parts, t) == ((2,), 1) else max(construction_counts(spec)) << spec.m
+    assert record.clique_size == expected
+
+
+def test_k41_on_k44_is_over_the_candidate_cap():
+    with pytest.raises(UserError, match="capped at 16384 candidates, got 24033"):
+        search_hosts([complete_multipartite((4, 4))], complete_multipartite((4, 1)))
+
+
 def test_smallest_instance_fully_verified():
     built = multipartite_family(ConstructionSpec((1,), 2))
     assert built.host.n == 5 and built.host.edge_count == 4  # K_{1,4}

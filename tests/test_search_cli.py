@@ -14,7 +14,6 @@ from hifam import (
     christofides_host,
     complete,
     connected_graphs,
-    emit_edge_list,
     emit_graph6,
     load_records,
     multipartite_family,
@@ -27,6 +26,7 @@ from hifam import (
 )
 import hifam.cli
 import hifam.construct
+import hifam.search
 from hifam import Graph6Error
 from hifam.cli import main, resolve_graph
 from hifam.graphs import UserError
@@ -66,26 +66,40 @@ def test_small_search_matches_hand_results(tmp_path):
 
 def test_search_starts_no_more_workers_than_hosts(monkeypatch):
     import multiprocessing
+    from multiprocessing.pool import Pool
 
     started = []
 
-    class SerialPool:
+    class CountingPool(Pool):
         def __init__(self, processes):
-            started.append(processes)
+            super().__init__(processes)
+            self.processes = processes
 
-        def __enter__(self):
-            return self
+        def starmap(self, func, tasks, chunksize=None):
+            started.append((self.processes, len(tasks)))
+            return super().starmap(func, tasks, chunksize)
 
-        def __exit__(self, *exc):
-            return False
+    monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
+    monkeypatch.setattr(hifam.search, "POOL_COST_S", 0.0)  # hand off after the first host
+    hosts = [g for m in (3, 4) for g in connected_graphs(4, m)]
+    records = search_hosts(hosts, path(4), jobs=8)
+    assert started == [(3, 3)]  # three workers for the three hosts left
+    assert records == search_hosts(hosts, path(4), jobs=1)
 
-        def starmap(self, func, tasks):
-            return [func(*t) for t in tasks]
 
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    records = search_hosts(connected_graphs(4, 3), path(4), jobs=8)
-    assert started == [2]  # two hosts, P4 and K_{1,3}
-    assert records == search_hosts(connected_graphs(4, 3), path(4), jobs=1)
+def test_search_starts_no_pool_that_cannot_pay_for_itself(monkeypatch):
+    import multiprocessing
+
+    def no_pool(processes):
+        raise AssertionError(f"a pool of {processes} started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(hifam.search, "POOL_COST_S", float("inf"))
+    hosts = [g for m in (3, 4) for g in connected_graphs(4, m)]
+    assert search_hosts(hosts, path(4), jobs=8) == search_hosts(hosts, path(4), jobs=1)
+    # one host left never goes to a pool, whatever the cost
+    monkeypatch.setattr(hifam.search, "POOL_COST_S", 0.0)
+    assert len(search_hosts(connected_graphs(4, 3), path(4), jobs=8)) == 2
 
 
 def test_search_returns_records_in_the_order_given():
@@ -143,9 +157,10 @@ def test_resolve_builtin_and_shapes():
 def test_resolve_graph6_and_edge_list(tmp_path):
     g = christofides_host()
     assert resolve_graph(emit_graph6(g)) == g
-    assert resolve_graph(emit_edge_list(g)) == g
+    edge_list = "6 7\n0 1\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n"
+    assert resolve_graph(edge_list) == g
     f = tmp_path / "host.txt"
-    f.write_text(emit_edge_list(g))
+    f.write_text(edge_list)
     assert resolve_graph(f"@{f}") == g
     f6 = tmp_path / "host.g6"
     f6.write_text(emit_graph6(g) + "\n")
