@@ -193,15 +193,16 @@ def _color_sort(p_mask: int, adj: list[int]) -> list[tuple[int, int]]:
 def max_clique(cg: CompatibilityGraph) -> CliqueResult:
     """Exact maximum clique; witness is the lexicographically smallest one.
 
-    Some maximum clique of a compatibility graph is up-closed: the
-    candidates containing a member of a clique form a clique, with the
-    same intersections or larger ones.  Phase 1 finds the optimum with
-    _upset_search over all candidates, which searches up-closed cliques
-    only.  Phase 2 builds the witness one vertex at a time in ascending
-    order, taking the first vertex whose remaining candidate set still
-    holds a clique of the needed size; see _lex_min_clique.  Both phases
-    read the ``sup`` and ``sub`` rows; with rows that hold only their own
-    candidate (a plain graph, not a lattice) they search every clique.
+    The up-closure of a clique in a compatibility graph, the candidates
+    containing one of its members, is a clique too: its intersections hold
+    its members' intersections.  So every maximal clique, and every maximum
+    one, is up-closed.  Phase 1 finds the optimum with _upset_search over
+    all candidates, which searches up-closed cliques only.  Phase 2 builds
+    the witness one vertex at a time in ascending order, taking the first
+    vertex whose remaining candidate set still holds a clique of the needed
+    size; see _lex_min_clique.  Both phases read the ``sup`` and ``sub``
+    rows; with rows that hold only their own candidate (a plain graph, not
+    a lattice) they search every clique.
     """
     n = cg.size
     adj = cg.adjacency
@@ -224,39 +225,35 @@ def _upset_search(
     it, so every set searched stays up-closed apart from the clique built
     so far.  Leaving v out drops ``sub[v]``, since an up-closed clique
     without v holds none of v's subsets; that can empty the set before a
-    leaf, so a node's own clique counts when its loop ends.  The search
-    stops at the first clique of size stop or more.  Returns (size, clique
-    mask, nodes): size stays floor, with mask 0, when no clique beats it.
+    leaf, so a node's own clique counts when its order runs out.
+
+    One loop over a stack of frames (set, size, clique, order), with no
+    recursion: a node's order, an iterator over its coloring made when it
+    is first popped, also holds the position reached.  Taking v pushes the
+    frame that leaves v out, then v's child.  The search stops at the first
+    clique of size stop or more.  Returns (size, clique mask, nodes): size
+    stays floor, with mask 0, when no clique beats it.
     """
-    best = floor
-    found = 0
-    nodes = 0
-
-    def expand(p_mask: int, size: int, clique: int) -> bool:
-        nonlocal best, found, nodes
-        nodes += 1
-        if size < stop:
-            for v, color in reversed(_color_sort(p_mask, adj)):
-                if size + color <= best:
-                    return False
-                if not p_mask >> v & 1:
-                    continue
+    best, found, nodes = floor, 0, 0
+    stack = [(p_mask, 0, 0, None)]
+    while stack:
+        p_mask, size, clique, order = stack.pop()
+        if order is None:
+            nodes += 1
+            order = reversed(_color_sort(p_mask, adj) if size < stop else [])
+        for v, color in order:
+            if size + color <= best:
+                break
+            if p_mask >> v & 1:
                 u = sup[v] & p_mask
-                if expand(p_mask & adj[v] & ~u, size + u.bit_count(), clique | u):
-                    return True
-                p_mask &= ~sub[v]
-        if size > best:
-            best = size
-            found = clique
-            return size >= stop
-        return False
-
-    try:
-        expand(p_mask, 0, 0)
-    finally:
-        # expand refers to itself; unbound here, it and the rows it holds
-        # go with this call instead of waiting for the cycle collector
-        del expand
+                stack.append((p_mask & ~sub[v], size, clique, order))
+                stack.append((p_mask & adj[v] & ~u, size + u.bit_count(), clique | u, None))
+                break
+        else:
+            if size > best:
+                best, found = size, clique
+                if size >= stop:
+                    break
     return best, found, nodes
 
 

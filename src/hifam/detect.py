@@ -45,24 +45,24 @@ def contains_subgraph(g: Graph, h: Graph) -> bool:
             [position[w] for w in iter_bits(hadj[v]) if position[w] < p]
         )
 
-    mapping = [0] * len(core)
+    return _place(0, 0, [0] * len(core), base, placed_neighbors, gadj)
 
-    def place(p: int, used: int) -> bool:
-        if p == len(core):
+
+def _place(
+    p: int, used: int, mapping: list[int], base: list[int], placed: list[list[int]], adj: list[int]
+) -> bool:
+    """Map core positions p.. to unused g-vertices, given mapping[:p]; one
+    call per position, so the depth is at most the target's core size."""
+    if p == len(mapping):
+        return True
+    allowed = base[p] & ~used
+    for q in placed[p]:
+        allowed &= adj[mapping[q]]
+    for u in iter_bits(allowed):
+        mapping[p] = u
+        if _place(p + 1, used | 1 << u, mapping, base, placed, adj):
             return True
-        allowed = base[p] & ~used
-        for q in placed_neighbors[p]:
-            allowed &= gadj[mapping[q]]
-        for u in iter_bits(allowed):
-            mapping[p] = u
-            if place(p + 1, used | 1 << u):
-                return True
-        return False
-
-    try:
-        return place(0, 0)
-    finally:
-        del place  # break the closure's reference to itself
+    return False
 
 
 def contains_p4(g: Graph) -> bool:
@@ -98,34 +98,35 @@ def contains_multipartite(g: Graph, parts: Sequence[int]) -> bool:
     if sum(sizes) > g.n:
         return False
     adj = g.adjacency()
-    last = len(sizes) - 1
-    rest_after = [sum(sizes[k + 1:]) for k in range(last)]
-
-    def pick(k: int, count: int, cand: int, common: int) -> bool:
-        """Place count more vertices of part k from cand; every vertex
-        placed later must lie in common."""
-        if count == 0:
-            k += 1
-            count = sizes[k]
-            cand = common
-            if k == last:
-                return cand.bit_count() >= count
-        rest = rest_after[k]
-        while cand:
-            if cand.bit_count() < count:
-                return False
-            low = cand & -cand
-            cand ^= low
-            narrowed = common & adj[low.bit_length() - 1]
-            if narrowed.bit_count() >= rest and pick(k, count - 1, cand, narrowed):
-                return True
-        return False
-
+    rest_after = [sum(sizes[k + 1:]) for k in range(len(sizes) - 1)]
     full = (1 << g.n) - 1
-    try:
-        return pick(0, sizes[0], full, full)
-    finally:
-        del pick  # break the closure's reference to itself
+    return _pick(0, sizes[0], full, full, sizes, rest_after, adj)
+
+
+def _pick(
+    k: int, count: int, cand: int, common: int, sizes: list[int], rest_after: list[int],
+    adj: list[int],
+) -> bool:
+    """Place count more vertices of part k from cand, every later one in
+    common; one call per placed vertex, so at most the core size deep."""
+    if count == 0:
+        k += 1
+        count = sizes[k]
+        cand = common
+        if k == len(sizes) - 1:
+            return cand.bit_count() >= count
+    rest = rest_after[k]
+    while cand:
+        if cand.bit_count() < count:
+            return False
+        low = cand & -cand
+        cand ^= low
+        narrowed = common & adj[low.bit_length() - 1]
+        if narrowed.bit_count() >= rest and _pick(
+            k, count - 1, cand, narrowed, sizes, rest_after, adj
+        ):
+            return True
+    return False
 
 
 def containment_check(target: Graph) -> Callable[[Graph], bool]:

@@ -16,6 +16,7 @@ from hifam import (
     containment_check,
     is_connected,
 )
+from hifam.clique import _color_sort
 from hifam.graphs import edge_index, edge_pair, iter_bits, pair_count, submasks
 
 
@@ -160,6 +161,60 @@ def coloring_max_clique(cg: CompatibilityGraph) -> CliqueResult:
     expand((1 << n) - 1, 0)
     witness = _lex_min_clique(cg.adjacency, n, best)
     return CliqueResult(witness)
+
+
+def recursive_upset_search(
+    p_mask: int, floor: int, stop: int, adj: list[int], sup: list[int], sub: list[int]
+) -> tuple[int, int, int]:
+    """Largest up-closed clique inside p_mask, if it beats floor.
+
+    p_mask must be up-closed: a candidate in it brings every candidate
+    containing it.  Branch and bound over the candidates in top-first color
+    order, pruned when size + color cannot beat the best so far.  Taking v
+    takes all of ``sup[v] & p_mask``, a clique compatible with everything v
+    is; the rest of the node's set then holds only v's neighbours outside
+    it, so every set searched stays up-closed apart from the clique built
+    so far.  Leaving v out drops ``sub[v]``, since an up-closed clique
+    without v holds none of v's subsets; that can empty the set before a
+    leaf, so a node's own clique counts when its loop ends.  The search
+    stops at the first clique of size stop or more.  Returns (size, clique
+    mask, nodes): size stays floor, with mask 0, when no clique beats it.
+
+    This is how clique._upset_search searched before it became one loop
+    over a stack of frames.  It recurses once per up-set taken, so an
+    optimum of about twice the interpreter's recursion limit is out of its
+    reach.
+    """
+    best = floor
+    found = 0
+    nodes = 0
+
+    def expand(p_mask: int, size: int, clique: int) -> bool:
+        nonlocal best, found, nodes
+        nodes += 1
+        if size < stop:
+            for v, color in reversed(_color_sort(p_mask, adj)):
+                if size + color <= best:
+                    return False
+                if not p_mask >> v & 1:
+                    continue
+                u = sup[v] & p_mask
+                if expand(p_mask & adj[v] & ~u, size + u.bit_count(), clique | u):
+                    return True
+                p_mask &= ~sub[v]
+        if size > best:
+            best = size
+            found = clique
+            return size >= stop
+        return False
+
+    try:
+        expand(p_mask, 0, 0)
+    finally:
+        # expand refers to itself; unbound here, it and the rows it holds
+        # go with this call instead of waiting for the cycle collector
+        del expand
+    return best, found, nodes
 
 
 def _top_first_coloring(p_mask: int, adj: list[int]) -> list[tuple[int, int]]:

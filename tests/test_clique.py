@@ -39,6 +39,7 @@ from oracles import (
     degree_ordered_clique_size,
     pairwise_compatibility,
     plain_instance,
+    recursive_upset_search,
     validate_compatibility,
 )
 
@@ -390,6 +391,37 @@ def test_solver_matches_oracle_on_random_upset_instances():
             assert result.size == brute_force_clique(cg), trial
 
 
+def test_upset_loop_matches_the_recursion_it_replaced(monkeypatch):
+    """The stack loop returns what the recursive search returned, (size,
+    mask, nodes), on random up-set instances with phase 1's and phase 2's
+    floor and stop, and on every call both phases make for the connected
+    6-vertex P4 hosts with 7 to 9 edges."""
+    rng = random.Random(113)
+    for trial in range(60):
+        cg = _random_upset_instance(rng, rng.randint(2, 7))
+        rows = cg.adjacency, cg.sup, cg.sub
+        full = (1 << cg.size) - 1
+        best = clique._upset_search(full, 0, cg.size + 1, *rows)[0]
+        for floor, stop in ((0, cg.size + 1), (best - 2, best - 1), (best, best + 1)):
+            args = (full, floor, stop, *rows)
+            assert clique._upset_search(*args) == recursive_upset_search(*args), trial
+
+    calls = []
+    loop = clique._upset_search
+
+    def recording(*args):
+        calls.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(clique, "_upset_search", recording)
+    for m in (7, 8, 9):
+        for host in connected_graphs(6, m, True):
+            max_clique(build_compatibility(host, path(4)))
+    assert len(calls) == 836  # one phase-1 call per host, 775 from phase 2
+    for args in calls:
+        assert loop(*args) == recursive_upset_search(*args)
+
+
 def test_adding_edges_never_shrinks_clique():
     rng = random.Random(101)
     for _ in range(30):
@@ -449,8 +481,8 @@ def test_witness_is_lexicographically_smallest():
 
 
 def test_solver_restores_recursion_limit(monkeypatch):
-    """The solver leaves the interpreter's recursion limit alone: phase 2 is
-    a loop, and phase 1 recurses once per up-set taken."""
+    """The solver leaves the interpreter's recursion limit alone: both
+    phases are loops, and neither recurses once per up-set taken."""
     def refuse(limit):
         raise AssertionError(f"solver called sys.setrecursionlimit({limit})")
 
@@ -470,15 +502,18 @@ def test_phase_two_fails_loudly_without_a_clique():
 
 
 def test_node_counters():
+    def totals(*ms):
+        results = [max_clique(build_compatibility(host, path(4)))
+                   for m in ms for host in connected_graphs(6, m, True)]
+        return sum(r.phase1_nodes for r in results), sum(r.phase2_nodes for r in results)
+
     christofides = max_clique(build_compatibility(christofides_host(), path(4)))
     assert (christofides.phase1_nodes, christofides.phase2_nodes) == (11, 29)
-    phase1 = phase2 = 0
-    for m in (7, 8):
-        for host in connected_graphs(6, m, True):
-            result = max_clique(build_compatibility(host, path(4)))
-            phase1 += result.phase1_nodes
-            phase2 += result.phase2_nodes
-    assert (phase1, phase2) == (1294, 416)
+    assert totals(7, 8) == (1294, 416)
+    assert totals(9) == (9476, 1568)
+    k114 = max_clique(build_compatibility(complete_multipartite([1, 1, 4]),
+                                          complete_multipartite([1, 2])))
+    assert (k114.size, k114.phase1_nodes, k114.phase2_nodes) == (160, 3871, 27)
 
 
 def _lifting_pairs(records, below):

@@ -1,4 +1,4 @@
-"""The README's quick demos run to completion and print their headline."""
+"""The README's quick demos run to completion and print their headlines."""
 
 import os
 import subprocess
@@ -11,9 +11,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 HEADLINES = {
-    "christofides_family.py": "density: 17/2^7  (trivial bound: 1/2^3)",
-    "host_search.py": "best density: 17/2^7",
-    "multipartite_bounds.py": "full pairwise check of the K_{1,2} instance (5 members): ok",
+    "christofides_family.py": ["density: 17/2^7  (trivial bound: 1/2^3)"],
+    "host_search.py": ["hosts solved: 41", "best density: 17/2^7"],
+    "multipartite_bounds.py": ["full pairwise check of the K_{1,2} instance (5 members): ok"],
 }
 
 
@@ -28,4 +28,5 @@ def test_demo_runs(script):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert HEADLINES[script] in proc.stdout.splitlines()
+    lines = proc.stdout.splitlines()
+    assert all(line in lines for line in HEADLINES[script])

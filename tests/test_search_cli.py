@@ -221,6 +221,13 @@ def test_cli_clique_trivial_hosts(capsys):
     assert obj["size"] == 1 and obj["density"] == "1/2^3"
 
 
+def test_cli_clique_deep_optimum(capsys):
+    """K_{1,12} with target K_2 has optimum 2^11; the solver's call depth
+    does not grow with it."""
+    assert main(["clique", "--host", "k1,12", "--target", "k2"]) == 0
+    assert "size: 2048" in capsys.readouterr().out.splitlines()
+
+
 def test_cli_clique_bad_host_exits_2(capsys):
     assert main(["clique", "--host", "definitely not valid", "--target", "p4"]) == 2
 
