@@ -15,9 +15,7 @@ from .clique import (
 from .construct import (
     ConstructionSpec,
     MultipartiteFamily,
-    SeedCheck,
     SubgraphFamily,
-    check_seeds,
     lifted_count_string,
     multipartite_family,
     verify_intersecting,
@@ -31,8 +29,7 @@ from .detect import (
 from .enumeration import connected_graphs, is_connected
 from .graphs import (
     Graph,
-    Graph6Error,
-    apply_permutation,
+    UserError,
     canonical_key,
     christofides_host,
     complete,

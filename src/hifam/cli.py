@@ -26,7 +26,6 @@ from .construct import (
 from .enumeration import connected_graphs
 from .graphs import (
     Graph,
-    Graph6Error,
     UserError,
     christofides_host,
     complete,
@@ -106,7 +105,7 @@ def _graph_from_text(text: str) -> Graph:
             raise UserError(f"bad edge list: {exc}") from exc
     try:
         return parse_graph6(first)
-    except Graph6Error as exc:
+    except UserError as exc:
         raise UserError(f"bad graph6: {exc}") from exc
 
 
@@ -342,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UserError, OSError) as exc:  # Graph6Error is a UserError
+    except (UserError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

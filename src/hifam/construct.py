@@ -109,45 +109,6 @@ def multipartite_family(spec: ConstructionSpec) -> MultipartiteFamily:
     return MultipartiteFamily(tuple(seeds), SubgraphFamily(host, sorted(members)))
 
 
-class SeedCheck(Record):
-    """Report on a proposed seed set for the general gluing recipe."""
-
-    __slots__ = ("intersection_property", "disjoint_complement", "family_size")
-    intersection_property: bool
-    disjoint_complement: bool
-    family_size: int
-
-    def __init__(
-        self, intersection_property: bool, disjoint_complement: bool, family_size: int
-    ) -> None:
-        super().__init__(intersection_property, disjoint_complement, family_size)
-
-
-def check_seeds(host: Graph, seeds: Sequence[int], target: Graph) -> SeedCheck:
-    """Check the two conditions that make a seed set glue into a family.
-
-    Condition 1 (intersection property) quantifies over ALL pairs including
-    i = j, so every seed must contain the target itself: it is
-    verify_intersecting on the seeds as a family, and SubgraphFamily's
-    ValueError rejects a seed outside the host or a repeated one.
-    Condition 2 (disjoint complement) asks that distinct seeds union to the
-    full host edge set.  The reported family size
-    1 + sum(2^(e(host)-e(seed)) - 1) is meaningful only when both
-    conditions hold.
-    """
-    family = SubgraphFamily(host, seeds)
-    seeds = family.members
-    intersection_property = verify_intersecting(family, target) is None
-    disjoint_complement = all(
-        seeds[i] | seeds[j] == host.edges
-        for i in range(len(seeds))
-        for j in range(i + 1, len(seeds))
-    )
-    e_host = host.edge_count
-    family_size = 1 + sum((1 << (e_host - s.bit_count())) - 1 for s in seeds)
-    return SeedCheck(intersection_property, disjoint_complement, family_size)
-
-
 def _first_pair_lacking(
     n: int, masks: Sequence[int], check: Callable[[Graph], bool]
 ) -> tuple[int, int] | None:

@@ -27,10 +27,6 @@ class UserError(ValueError):
     """
 
 
-class Graph6Error(UserError):
-    """Raised when a graph6 string cannot be decoded."""
-
-
 def pair_count(n: int) -> int:
     """Number of unordered vertex pairs on n vertices."""
     return n * (n - 1) // 2
@@ -233,18 +229,8 @@ def christofides_host() -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# permutation action and canonicalization
+# canonicalization
 # ---------------------------------------------------------------------------
-
-
-def apply_permutation(g: Graph, perm: Sequence[int]) -> Graph:
-    """Relabel vertices: edge {i, j} maps to {perm[i], perm[j]}."""
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError(f"{list(perm)} is not a bijection on [0, {g.n})")
-    mask = 0
-    for i, j in g.edge_pairs():
-        mask |= 1 << edge_index(perm[i], perm[j], g.n)
-    return Graph(g.n, mask)
 
 
 def _canonical_edges(n: int, edges: int) -> int:
@@ -340,35 +326,38 @@ def emit_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a graph6 string (optionally prefixed with '>>graph6<<')."""
+    """Decode a graph6 string (optionally prefixed with '>>graph6<<').
+
+    A string that does not decode raises UserError.
+    """
     s = text.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):].strip()
     if not s:
-        raise Graph6Error("empty graph6 string")
+        raise UserError("empty graph6 string")
     data = [ord(c) - 63 for c in s]
     if any(v < 0 or v > 63 for v in data):
-        raise Graph6Error(f"byte outside graph6 range in {s!r}")
+        raise UserError(f"byte outside graph6 range in {s!r}")
     if data[0] == 63:
         if len(data) < 4 or data[1] == 63:
-            raise Graph6Error("unsupported graph6 size form")
+            raise UserError("unsupported graph6 size form")
         n = data[1] << 12 | data[2] << 6 | data[3]
         body = data[4:]
     else:
         n = data[0]
         body = data[1:]
     if not 1 <= n <= MAX_VERTICES:
-        raise Graph6Error(f"vertex count {n} outside [1, {MAX_VERTICES}]")
+        raise UserError(f"vertex count {n} outside [1, {MAX_VERTICES}]")
     k = pair_count(n)
     if len(body) != (k + 5) // 6:
-        raise Graph6Error(f"expected {(k + 5) // 6} data bytes for n={n}, got {len(body)}")
+        raise UserError(f"expected {(k + 5) // 6} data bytes for n={n}, got {len(body)}")
     edges = 0
     for group, value in enumerate(body):
         for offset in range(6):
             if value >> (5 - offset) & 1:
                 b = 6 * group + offset
                 if b >= k:
-                    raise Graph6Error("nonzero padding bits")
+                    raise UserError("nonzero padding bits")
                 edges |= 1 << b
     return Graph(n, edges)
 

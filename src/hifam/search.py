@@ -198,6 +198,9 @@ def verify_records(records: Sequence[SearchRecord], target: Graph) -> list[str]:
             continue
         try:
             members = [int(h, 16) for h in rec.witness_hex]
+            for h, member in zip(rec.witness_hex, members):
+                if h != hex(member):  # the one spelling solve_host writes
+                    raise ValueError(f"entry {h!r} should read {hex(member)!r}")
             family = SubgraphFamily(host, members)
         except ValueError as exc:
             problems.append(f"{where}: bad witness ({exc})")

@@ -1,10 +1,13 @@
 """Independent oracles that the library's fast paths are pinned against.
 
 Each one is the plain, slow way to compute something the library computes
-another way; tests compare the two.
+another way; tests compare the two.  This module also holds checks that no
+command runs (relabeling a graph, the general seed recipe's conditions),
+which tests use to state what the library's results mean.
 """
 
 import itertools
+from collections.abc import Sequence
 from functools import lru_cache
 
 from hifam import (
@@ -15,9 +18,10 @@ from hifam import (
     SubgraphFamily,
     containment_check,
     is_connected,
+    verify_intersecting,
 )
 from hifam.clique import _color_sort
-from hifam.graphs import edge_index, edge_pair, iter_bits, pair_count, submasks
+from hifam.graphs import Record, edge_index, edge_pair, iter_bits, pair_count, submasks
 
 
 def plain_instance(adjacency: list[int], labels: list[int] | None = None) -> CompatibilityGraph:
@@ -533,3 +537,52 @@ def construction_counts(spec: ConstructionSpec) -> tuple[int, int]:
     """
     m = spec.m
     return (spec.t + 2) * ((1 << m) - 1) + 1, 1 << (2 * m)
+
+
+def apply_permutation(g: Graph, perm: Sequence[int]) -> Graph:
+    """Relabel vertices: edge {i, j} maps to {perm[i], perm[j]}."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError(f"{list(perm)} is not a bijection on [0, {g.n})")
+    mask = 0
+    for i, j in g.edge_pairs():
+        mask |= 1 << edge_index(perm[i], perm[j], g.n)
+    return Graph(g.n, mask)
+
+
+class SeedCheck(Record):
+    """Report on a proposed seed set for the general gluing recipe."""
+
+    __slots__ = ("intersection_property", "disjoint_complement", "family_size")
+    intersection_property: bool
+    disjoint_complement: bool
+    family_size: int
+
+    def __init__(
+        self, intersection_property: bool, disjoint_complement: bool, family_size: int
+    ) -> None:
+        super().__init__(intersection_property, disjoint_complement, family_size)
+
+
+def check_seeds(host: Graph, seeds: Sequence[int], target: Graph) -> SeedCheck:
+    """Check the two conditions that make a seed set glue into a family.
+
+    Condition 1 (intersection property) quantifies over ALL pairs including
+    i = j, so every seed must contain the target itself: it is
+    verify_intersecting on the seeds as a family, and SubgraphFamily's
+    ValueError rejects a seed outside the host or a repeated one.
+    Condition 2 (disjoint complement) asks that distinct seeds union to the
+    full host edge set.  The reported family size
+    1 + sum(2^(e(host)-e(seed)) - 1) is meaningful only when both
+    conditions hold.
+    """
+    family = SubgraphFamily(host, seeds)
+    seeds = family.members
+    intersection_property = verify_intersecting(family, target) is None
+    disjoint_complement = all(
+        seeds[i] | seeds[j] == host.edges
+        for i in range(len(seeds))
+        for j in range(i + 1, len(seeds))
+    )
+    e_host = host.edge_count
+    family_size = 1 + sum((1 << (e_host - s.bit_count())) - 1 for s in seeds)
+    return SeedCheck(intersection_property, disjoint_complement, family_size)

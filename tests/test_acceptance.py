@@ -14,9 +14,7 @@ import pytest
 from hifam import (
     ConstructionSpec,
     Graph,
-    apply_permutation,
     canonical_key,
-    check_seeds,
     christofides_host,
     complete_multipartite,
     contains_multipartite,
@@ -35,7 +33,13 @@ from hifam.cli import main
 from hifam.graphs import pair_count
 
 from conftest import record_acceptance
-from oracles import brute_force_clique, construction_counts, plain_instance
+from oracles import (
+    apply_permutation,
+    brute_force_clique,
+    check_seeds,
+    construction_counts,
+    plain_instance,
+)
 
 
 @contextmanager

@@ -11,7 +11,6 @@ from hifam import (
     Graph,
     SearchRecord,
     SubgraphFamily,
-    check_seeds,
     complete,
     complete_multipartite,
     contains_multipartite,
@@ -29,7 +28,7 @@ from hifam.clique import MAX_HOST_EDGES
 from hifam.construct import _minimal_members
 from hifam.graphs import UserError, edge_index, iter_bits
 
-from oracles import construction_counts, verify_pairwise
+from oracles import check_seeds, construction_counts, verify_pairwise
 
 
 # ---------------------------------------------------------------------------

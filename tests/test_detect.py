@@ -6,7 +6,6 @@ import pytest
 
 from hifam import (
     Graph,
-    apply_permutation,
     canonical_key,
     complete,
     complete_multipartite,
@@ -23,7 +22,7 @@ from hifam import detect
 from hifam.construct import ConstructionSpec
 from hifam.graphs import pair_count
 
-from oracles import largest_first_multipartite
+from oracles import apply_permutation, largest_first_multipartite
 
 # every complete multipartite shape on at most 4 non-isolated vertices
 SMALL_PART_LISTS = [

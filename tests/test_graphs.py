@@ -7,8 +7,7 @@ import pytest
 
 from hifam import (
     Graph,
-    Graph6Error,
-    apply_permutation,
+    UserError,
     canonical_key,
     christofides_host,
     complete,
@@ -24,6 +23,7 @@ from hifam import (
 from hifam.graphs import _canonical_edges, edge_index, edge_pair, pair_count, submasks
 
 from oracles import (
+    apply_permutation,
     canonical_edges,
     compact_subsets,
     incident_edge_mask_by_edges,
@@ -280,7 +280,7 @@ def test_header_is_stripped():
 
 @pytest.mark.parametrize("bad", ["", "B", "Bww", "\x1c", "~~"])
 def test_parse_errors(bad):
-    with pytest.raises(Graph6Error):
+    with pytest.raises(UserError):
         parse_graph6(bad)
 
 

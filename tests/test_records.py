@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -16,14 +17,13 @@ from hifam import (
     MultipartiteFamily,
     SearchRecord,
     SearchSummary,
-    SeedCheck,
     SubgraphFamily,
     complete_multipartite,
     multipartite_family,
 )
 from hifam.graphs import Record
 
-from oracles import plain_instance
+from oracles import SeedCheck, plain_instance
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -54,11 +54,33 @@ UNHASHABLE = {"CliqueResult", "CompatibilityGraph", "SearchRecord", "SearchSumma
 
 
 def test_every_value_class_is_covered():
+    """RECORDS holds hifam's value records plus the oracle SeedCheck."""
     import hifam
 
     classes = {name for name, value in vars(hifam).items()
                if isinstance(value, type) and issubclass(value, Record)}
-    assert classes == set(RECORDS)
+    assert classes | {"SeedCheck"} == set(RECORDS)
+
+
+def test_public_names_are_pinned():
+    """hifam's public names, submodules aside: a name that only tests use
+    belongs in tests/oracles.py, not here."""
+    import hifam
+
+    names = {name for name, value in vars(hifam).items()
+             if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert names == {
+        "CliqueResult", "CompatibilityGraph", "ConstructionSpec", "Graph",
+        "MultipartiteFamily", "SearchRecord", "SearchSummary", "SubgraphFamily",
+        "UserError", "build_compatibility", "canonical_key", "christofides_host",
+        "complete", "complete_multipartite", "connected_graphs", "containment_check",
+        "contains_multipartite", "contains_p4", "contains_subgraph", "cycle",
+        "density_string", "edge_index", "edge_pair", "emit_graph6", "from_edges",
+        "is_connected", "lifted_count_string", "load_records", "max_clique",
+        "multipartite_family", "parse_edge_list", "parse_graph6", "path",
+        "search_hosts", "solve_host", "summarize", "verify_intersecting",
+        "verify_records", "write_records",
+    }
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

@@ -1,8 +1,10 @@
 """Search driver, JSONL persistence, and the command-line surface."""
 
+import importlib
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +29,6 @@ from hifam import (
 import hifam.cli
 import hifam.construct
 import hifam.search
-from hifam import Graph6Error
 from hifam.cli import main, resolve_graph
 from hifam.graphs import UserError
 
@@ -371,6 +372,23 @@ def test_cli_verify_flags_bad_records(tmp_path, capsys):
     assert main(["verify", "--records", str(out), "--target", "p4"]) == 1
 
 
+@pytest.mark.parametrize("entry", ["3f", "0x3_f", "0X3F", " 0x3f"])
+def test_cli_verify_accepts_only_the_hex_that_search_writes(tmp_path, capsys, entry):
+    """int(h, 16) reads all of these as 0x3f, the whole of K4, which holds a
+    P4; only hex()'s own spelling is a witness entry."""
+    out = tmp_path / "records.jsonl"
+    record = {"host_graph6": "C~", "n": 4, "m": 6, "clique_size": 1, "density": "1/2^6"}
+    out.write_text(json.dumps({**record, "witness_hex": ["0x3f"]}) + "\n")
+    assert main(["verify", "--records", str(out)]) == 0
+    assert capsys.readouterr().out == "ok: 1 records, 0 violations\n"
+    out.write_text(json.dumps({**record, "witness_hex": [entry]}) + "\n")
+    assert main(["verify", "--records", str(out)]) == 1
+    assert capsys.readouterr().out == (
+        f"record C~: bad witness (entry {entry!r} should read '0x3f')\n"
+        "FAIL: 1 records, 1 violations\n"
+    )
+
+
 def test_cli_search_determinism_across_jobs(tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
@@ -412,8 +430,15 @@ def test_cli_a_plain_value_error_is_a_bug_not_exit_2(monkeypatch):
 
 
 def test_user_errors_share_one_class():
-    assert issubclass(Graph6Error, UserError)
+    """UserError is the one exception class the package defines."""
     assert issubclass(UserError, ValueError)
+    package = Path(hifam.cli.__file__).parent
+    modules = [importlib.import_module(f"hifam.{p.stem}")
+               for p in package.glob("*.py") if p.stem not in ("__init__", "__main__")]
+    defined = {value for module in modules for value in vars(module).values()
+               if isinstance(value, type) and issubclass(value, BaseException)
+               and value.__module__ == module.__name__}
+    assert defined == {UserError}
 
 
 @pytest.mark.parametrize("argv,message", [
