@@ -8,13 +8,7 @@ with m = s_1 + ... + s_{k-1}.  At t >= 2^m this beats the trivial
 1/2^e(pattern) density; the table below uses the smallest such t.
 """
 
-from hifam import (
-    ConstructionSpec,
-    complete_multipartite,
-    density_string,
-    multipartite_family,
-    verify_intersecting,
-)
+from hifam import density_string, multipartite_family, verify_intersecting
 
 CASES = [
     (1,),
@@ -34,23 +28,20 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for parts in CASES:
-        m = sum(parts)
-        t = 1 << m
-        spec = ConstructionSpec(parts, t)
-        built = multipartite_family(spec)
+        t = 1 << sum(parts)
+        built = multipartite_family(parts, t)
         e_host = built.host.edge_count
         size = len(built.family)
-        trivial = 1 << (e_host - spec.target.edge_count)
+        trivial = 1 << (e_host - built.target.edge_count)
         pattern = "K_{" + ",".join(map(str, parts + (t,))) + "}"
-        host = "K_{" + ",".join(map(str, spec.host_parts)) + "}"
+        host = "K_{" + ",".join(map(str, built.host_parts)) + "}"
         verdict = "improved" if size > trivial else "not improved"
         print(f"{pattern:>14} {host:>16} {size:>8} {density_string(size, e_host):>12} "
               f"{density_string(trivial, e_host):>14} {verdict}  ({size} vs {trivial})")
 
     # the smallest instance is cheap enough to verify pair by pair right here
-    spec = ConstructionSpec((1,), 2)
-    built = multipartite_family(spec)
-    failure = verify_intersecting(built.family, complete_multipartite((1, 2)))
+    built = multipartite_family((1,), 2)
+    failure = verify_intersecting(built.family, built.target)
     print()
     print(f"full pairwise check of the K_{{1,2}} instance "
           f"({len(built.family)} members): {'ok' if failure is None else failure}")

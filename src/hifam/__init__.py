@@ -13,7 +13,6 @@ from .clique import (
     max_clique,
 )
 from .construct import (
-    ConstructionSpec,
     MultipartiteFamily,
     SubgraphFamily,
     lifted_count_string,

@@ -17,12 +17,7 @@ import re
 import sys
 
 from .clique import build_compatibility
-from .construct import (
-    ConstructionSpec,
-    lifted_count_string,
-    multipartite_family,
-    verify_intersecting,
-)
+from .construct import lifted_count_string, multipartite_family, verify_intersecting
 from .enumeration import connected_graphs
 from .graphs import (
     Graph,
@@ -85,11 +80,7 @@ def resolve_graph(text: str) -> Graph:
             raise UserError(str(exc)) from exc
     match = _PARTS_RE.match(s)
     if match:
-        parts = [int(tok) for tok in match.group(1).split(",")]
-        try:
-            return complete_multipartite(parts)
-        except ValueError as exc:
-            raise UserError(str(exc)) from exc
+        return complete_multipartite([int(tok) for tok in match.group(1).split(",")])
     return _graph_from_text(s)
 
 
@@ -170,21 +161,26 @@ def cmd_search(args: argparse.Namespace) -> int:
         raise UserError(f"--edges needs at least one edge count, got {args.edges!r}")
     hosts = (g for m in sorted(set(edge_counts))
              for g in connected_graphs(args.vertices, m, args.connected))
-    # made before any host is solved, with open(args.out, "w")'s mode, and
-    # renamed onto --out once every record is in it
-    partial = f"{args.out}.{os.getpid()}.tmp"
-    if os.path.isdir(args.out):
+    # the file open(args.out, "w") would write: a symlink's target, so the
+    # link stays a link; it must be a regular file or not exist yet
+    out = os.path.realpath(args.out)
+    if os.path.isdir(out):
         raise UserError(f"cannot write {args.out}: Is a directory")
+    if os.path.exists(out) and not os.path.isfile(out):  # a FIFO or a device
+        raise UserError(f"cannot write {args.out}: not a regular file")
+    # made before any host is solved, with open(args.out, "w")'s mode, and
+    # renamed onto out once every record is in it
+    partial = f"{out}.{os.getpid()}.tmp"
     try:
         os.close(os.open(partial, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666))
     except OSError as exc:
         raise UserError(f"cannot write {args.out}: {exc.strerror}") from exc
     try:
-        if os.path.exists(args.out):  # whose mode open(args.out, "w") keeps
-            os.chmod(partial, os.stat(args.out).st_mode)
+        if os.path.exists(out):  # whose mode open(args.out, "w") keeps
+            os.chmod(partial, os.stat(out).st_mode)
         records = search_hosts(hosts, target, jobs=args.jobs)
         write_records(records, partial)
-        os.replace(partial, args.out)
+        os.replace(partial, out)
     except BaseException:
         os.remove(partial)
         raise
@@ -207,13 +203,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    parts = tuple(_parse_int_list(args.parts))
-    try:  # part sizes below 1, or a host past its caps
-        spec = ConstructionSpec(parts, args.t)
-        built = multipartite_family(spec)
-    except ValueError as exc:
-        raise UserError(str(exc)) from exc
-    target = spec.target
+    built = multipartite_family(_parse_int_list(args.parts), args.t)
+    target = built.target
     host = built.host
     e_host = host.edge_count
     # over 2^e_host: the family's count, and the trivial family's (one target copy's supergraphs)
@@ -231,9 +222,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
     if args.json:
         obj = {
-            "parts": list(spec.parts),
-            "t": spec.t,
-            "host_parts": list(spec.host_parts),
+            "parts": list(built.parts),
+            "t": built.t,
+            "host_parts": list(built.host_parts),
             "host_graph6": emit_graph6(host),
             "n": host.n,
             "m": e_host,
@@ -248,7 +239,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             obj["verified"] = verify_failure is None
         print(json.dumps(obj))
     else:
-        host_name = "K_{" + ",".join(str(p) for p in spec.host_parts) + "}"
+        host_name = "K_{" + ",".join(str(p) for p in built.host_parts) + "}"
         print(f"host: {host_name} = {emit_graph6(host)} (n={host.n}, m={e_host})")
         print(f"family size: {size}")
         print(f"density: {family_str}")
@@ -256,7 +247,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         print(f"lifted count at n={host.n}: {lifted_count_string(size, e_host, host.n)}")
         print(verdict)
         if args.verify:
-            target_name = "K_{" + ",".join(str(p) for p in spec.parts + (spec.t,)) + "}"
+            target_name = "K_{" + ",".join(str(p) for p in built.parts + (built.t,)) + "}"
             if verify_failure is None:
                 print(f"verified: every pair intersection contains {target_name}")
             else:

@@ -48,24 +48,21 @@ class SubgraphFamily(Record):
         return len(self.members)
 
 
-class ConstructionSpec(Record):
-    """Part sizes for the construction: fixed parts plus the final part size t."""
+class MultipartiteFamily(Record):
+    """Built construction: the fixed part sizes, the final part size t and
+    the family on the host K_{parts,t+2}."""
 
-    __slots__ = ("parts", "t")
+    __slots__ = ("parts", "t", "family")
     parts: tuple[int, ...]
     t: int
+    family: SubgraphFamily
 
-    def __init__(self, parts: Sequence[int], t: int):
-        if not parts or any(p < 1 for p in parts):
-            raise ValueError(f"fixed part sizes must all be >= 1, got {list(parts)}")
-        if t < 1:
-            raise ValueError(f"final part size must be >= 1, got {t}")
-        super().__init__(tuple(parts), t)
+    def __init__(self, parts: tuple[int, ...], t: int, family: SubgraphFamily) -> None:
+        super().__init__(parts, t, family)
 
     @property
-    def m(self) -> int:
-        """Total size of the fixed parts (edges dropped per seed)."""
-        return sum(self.parts)
+    def host(self) -> Graph:
+        return self.family.host
 
     @property
     def target(self) -> Graph:
@@ -76,37 +73,29 @@ class ConstructionSpec(Record):
         return self.parts + (self.t + 2,)
 
 
-class MultipartiteFamily(Record):
-    """Built construction: the seed subgraphs and the family on the host."""
-
-    __slots__ = ("seeds", "family")
-    seeds: tuple[int, ...]
-    family: SubgraphFamily
-
-    def __init__(self, seeds: tuple[int, ...], family: SubgraphFamily) -> None:
-        super().__init__(seeds, family)
-
-    @property
-    def host(self) -> Graph:
-        return self.family.host
-
-
-def multipartite_family(spec: ConstructionSpec) -> MultipartiteFamily:
+def multipartite_family(parts: Sequence[int], t: int) -> MultipartiteFamily:
     """Build the family: the host plus all proper supergraphs of every seed.
 
     Seeds are the host minus all edges at one final-part vertex; each seed
     misses exactly m = sum(parts) edges, so it contributes 2^m - 1 proper
     supergraphs and the family has (t+2)(2^m - 1) + 1 members, a count
-    checked against MAX_MEMBERS before any member is built.
+    checked against MAX_MEMBERS before any member is built.  Part sizes
+    below 1 and a host past the caps raise UserError.
     """
-    host = complete_multipartite(spec.host_parts)  # raises past the vertex cap
-    size = (spec.t + 2) * ((1 << spec.m) - 1) + 1
+    parts = tuple(parts)
+    if not parts or any(p < 1 for p in parts):
+        raise UserError(f"fixed part sizes must all be >= 1, got {list(parts)}")
+    if t < 1:
+        raise UserError(f"final part size must be >= 1, got {t}")
+    m = sum(parts)
+    host = complete_multipartite(parts + (t + 2,))  # raises past the vertex cap
+    size = (t + 2) * ((1 << m) - 1) + 1
     if size > MAX_MEMBERS:
         raise UserError(f"the family would have {size} members; cap is {MAX_MEMBERS}")
-    seeds = [host.edges & ~host.incident_edge_mask(w) for w in range(spec.m, host.n)]
+    seeds = [host.edges & ~host.incident_edge_mask(w) for w in range(m, host.n)]
     # every supergraph of every seed; the full extension is the host itself
     members = {seed | added for seed in seeds for added in submasks(host.edges ^ seed)}
-    return MultipartiteFamily(tuple(seeds), SubgraphFamily(host, sorted(members)))
+    return MultipartiteFamily(parts, t, SubgraphFamily(host, sorted(members)))
 
 
 def _first_pair_lacking(

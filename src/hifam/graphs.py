@@ -205,7 +205,7 @@ def complete_multipartite(parts: Sequence[int]) -> Graph:
     exactly when its endpoints lie in different parts.
     """
     if not parts or any(p < 1 for p in parts):
-        raise ValueError(f"part sizes must all be >= 1, got {list(parts)}")
+        raise UserError(f"part sizes must all be >= 1, got {list(parts)}")
     n = sum(parts)
     if n > MAX_VERTICES:
         raise UserError(f"{n} vertices exceeds the {MAX_VERTICES}-vertex cap")

@@ -13,8 +13,8 @@ from functools import lru_cache
 from hifam import (
     CliqueResult,
     CompatibilityGraph,
-    ConstructionSpec,
     Graph,
+    MultipartiteFamily,
     SubgraphFamily,
     containment_check,
     is_connected,
@@ -526,17 +526,34 @@ def largest_first_multipartite(g: Graph, parts: list[int]) -> bool:
         del pick  # break the closure's reference to itself
 
 
-def construction_counts(spec: ConstructionSpec) -> tuple[int, int]:
+def construction_counts(parts: Sequence[int], t: int) -> tuple[int, int]:
     """The closed form of the multipartite construction on its host.
 
-    Returns ((t+2)(2^m - 1) + 1, 2^(2m)): the family's member count, and the
-    trivial family's (all supergraphs of one target copy), which on the host
-    K_{parts,t+2} is 2^(e(host) - e(target)) with e(host) - e(target) = 2m.
-    The construction beats the trivial family exactly when the first is the
-    larger, and t >= 2^m gives it 2^(2m) + 2^m - 1.
+    Returns ((t+2)(2^m - 1) + 1, 2^(2m)) with m = sum(parts): the family's
+    member count, and the trivial family's (all supergraphs of one target
+    copy), which on the host K_{parts,t+2} is 2^(e(host) - e(target)) with
+    e(host) - e(target) = 2m.  The construction beats the trivial family
+    exactly when the first is the larger, and t >= 2^m gives it
+    2^(2m) + 2^m - 1.
     """
-    m = spec.m
-    return (spec.t + 2) * ((1 << m) - 1) + 1, 1 << (2 * m)
+    m = sum(parts)
+    return (t + 2) * ((1 << m) - 1) + 1, 1 << (2 * m)
+
+
+def construction_seeds(built: MultipartiteFamily) -> list[int]:
+    """The built family's minimal members, in member order.
+
+    Members are taken in order of edge count, and each one that contains no
+    member kept so far is kept: every member contains a minimal one, which
+    has no more edges, so exactly the minimal members are kept.  On the
+    construction these are its seeds, the host minus the edges at one
+    final-part vertex.
+    """
+    minimal = []
+    for x in sorted(built.family.members, key=int.bit_count):
+        if not any(s & x == s for s in minimal):
+            minimal.append(x)
+    return sorted(minimal)
 
 
 def apply_permutation(g: Graph, perm: Sequence[int]) -> Graph:

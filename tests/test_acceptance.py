@@ -12,7 +12,6 @@ from contextlib import contextmanager
 import pytest
 
 from hifam import (
-    ConstructionSpec,
     Graph,
     canonical_key,
     christofides_host,
@@ -38,6 +37,7 @@ from oracles import (
     brute_force_clique,
     check_seeds,
     construction_counts,
+    construction_seeds,
     plain_instance,
 )
 
@@ -118,7 +118,7 @@ def test_criterion_4_bipartite_bound_table():
     with criterion(4, "bipartite constructions give (19,2^12) (71,2^30) "
                       "(271,2^72) (1055,2^170)"):
         for parts, t, size, host_edges in BIPARTITE_TABLE:
-            built = multipartite_family(ConstructionSpec(parts, t))
+            built = multipartite_family(parts, t)
             assert len(built.family) == size, (parts, t)
             assert built.host.edge_count == host_edges, (parts, t)
 
@@ -134,10 +134,10 @@ def test_criterion_5_multipartite_bound_table():
     with criterion(5, "multipartite constructions give (71,2^32) (271,2^76) "
                       "(71,2^33); the two-singleton case computes to (19,2^13)"):
         for parts, t, size, host_edges in MULTIPARTITE_TABLE:
-            built = multipartite_family(ConstructionSpec(parts, t))
+            built = multipartite_family(parts, t)
             assert len(built.family) == size, (parts, t)
             assert built.host.edge_count == host_edges, (parts, t)
-        built = multipartite_family(ConstructionSpec((1, 1), 4))
+        built = multipartite_family((1, 1), 4)
         assert len(built.family) == 19
         assert built.host.edge_count == 13
         print("  note: the (1,1,4) instance is asserted at the computed exponent "
@@ -149,7 +149,7 @@ def test_criterion_5_multipartite_bound_table():
 def test_criterion_6_intersecting_property_of_19_member_families():
     with criterion(6, "both 19-member families pass full pairwise+self verification"):
         for parts, t in (((2,), 4), ((1, 1), 4)):
-            built = multipartite_family(ConstructionSpec(parts, t))
+            built = multipartite_family(parts, t)
             assert len(built.family) == 19
             failure = verify_intersecting(built.family, complete_multipartite(parts + (t,)))
             assert failure is None, (parts, t, failure)
@@ -158,7 +158,7 @@ def test_criterion_6_intersecting_property_of_19_member_families():
 def test_criterion_7_margin_chain():
     with criterion(7, "at t=2^m the family size is 2^(2m)+2^m-1 > 2^(2m) for m=1..10"):
         for m in range(1, 11):
-            lhs, rhs = construction_counts(ConstructionSpec((m,), 1 << m))
+            lhs, rhs = construction_counts((m,), 1 << m)
             assert lhs == (1 << (2 * m)) + (1 << m) - 1
             assert rhs == 1 << (2 * m)
             assert lhs > rhs
@@ -170,10 +170,9 @@ def test_criterion_8_seed_check_consistency():
         for parts in part_lists:
             m = sum(parts)
             for t in (1, 2, 1 << m, (1 << m) + 2):
-                spec = ConstructionSpec(parts, t)
-                built = multipartite_family(spec)
+                built = multipartite_family(parts, t)
                 report = check_seeds(
-                    built.host, built.seeds, complete_multipartite(parts + (t,))
+                    built.host, construction_seeds(built), complete_multipartite(parts + (t,))
                 )
                 assert report.intersection_property, (parts, t)
                 assert report.disjoint_complement, (parts, t)

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from hifam import (
-    ConstructionSpec,
     Graph,
     SearchRecord,
     SubgraphFamily,
@@ -28,7 +27,13 @@ from hifam.clique import MAX_HOST_EDGES
 from hifam.construct import _minimal_members
 from hifam.graphs import UserError, edge_index, iter_bits
 
-from oracles import check_seeds, construction_counts, verify_pairwise
+from oracles import (
+    check_seeds,
+    construction_counts,
+    construction_seeds,
+    incident_edge_mask_by_edges,
+    verify_pairwise,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +108,18 @@ MULTIPARTITE_TABLE = [
 
 @pytest.mark.parametrize("parts,t,size,host_edges", BIPARTITE_TABLE + MULTIPARTITE_TABLE)
 def test_construction_table(parts, t, size, host_edges):
-    spec = ConstructionSpec(parts, t)
-    built = multipartite_family(spec)
+    built = multipartite_family(parts, t)
+    assert (built.parts, built.t, built.host_parts) == (parts, t, parts + (t + 2,))
     assert len(built.family) == size
     assert built.host.edge_count == host_edges
-    assert (size, 1 << (host_edges - spec.target.edge_count)) == construction_counts(spec)
-    assert len(built.seeds) == t + 2
+    assert (size, 1 << (host_edges - built.target.edge_count)) == construction_counts(parts, t)
+    # the minimal members are the t + 2 seeds: the host minus the edges at
+    # one final-part vertex
+    host = built.host
+    seeds = {host.edges & ~incident_edge_mask_by_edges(host, w)
+             for w in range(sum(parts), host.n)}
+    assert len(seeds) == t + 2
+    assert construction_seeds(built) == sorted(seeds)
 
 
 # every (fixed parts, t) whose host K_{parts,t+2} is within the solver's edge
@@ -127,13 +138,12 @@ def test_exact_optimum_is_the_construction_or_the_trivial_family(parts, t):
     """On its own host the construction is optimal from t = 2^m on; below
     that the trivial family of one copy's supergraphs is, and the two tie at
     t = 2^m - 1, where (2^m + 1)(2^m - 1) + 1 = 2^(2m)."""
-    spec = ConstructionSpec(parts, t)
-    built = multipartite_family(spec)
-    [record] = search_hosts([built.host], spec.target)
+    built = multipartite_family(parts, t)
+    [record] = search_hosts([built.host], built.target)
     construction = len(built.family)
-    trivial = 1 << (built.host.edge_count - spec.target.edge_count)
+    trivial = 1 << (built.host.edge_count - built.target.edge_count)
     assert record.clique_size == max(construction, trivial)
-    threshold = 1 << spec.m
+    threshold = 1 << sum(parts)
     assert (construction > trivial, construction == trivial) == (t >= threshold, t == threshold - 1)
 
 
@@ -154,10 +164,9 @@ def test_one_vertex_larger_host_keeps_the_optimum_density(parts, t):
     density of K_{parts,t+2}, so the optimum is max(construction, trivial)
     times 2^m; the one exception is K_{2,1} on K_{2,4}, where 80/2^8 = 5/2^4
     beats the trivial 1/2^2 of K_{2,3}."""
-    spec = ConstructionSpec(parts, t)
     host = complete_multipartite(parts + (t + 3,))
-    [record] = search_hosts([host], spec.target)
-    expected = 80 if (parts, t) == ((2,), 1) else max(construction_counts(spec)) << spec.m
+    [record] = search_hosts([host], complete_multipartite(parts + (t,)))
+    expected = 80 if (parts, t) == ((2,), 1) else max(construction_counts(parts, t)) << sum(parts)
     assert record.clique_size == expected
 
 
@@ -167,14 +176,14 @@ def test_k41_on_k44_is_over_the_candidate_cap():
 
 
 def test_smallest_instance_fully_verified():
-    built = multipartite_family(ConstructionSpec((1,), 2))
+    built = multipartite_family((1,), 2)
     assert built.host.n == 5 and built.host.edge_count == 4  # K_{1,4}
     assert len(built.family) == 5
     assert verify_intersecting(built.family, complete_multipartite([1, 2])) is None
 
 
 def test_family_members_are_distinct_host_subsets():
-    built = multipartite_family(ConstructionSpec((2,), 4))
+    built = multipartite_family((2,), 4)
     members = built.family.members
     assert len(set(members)) == len(members)
     assert all(m & ~built.host.edges == 0 for m in members)
@@ -196,18 +205,17 @@ def test_size_formula_over_small_grid():
     for parts in _part_lists_up_to_total(4):
         m = sum(parts)
         for t in range(1, (1 << m) + 3):
-            spec = ConstructionSpec(parts, t)
-            size, _ = construction_counts(spec)
-            assert len(multipartite_family(spec).family) == size, (parts, t)
+            size, _ = construction_counts(parts, t)
+            assert len(multipartite_family(parts, t).family) == size, (parts, t)
 
 
 def test_seed_check_agrees_with_size_formula():
     for parts in _part_lists_up_to_total(3):
         m = sum(parts)
         for t in (1, 1 << m, (1 << m) + 2):
-            spec = ConstructionSpec(parts, t)
-            built = multipartite_family(spec)
-            report = check_seeds(built.host, built.seeds, complete_multipartite(parts + (t,)))
+            built = multipartite_family(parts, t)
+            report = check_seeds(built.host, construction_seeds(built),
+                                 complete_multipartite(parts + (t,)))
             assert report.intersection_property
             assert report.disjoint_complement
             assert report.family_size == len(built.family)
@@ -221,7 +229,7 @@ def test_seed_check_agrees_with_size_formula():
     ((1, 1, 1), 8, (1, 1, 1, 8)),
 ])
 def test_intersecting_property_on_hosts_up_to_14_vertices(parts, t, target_parts):
-    built = multipartite_family(ConstructionSpec(parts, t))
+    built = multipartite_family(parts, t)
     assert built.host.n <= 14
     failure = verify_intersecting(built.family, complete_multipartite(target_parts))
     assert failure is None
@@ -229,7 +237,7 @@ def test_intersecting_property_on_hosts_up_to_14_vertices(parts, t, target_parts
 
 @pytest.mark.parametrize("parts,t", [((4,), 16), ((5,), 32)])
 def test_intersecting_property_on_large_hosts(request, parts, t):
-    built = multipartite_family(ConstructionSpec(parts, t))
+    built = multipartite_family(parts, t)
     target = complete_multipartite(parts + (t,))
     failure = verify_intersecting(built.family, target)
     assert failure is None
@@ -246,32 +254,33 @@ def test_up_closed_verification_checks_only_minimal_pairs(monkeypatch):
         return contains_multipartite(g, parts)
 
     monkeypatch.setattr(detect, "contains_multipartite", counting)
-    built = multipartite_family(ConstructionSpec((4,), 16))
+    built = multipartite_family((4,), 16)
     assert verify_intersecting(built.family, complete_multipartite((4, 16))) is None
     assert len(calls) == 18 * 19 // 2
 
 
 def test_construction_caps():
-    with pytest.raises(ValueError):
-        multipartite_family(ConstructionSpec((5,), 60))  # 67 vertices
-    with pytest.raises(ValueError):
-        ConstructionSpec((), 4)
-    with pytest.raises(ValueError):
-        ConstructionSpec((2,), 0)
+    with pytest.raises(UserError, match="^67 vertices exceeds the 64-vertex cap$"):
+        multipartite_family((5,), 60)
+    with pytest.raises(UserError, match=r"^fixed part sizes must all be >= 1, got \[\]$"):
+        multipartite_family((), 4)
+    with pytest.raises(UserError, match=r"^fixed part sizes must all be >= 1, got \[2, 0\]$"):
+        multipartite_family((2, 0), 0)  # the parts are checked first
+    with pytest.raises(UserError, match="^final part size must be >= 1, got 0$"):
+        multipartite_family((2,), 0)
 
 
 def test_member_cap_is_checked_on_the_closed_form(monkeypatch):
     from hifam import construct
 
     # --parts 20 --t 2 is the largest single part under the cap, 21 is over it
-    assert construction_counts(ConstructionSpec((20,), 2))[0] <= construct.MAX_MEMBERS
-    assert construction_counts(ConstructionSpec((21,), 2))[0] > construct.MAX_MEMBERS
-    spec = ConstructionSpec((2,), 4)  # 19 members
+    assert construction_counts((20,), 2)[0] <= construct.MAX_MEMBERS
+    assert construction_counts((21,), 2)[0] > construct.MAX_MEMBERS
     monkeypatch.setattr(construct, "MAX_MEMBERS", 19)
-    assert len(multipartite_family(spec).family) == 19
+    assert len(multipartite_family((2,), 4).family) == 19
     monkeypatch.setattr(construct, "MAX_MEMBERS", 18)
     with pytest.raises(UserError, match="^the family would have 19 members; cap is 18$"):
-        multipartite_family(spec)
+        multipartite_family((2,), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +434,11 @@ def _trivial_count(built, target):
 
 def test_trivial_densities():
     k24 = complete_multipartite([2, 4])
-    built = multipartite_family(ConstructionSpec((2,), 4))  # on K_{2,6}, 12 edges
+    built = multipartite_family((2,), 4)  # on K_{2,6}, 12 edges
     assert (k24.edge_count, _trivial_count(built, k24)) == (8, 16)  # 1/2^8 = 16/2^12
     for parts, t in [((1,), 2), ((2,), 4), ((1, 2), 3), ((3,), 1)]:
-        spec = ConstructionSpec(parts, t)
-        built = multipartite_family(spec)
-        assert _trivial_count(built, spec.target) == construction_counts(spec)[1]
+        built = multipartite_family(parts, t)
+        assert _trivial_count(built, built.target) == construction_counts(parts, t)[1]
 
 
 @pytest.mark.parametrize("parts,t,lhs,rhs", [
@@ -439,15 +447,14 @@ def test_trivial_densities():
     ((5,), 32, 1055, 1024),
 ])
 def test_margin_examples(parts, t, lhs, rhs):
-    spec = ConstructionSpec(parts, t)
-    assert construction_counts(spec) == (lhs, rhs)
-    built = multipartite_family(spec)
-    assert (len(built.family), _trivial_count(built, spec.target)) == (lhs, rhs)
+    assert construction_counts(parts, t) == (lhs, rhs)
+    built = multipartite_family(parts, t)
+    assert (len(built.family), _trivial_count(built, built.target)) == (lhs, rhs)
 
 
 def test_margin_chain_at_threshold():
     for m in range(1, 11):
-        lhs, rhs = construction_counts(ConstructionSpec((m,), 1 << m))
+        lhs, rhs = construction_counts((m,), 1 << m)
         assert lhs == (1 << (2 * m)) + (1 << m) - 1
         assert lhs > rhs == 1 << (2 * m)
 
@@ -457,10 +464,9 @@ def test_density_beats_trivial_iff_margin_does():
     for parts in _part_lists_up_to_total(3):
         m = sum(parts)
         for t in range(1, (1 << m) + 3):
-            spec = ConstructionSpec(parts, t)
-            built = multipartite_family(spec)
-            counts = (len(built.family), _trivial_count(built, spec.target))
-            assert counts == construction_counts(spec), (parts, t)
+            built = multipartite_family(parts, t)
+            counts = (len(built.family), _trivial_count(built, built.target))
+            assert counts == construction_counts(parts, t), (parts, t)
 
 
 def test_lifted_count_strings():

@@ -19,10 +19,9 @@ from hifam import (
     path,
 )
 from hifam import detect
-from hifam.construct import ConstructionSpec
 from hifam.graphs import pair_count
 
-from oracles import apply_permutation, largest_first_multipartite
+from oracles import apply_permutation, construction_seeds, largest_first_multipartite
 
 # every complete multipartite shape on at most 4 non-isolated vertices
 SMALL_PART_LISTS = [
@@ -112,16 +111,17 @@ def test_multipartite_basics():
 
 def test_deleted_vertex_overlap_in_small_star_host():
     # host K_{1,4}; removing the edges at two different leaves leaves K_{1,2}
-    built = multipartite_family(ConstructionSpec((1,), 2))
+    built = multipartite_family((1,), 2)
     n = built.host.n
-    common = Graph(n, built.seeds[0] & built.seeds[1])
+    seeds = construction_seeds(built)
+    common = Graph(n, seeds[0] & seeds[1])
     expected = from_edges(n, [(0, 3), (0, 4)])  # K_{1,2} plus isolates
     assert canonical_key(common) == canonical_key(expected)
 
 
 def test_deleted_vertex_overlap_contains_shrunk_pattern():
-    built = multipartite_family(ConstructionSpec((2,), 4))  # host K_{2,6}
-    a, b = built.seeds[0], built.seeds[1]
+    built = multipartite_family((2,), 4)  # host K_{2,6}
+    a, b = construction_seeds(built)[:2]
     common = Graph(built.host.n, a & b)
     assert contains_multipartite(common, [4, 2])
 
@@ -142,13 +142,14 @@ def test_multipartite_matches_largest_first_oracle_on_random_graphs():
 
 def test_multipartite_matches_largest_first_oracle_on_seed_intersections():
     # construct --parts 4 --t 24: host K_{4,26}, 26 seeds, 351 pairs i <= j
-    built = multipartite_family(ConstructionSpec((4,), 24))
+    built = multipartite_family((4,), 24)
     n = built.host.n
+    seeds = construction_seeds(built)
     hits = {}
     for parts in ((4, 24), (4, 25), (3, 26), (1, 1, 2)):
         hits[parts] = 0
-        for i, a in enumerate(built.seeds):
-            for b in built.seeds[i:]:
+        for i, a in enumerate(seeds):
+            for b in seeds[i:]:
                 g = Graph(n, a & b)
                 found = contains_multipartite(g, parts)
                 assert found == largest_first_multipartite(g, parts)

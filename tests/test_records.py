@@ -12,7 +12,6 @@ import pytest
 from hifam import (
     CliqueResult,
     CompatibilityGraph,
-    ConstructionSpec,
     Graph,
     MultipartiteFamily,
     SearchRecord,
@@ -29,7 +28,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _family():
-    return multipartite_family(ConstructionSpec((1,), 2))
+    return multipartite_family((1,), 2)
 
 
 # (build, build something that differs in one field); two calls of build
@@ -38,8 +37,7 @@ RECORDS = {
     "Graph": (lambda: Graph(6, 5), lambda: Graph(6, 6)),
     "SubgraphFamily": (lambda: SubgraphFamily(Graph(3, 7), [1, 3]),
                        lambda: SubgraphFamily(Graph(3, 7), [3, 1])),
-    "ConstructionSpec": (lambda: ConstructionSpec([2, 2], 4), lambda: ConstructionSpec([2, 2], 5)),
-    "MultipartiteFamily": (_family, lambda: multipartite_family(ConstructionSpec((1,), 3))),
+    "MultipartiteFamily": (_family, lambda: multipartite_family((1,), 3)),
     "SeedCheck": (lambda: SeedCheck(True, False, 19), lambda: SeedCheck(True, True, 19)),
     "CompatibilityGraph": (lambda: CompatibilityGraph([1, 3], [2, 1], [3, 2], [1, 3]),
                            lambda: plain_instance([2, 1], [1, 3])),
@@ -70,8 +68,8 @@ def test_public_names_are_pinned():
     names = {name for name, value in vars(hifam).items()
              if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert names == {
-        "CliqueResult", "CompatibilityGraph", "ConstructionSpec", "Graph",
-        "MultipartiteFamily", "SearchRecord", "SearchSummary", "SubgraphFamily",
+        "CliqueResult", "CompatibilityGraph", "Graph", "MultipartiteFamily",
+        "SearchRecord", "SearchSummary", "SubgraphFamily",
         "UserError", "build_compatibility", "canonical_key", "christofides_host",
         "complete", "complete_multipartite", "connected_graphs", "containment_check",
         "contains_multipartite", "contains_p4", "contains_subgraph", "cycle",
@@ -158,11 +156,12 @@ def test_positional_and_keyword_construction_with_defaults():
                          argmax_hosts=[]).max_clique_size == 0
     assert SeedCheck(intersection_property=True, disjoint_complement=True,
                      family_size=1).family_size == 1
-    assert ConstructionSpec(parts=[2], t=4).parts == (2,)
     family = _family()
-    assert MultipartiteFamily(seeds=family.seeds, family=family.family) == family
-    # the host comes from the family
+    assert MultipartiteFamily(parts=(1,), t=2, family=family.family) == family
+    # the host comes from the family, the target and host parts from the sizes
     assert family.host == family.family.host == complete_multipartite([1, 4])
+    assert family.target == complete_multipartite([1, 2])
+    assert family.host_parts == (1, 4)
     assert SubgraphFamily(host=Graph(3, 7), members=[1]).members == (1,)
 
 
@@ -170,10 +169,10 @@ def test_constructors_still_validate_and_normalize():
     with pytest.raises(ValueError):
         Graph(0)
     with pytest.raises(ValueError):
-        ConstructionSpec([1], 0)
+        multipartite_family([1], 0)
     with pytest.raises(ValueError):
         SubgraphFamily(Graph(3, 1), [2])
-    assert ConstructionSpec([2, 2], 4).parts == (2, 2)  # normalized to a tuple
+    assert multipartite_family([2, 2], 4).parts == (2, 2)  # normalized to a tuple
 
 
 def test_dataclass_style_repr():

@@ -9,12 +9,12 @@ from pathlib import Path
 import pytest
 
 from hifam import (
-    ConstructionSpec,
     MultipartiteFamily,
     SearchRecord,
     SubgraphFamily,
     christofides_host,
     complete,
+    complete_multipartite,
     connected_graphs,
     emit_graph6,
     load_records,
@@ -268,14 +268,14 @@ def test_cli_construct_reads_its_verdict_off_the_counts(capsys, parts, t, op):
     argv = ["construct", "--parts", ",".join(map(str, parts)), "--t", str(t)]
     assert main(argv + ["--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
-    size, trivial = construction_counts(ConstructionSpec(parts, t))
+    size, trivial = construction_counts(parts, t)
     assert obj["margin"] == [obj["family_size"], trivial] == [size, trivial]
     assert obj["density"] == f"{size}/2^{obj['m']}"
     assert obj["trivial_density"] == f"{trivial}/2^{obj['m']}"
     assert obj["improved"] == (op == ">")
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    e_target = ConstructionSpec(parts, t).target.edge_count
+    e_target = complete_multipartite(parts + (t,)).edge_count
     assert lines[3] == f"trivial density: 1/2^{e_target} = {obj['trivial_density']}"
     verdict = "improved" if op == ">" else "not improved"
     assert lines[-1] == f"{obj['density']} {op} {obj['trivial_density']}: {verdict}"
@@ -291,10 +291,10 @@ def test_cli_construct_verify(capsys):
 def test_cli_construct_reports_a_violation(monkeypatch, capsys):
     # no input reaches a failing family, so hand the command one whose first
     # member, the empty edge set, lacks the target
-    def broken(spec):
-        built = multipartite_family(spec)
+    def broken(parts, t):
+        built = multipartite_family(parts, t)
         family = SubgraphFamily(built.host, (0,) + built.family.members)
-        return MultipartiteFamily(built.seeds, family)
+        return MultipartiteFamily(built.parts, built.t, family)
 
     monkeypatch.setattr(hifam.cli, "multipartite_family", broken)
     argv = ["construct", "--parts", "2", "--t", "4", "--verify"]
@@ -428,6 +428,14 @@ def test_cli_a_plain_value_error_is_a_bug_not_exit_2(monkeypatch):
     with pytest.raises(ValueError, match="solver bug"):
         main(["clique", "--host", "p4"])
 
+    # nor from inside the member build of construct
+    def broken_build(mask):
+        raise ValueError("build bug")
+
+    monkeypatch.setattr(hifam.construct, "submasks", broken_build)
+    with pytest.raises(ValueError, match="build bug"):
+        main(["construct", "--parts", "2", "--t", "4"])
+
 
 def test_user_errors_share_one_class():
     """UserError is the one exception class the package defines."""
@@ -495,6 +503,41 @@ def test_cli_search_checks_its_output_before_solving(tmp_path, monkeypatch, caps
     assert captured.err == f"error: cannot write {out}: {reason}\n"
     assert os.listdir(tmp_path) == []
     assert [p.name for p in tmp_path.parent.iterdir() if p.name.endswith(".tmp")] == []
+
+
+def test_cli_search_refuses_an_output_that_is_not_a_regular_file(tmp_path, monkeypatch,
+                                                                 capsys):
+    def no_solving(*args, **kwargs):
+        raise AssertionError("a host was solved")
+
+    monkeypatch.setattr(hifam.cli, "search_hosts", no_solving)
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(pipe)
+    for out in (pipe, link):
+        assert main(["search", "-n", "6", "-m", "9", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}: not a regular file\n"
+    assert pipe.is_fifo() and link.is_symlink()
+    assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "pipe"]
+
+
+def test_cli_search_writes_through_a_symlink(tmp_path, capsys):
+    # as open(out, "w") would: the link stays a link and its target gets
+    # the records, a dangling link's target made new
+    real, link = tmp_path / "real.jsonl", tmp_path / "link.jsonl"
+    real.write_text("old\n")
+    link.symlink_to(real.name)
+    assert main(["search", "-n", "4", "-m", "3", "--out", str(link)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote 3 records to {link}\n")
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert len(load_records(str(real))) == 3
+    real.unlink()
+    assert main(["search", "-n", "4", "-m", "3", "--out", str(link)]) == 0
+    assert len(load_records(str(real))) == 3
+    assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "real.jsonl"]
 
 
 def test_cli_search_replaces_its_output_only_when_done(tmp_path, monkeypatch, capsys):
