@@ -70,14 +70,7 @@ def resolve_graph(text: str) -> Graph:
     match = _SHAPE_RE.match(s)
     if match:
         kind, size = match.group(1).lower(), int(match.group(2))
-        try:
-            if kind == "p":
-                return path(size)
-            if kind == "c":
-                return cycle(size)
-            return complete(size)
-        except ValueError as exc:
-            raise UserError(str(exc)) from exc
+        return {"p": path, "c": cycle, "k": complete}[kind](size)
     match = _PARTS_RE.match(s)
     if match:
         return complete_multipartite([int(tok) for tok in match.group(1).split(",")])
@@ -92,7 +85,7 @@ def _graph_from_text(text: str) -> Graph:
     if " " in first or "\t" in first:
         try:
             return parse_edge_list(stripped)
-        except ValueError as exc:
+        except UserError as exc:
             raise UserError(f"bad edge list: {exc}") from exc
     try:
         return parse_graph6(first)

@@ -9,7 +9,7 @@ the upper triangle of the adjacency matrix -- (0,1), (0,2), (1,2), (0,3),
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from operator import attrgetter
 
 MAX_VERTICES = 64
@@ -40,9 +40,9 @@ def edge_index(i: int, j: int, n: int) -> int:
     [0, n(n-1)/2).
     """
     if i == j:
-        raise ValueError(f"self-pair ({i}, {i}) is not an edge")
+        raise UserError(f"self-pair ({i}, {i}) is not an edge")
     if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"vertex pair ({i}, {j}) out of range for n={n}")
+        raise UserError(f"vertex pair ({i}, {j}) out of range for n={n}")
     if i > j:
         i, j = j, i
     return j * (j - 1) // 2 + i
@@ -131,7 +131,7 @@ class Graph(Record):
 
     def __init__(self, n: int, edges: int = 0) -> None:
         if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside [1, {MAX_VERTICES}]")
+            raise UserError(f"vertex count {n} outside [1, {MAX_VERTICES}]")
         if edges < 0 or edges >> pair_count(n):
             raise ValueError(f"edge bitset has bits outside [0, {pair_count(n)})")
         super().__init__(n, edges)
@@ -177,7 +177,9 @@ class Graph(Record):
         return self.edges & mask
 
 
-def from_edges(n: int, pairs: Sequence[tuple[int, int]]) -> Graph:
+def from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
+    """The n-vertex graph with these edges; every named graph is built here."""
+    Graph(n)  # refuses n before a pair is read, so a size past the cap builds nothing
     mask = 0
     for i, j in pairs:
         mask |= 1 << edge_index(i, j, n)
@@ -185,17 +187,17 @@ def from_edges(n: int, pairs: Sequence[tuple[int, int]]) -> Graph:
 
 
 def complete(n: int) -> Graph:
-    return Graph(n, (1 << pair_count(n)) - 1)
+    return from_edges(n, ((i, j) for j in range(n) for i in range(j)))
 
 
 def path(n: int) -> Graph:
-    return from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    return from_edges(n, ((v, v + 1) for v in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+        raise UserError("cycle needs at least 3 vertices")
+    return from_edges(n, ((v, (v + 1) % n) for v in range(n)))
 
 
 def complete_multipartite(parts: Sequence[int]) -> Graph:
@@ -209,14 +211,8 @@ def complete_multipartite(parts: Sequence[int]) -> Graph:
     n = sum(parts)
     if n > MAX_VERTICES:
         raise UserError(f"{n} vertices exceeds the {MAX_VERTICES}-vertex cap")
-    starts = [sum(parts[:k]) for k in range(len(parts))]
-    mask = 0
-    for a in range(len(parts)):
-        for b in range(a + 1, len(parts)):
-            for i in range(starts[a], starts[a] + parts[a]):
-                for j in range(starts[b], starts[b] + parts[b]):
-                    mask |= 1 << edge_index(i, j, n)
-    return Graph(n, mask)
+    label = [k for k, size in enumerate(parts) for _ in range(size)]
+    return from_edges(n, ((i, j) for j in range(n) for i in range(j) if label[i] != label[j]))
 
 
 def christofides_host() -> Graph:
@@ -363,24 +359,28 @@ def parse_graph6(text: str) -> Graph:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Read the plain text form: 'n m' header then one 'i j' line per edge (0-based)."""
+    """Read the plain text form: 'n m' header then one 'i j' line per edge (0-based).
+
+    UserError names the first fault, reading the lines in order.
+    """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
-        raise ValueError("empty edge-list text")
+        raise UserError("empty edge-list text")
     try:
         n, m = (int(tok) for tok in lines[0].split())
     except ValueError as exc:
-        raise ValueError(f"bad edge-list header {lines[0]!r}") from exc
+        raise UserError(f"bad edge-list header {lines[0]!r}") from exc
     if len(lines) - 1 != m:
-        raise ValueError(f"header declares {m} edges, found {len(lines) - 1} lines")
-    mask = 0
-    for ln in lines[1:]:
-        try:
-            i, j = (int(tok) for tok in ln.split())
-        except ValueError as exc:
-            raise ValueError(f"bad edge line {ln!r}") from exc
-        mask |= 1 << edge_index(i, j, n)
-    g = Graph(n, mask)
+        raise UserError(f"header declares {m} edges, found {len(lines) - 1} lines")
+    g = from_edges(n, map(_edge_line, lines[1:]))
     if g.edge_count != m:
-        raise ValueError("duplicate edges in edge list")
+        raise UserError("duplicate edges in edge list")
     return g
+
+
+def _edge_line(line: str) -> tuple[int, int]:
+    try:
+        i, j = (int(tok) for tok in line.split())
+    except ValueError as exc:
+        raise UserError(f"bad edge line {line!r}") from exc
+    return i, j

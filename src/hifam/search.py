@@ -185,7 +185,7 @@ def verify_records(records: Sequence[SearchRecord], target: Graph) -> list[str]:
         where = f"record {rec.host_graph6}"
         try:
             host = parse_graph6(rec.host_graph6)
-        except ValueError as exc:
+        except UserError as exc:
             problems.append(f"{where}: bad host graph6 ({exc})")
             continue
         if host.n != rec.n or host.edge_count != rec.m:

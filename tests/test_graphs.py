@@ -1,6 +1,7 @@
 """Graph core: edge indexing, permutations, canonicalization, formats."""
 
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -56,11 +57,11 @@ def test_edge_index_examples(i, j, n, expected):
 
 
 def test_edge_index_rejects_bad_pairs():
-    with pytest.raises(ValueError):
+    with pytest.raises(UserError, match=r"^self-pair \(2, 2\) is not an edge$"):
         edge_index(2, 2, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(UserError, match=r"^vertex pair \(0, 5\) out of range for n=5$"):
         edge_index(0, 5, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(UserError, match=r"^vertex pair \(-1, 2\) out of range for n=5$"):
         edge_index(-1, 2, 5)
 
 
@@ -88,12 +89,52 @@ def test_submasks_match_compact_expansion():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(UserError, match=r"^vertex count 0 outside \[1, 64\]$"):
         Graph(0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UserError, match=r"^vertex count 65 outside \[1, 64\]$"):
         Graph(65, 0)
-    with pytest.raises(ValueError):
+    # only a caller's bug sets a bit past the pairs: not a user error
+    with pytest.raises(ValueError) as info:
         Graph(3, 1 << 3)  # only 3 pair slots on 3 vertices
+    assert not isinstance(info.value, UserError)
+
+
+def test_from_edges_refuses_the_vertex_count_before_reading_a_pair():
+    def pairs():
+        raise AssertionError("a pair was read")
+        yield
+
+    with pytest.raises(UserError, match=r"^vertex count 65 outside \[1, 64\]$"):
+        from_edges(65, pairs())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: path(2000),
+    lambda: cycle(2000),
+    lambda: complete(2000),
+    lambda: parse_edge_list("2000 1\n0 1999"),
+], ids=["path", "cycle", "complete", "edge-list"])
+def test_a_size_past_the_cap_is_refused_before_the_build(build):
+    # 2,000 vertices' pairs, or a mask over their 1,999,000 slots, would take
+    # half a MiB or more before Graph saw the vertex count
+    tracemalloc.start()
+    try:
+        with pytest.raises(UserError, match=r"^vertex count 2000 outside \[1, 64\]$"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_shape_builders_up_to_the_cap():
+    for n in range(1, 65):
+        assert complete(n).edges == (1 << pair_count(n)) - 1
+        assert path(n).edges == sum(1 << edge_index(v, v + 1, n) for v in range(n - 1))
+        if n >= 3:
+            assert cycle(n).edges == path(n).edges | 1 << edge_index(0, n - 1, n)
+    with pytest.raises(UserError, match="^cycle needs at least 3 vertices$"):
+        cycle(2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 30, 63, 64])
@@ -238,10 +279,15 @@ def test_multipartite_examples():
 
 
 def test_multipartite_rejects_bad_parts():
-    with pytest.raises(ValueError):
+    with pytest.raises(UserError, match=r"^part sizes must all be >= 1, got \[\]$"):
         complete_multipartite([])
-    with pytest.raises(ValueError):
+    with pytest.raises(UserError, match=r"^part sizes must all be >= 1, got \[2, 0\]$"):
         complete_multipartite([2, 0])
+    # the part sizes are checked before the vertex cap
+    with pytest.raises(UserError, match=r"^part sizes must all be >= 1, got \[70, 0\]$"):
+        complete_multipartite([70, 0])
+    with pytest.raises(UserError, match=r"^65 vertices exceeds the 64-vertex cap$"):
+        complete_multipartite([60, 5])
 
 
 def test_bipartite_edge_count_and_triangle_freeness():
@@ -251,6 +297,17 @@ def test_bipartite_edge_count_and_triangle_freeness():
             g = complete_multipartite([s, t])
             assert g.edge_count == s * t
             assert not contains_subgraph(g, triangle)
+
+
+@pytest.mark.parametrize("parts", [(1,), (2, 3), (1, 1, 1, 10), (3, 1, 4, 1, 5), (32, 32), (1,) * 64])
+def test_multipartite_matches_the_part_by_part_pairs(parts):
+    """Every pair of vertices in different consecutive blocks, listed block
+    pair by block pair."""
+    starts = [sum(parts[:k]) for k in range(len(parts))]
+    pairs = [(i, j) for a in range(len(parts)) for b in range(a + 1, len(parts))
+             for i in range(starts[a], starts[a] + parts[a])
+             for j in range(starts[b], starts[b] + parts[b])]
+    assert complete_multipartite(parts) == from_edges(sum(parts), pairs)
 
 
 def test_multipartite_layout_is_consecutive():
@@ -326,13 +383,24 @@ def test_edge_list_round_trip():
     assert parse_edge_list(text) == christofides_host()
 
 
+EDGE_LIST_ERRORS = [
+    ("", "empty edge-list text"),
+    ("3\n", "bad edge-list header '3'"),
+    ("3 2\n0 1\n", "header declares 2 edges, found 1 lines"),
+    ("3 2\n0 1\n0 1\n", "duplicate edges in edge list"),
+    ("3 2\n0 x\n0 3\n", "bad edge line '0 x'"),  # the first fault in line order
+    ("3 2\n0 3\n0 x\n", "vertex pair (0, 3) out of range for n=3"),
+    ("3 2\n1 1\n0 x\n", "self-pair (1, 1) is not an edge"),
+    ("65 1\n0 70\n", "vertex count 65 outside [1, 64]"),  # before any line
+    ("65 2\n0 70\n", "header declares 2 edges, found 1 lines"),
+]
+
+
 def test_edge_list_errors():
-    with pytest.raises(ValueError):
-        parse_edge_list("")
-    with pytest.raises(ValueError):
-        parse_edge_list("3 2\n0 1\n")  # declares 2 edges, has 1
-    with pytest.raises(ValueError):
-        parse_edge_list("3 2\n0 1\n0 1\n")  # duplicate edge
+    for text, message in EDGE_LIST_ERRORS:
+        with pytest.raises(UserError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

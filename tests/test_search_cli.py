@@ -28,6 +28,7 @@ from hifam import (
 )
 import hifam.cli
 import hifam.construct
+import hifam.graphs
 import hifam.search
 from hifam.cli import main, resolve_graph
 from hifam.graphs import UserError
@@ -436,6 +437,15 @@ def test_cli_a_plain_value_error_is_a_bug_not_exit_2(monkeypatch):
     with pytest.raises(ValueError, match="build bug"):
         main(["construct", "--parts", "2", "--t", "4"])
 
+    # nor from inside a graph builder, a shape's or an edge list's
+    def broken_index(i, j, n):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(hifam.graphs, "edge_index", broken_index)
+    for host in ["p4", "3 1\n0 1"]:
+        with pytest.raises(ValueError, match="^bug$"):
+            main(["clique", "--host", host])
+
 
 def test_user_errors_share_one_class():
     """UserError is the one exception class the package defines."""
@@ -470,6 +480,13 @@ def test_user_errors_share_one_class():
     (["enumerate", "-n", "6", "-m", "99"], "edge count 99 outside 0..15 for n=6"),
     (["construct", "--parts", "18", "--t", "44"],  # 64 vertices, 12,058,579 members
      "the family would have 12058579 members; cap is 4194304"),
+    (["clique", "--host", "k0"], "vertex count 0 outside [1, 64]"),
+    (["clique", "--host", "p65"], "vertex count 65 outside [1, 64]"),
+    (["clique", "--host", "c2"], "cycle needs at least 3 vertices"),
+    (["clique", "--host", "p4", "--target", "k65"], "vertex count 65 outside [1, 64]"),
+    (["clique", "--host", "3 1\n0 3"], "bad edge list: vertex pair (0, 3) out of range for n=3"),
+    # the vertex count is refused before any edge line is read
+    (["clique", "--host", "65 1\n0 70"], "bad edge list: vertex count 65 outside [1, 64]"),
 ])
 def test_cli_caps_and_bad_sizes_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     # a cap that let a construction through would build its members here and
