@@ -4,8 +4,8 @@ Subcommands: enumerate (host classes as graph6 lines), clique (one host,
 exact solve), search (a whole host class, JSONL records plus summary),
 construct (multipartite family with density comparison), verify (re-check
 persisted search records).  Exit codes: 0 success, 1 property violation,
-2 usage, parse or cap error (a ``UserError``, or an ``OSError`` on a file);
-any other exception is a bug and propagates with its traceback.
+2 usage, parse or cap error (a ``UserError``, or an ``OSError`` on a file),
+141 stdout closed early; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .clique import build_compatibility
 from .construct import lifted_count_string, multipartite_family, verify_intersecting
 from .enumeration import connected_graphs
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     UserError,
     christofides_host,
@@ -69,12 +70,19 @@ def resolve_graph(text: str) -> Graph:
         return christofides_host()
     match = _SHAPE_RE.match(s)
     if match:
-        kind, size = match.group(1).lower(), int(match.group(2))
+        kind, size = match.group(1).lower(), _size(match.group(2))
         return {"p": path, "c": cycle, "k": complete}[kind](size)
     match = _PARTS_RE.match(s)
     if match:
-        return complete_multipartite([int(tok) for tok in match.group(1).split(",")])
+        return complete_multipartite([_size(tok) for tok in match.group(1).split(",")])
     return _graph_from_text(s)
+
+
+def _size(digits: str) -> int:
+    try:  # int() reads at most 4,300 digits by default, leading zeros included
+        return int(digits.lstrip("0") or "0")
+    except ValueError:
+        raise UserError(f"{len(digits)}-digit size exceeds the {MAX_VERTICES}-vertex cap") from None
 
 
 def _graph_from_text(text: str) -> Graph:
@@ -258,9 +266,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "violations": problems,
         }))
     else:
-        if problems:
-            for p in problems:
-                print(p)
+        for p in problems:
+            print(p)
         print(f"{'FAIL' if problems else 'ok'}: {len(records)} records, {len(problems)} violations")
     return 1 if problems else 0
 
@@ -321,13 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader gone shows here, not at shutdown
+    except BrokenPipeError:  # the signal docs' recipe: shutdown's flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UserError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return status
 
 
 if __name__ == "__main__":

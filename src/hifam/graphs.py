@@ -305,20 +305,15 @@ def canonical_key(g: Graph) -> Graph:
 
 
 def emit_graph6(g: Graph) -> str:
-    """Encode in graph6 (single-byte size form up to n = 62, else '~' + 3 bytes)."""
+    """Encode in graph6 (single-byte size form up to n = 62, else '~' + 3 bytes).
+
+    The body is the edge bitset as a bit string from pair 0 up, padded with
+    zeros to a multiple of six, six bits a byte.
+    """
     k = pair_count(g.n)
-    if g.n <= 62:
-        out = [chr(63 + g.n)]
-    else:
-        out = ["~"] + [chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)]
-    for start in range(0, k, 6):
-        value = 0
-        for offset in range(6):
-            b = start + offset
-            bit = (g.edges >> b) & 1 if b < k else 0
-            value = value << 1 | bit
-        out.append(chr(63 + value))
-    return "".join(out)
+    size = [g.n] if g.n <= 62 else [63] + [g.n >> shift & 63 for shift in (12, 6, 0)]
+    bits = f"{g.edges:0{k}b}"[::-1] + "0" * (-k % 6)  # for k = 0 one digit, which no byte reads
+    return "".join(chr(63 + v) for v in size + [int(bits[b:b + 6], 2) for b in range(0, k, 6)])
 
 
 def parse_graph6(text: str) -> Graph:
@@ -334,28 +329,20 @@ def parse_graph6(text: str) -> Graph:
     data = [ord(c) - 63 for c in s]
     if any(v < 0 or v > 63 for v in data):
         raise UserError(f"byte outside graph6 range in {s!r}")
-    if data[0] == 63:
-        if len(data) < 4 or data[1] == 63:
-            raise UserError("unsupported graph6 size form")
-        n = data[1] << 12 | data[2] << 6 | data[3]
-        body = data[4:]
+    if data[0] < 63:
+        n, body = data[0], data[1:]
+    elif len(data) < 4 or data[1] == 63:
+        raise UserError("unsupported graph6 size form")
     else:
-        n = data[0]
-        body = data[1:]
-    if not 1 <= n <= MAX_VERTICES:
-        raise UserError(f"vertex count {n} outside [1, {MAX_VERTICES}]")
+        n, body = data[1] << 12 | data[2] << 6 | data[3], data[4:]
+    Graph(n)  # refuses n before the body is sized
     k = pair_count(n)
     if len(body) != (k + 5) // 6:
         raise UserError(f"expected {(k + 5) // 6} data bytes for n={n}, got {len(body)}")
-    edges = 0
-    for group, value in enumerate(body):
-        for offset in range(6):
-            if value >> (5 - offset) & 1:
-                b = 6 * group + offset
-                if b >= k:
-                    raise UserError("nonzero padding bits")
-                edges |= 1 << b
-    return Graph(n, edges)
+    bits = "".join([f"{v:06b}" for v in body])
+    if "1" in bits[k:]:
+        raise UserError("nonzero padding bits")
+    return Graph(n, int("0" + bits[:k][::-1], 2))  # the "0" reads k = 0 as no edges
 
 
 def parse_edge_list(text: str) -> Graph:

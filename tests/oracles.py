@@ -21,7 +21,17 @@ from hifam import (
     verify_intersecting,
 )
 from hifam.clique import _color_sort
-from hifam.graphs import Record, edge_index, edge_pair, iter_bits, pair_count, submasks
+from hifam.graphs import (
+    GRAPH6_HEADER,
+    MAX_VERTICES,
+    Record,
+    UserError,
+    edge_index,
+    edge_pair,
+    iter_bits,
+    pair_count,
+    submasks,
+)
 
 
 def plain_instance(adjacency: list[int], labels: list[int] | None = None) -> CompatibilityGraph:
@@ -458,6 +468,64 @@ def incident_edge_mask_by_edges(g: Graph, v: int) -> int:
         if v in (i, j):
             mask |= 1 << b
     return mask
+
+
+def bitwise_emit_graph6(g: Graph) -> str:
+    """graph6 one bit at a time: each body byte gathers six pair bits, the
+    ones past the last pair reading 0.  This is how emit_graph6 worked
+    before it copied the bitset as one bit string.
+    """
+    k = pair_count(g.n)
+    if g.n <= 62:
+        out = [chr(63 + g.n)]
+    else:
+        out = ["~"] + [chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)]
+    for start in range(0, k, 6):
+        value = 0
+        for offset in range(6):
+            b = start + offset
+            bit = (g.edges >> b) & 1 if b < k else 0
+            value = value << 1 | bit
+        out.append(chr(63 + value))
+    return "".join(out)
+
+
+def bitwise_parse_graph6(text: str) -> Graph:
+    """graph6 read back one bit at a time, refusing as parse_graph6 does
+    (same messages, same order), with its own copy of the vertex-count
+    check.  This is how parse_graph6 worked before it read the body as one
+    bit string.
+    """
+    s = text.strip()
+    if s.startswith(GRAPH6_HEADER):
+        s = s[len(GRAPH6_HEADER):].strip()
+    if not s:
+        raise UserError("empty graph6 string")
+    data = [ord(c) - 63 for c in s]
+    if any(v < 0 or v > 63 for v in data):
+        raise UserError(f"byte outside graph6 range in {s!r}")
+    if data[0] == 63:
+        if len(data) < 4 or data[1] == 63:
+            raise UserError("unsupported graph6 size form")
+        n = data[1] << 12 | data[2] << 6 | data[3]
+        body = data[4:]
+    else:
+        n = data[0]
+        body = data[1:]
+    if not 1 <= n <= MAX_VERTICES:
+        raise UserError(f"vertex count {n} outside [1, {MAX_VERTICES}]")
+    k = pair_count(n)
+    if len(body) != (k + 5) // 6:
+        raise UserError(f"expected {(k + 5) // 6} data bytes for n={n}, got {len(body)}")
+    edges = 0
+    for group, value in enumerate(body):
+        for offset in range(6):
+            if value >> (5 - offset) & 1:
+                b = 6 * group + offset
+                if b >= k:
+                    raise UserError("nonzero padding bits")
+                edges |= 1 << b
+    return Graph(n, edges)
 
 
 def verify_pairwise(

@@ -13,6 +13,7 @@ from hifam import (
     christofides_host,
     complete,
     complete_multipartite,
+    connected_graphs,
     contains_subgraph,
     cycle,
     emit_graph6,
@@ -25,6 +26,8 @@ from hifam.graphs import _canonical_edges, edge_index, edge_pair, pair_count, su
 
 from oracles import (
     apply_permutation,
+    bitwise_emit_graph6,
+    bitwise_parse_graph6,
     canonical_edges,
     compact_subsets,
     incident_edge_mask_by_edges,
@@ -335,10 +338,24 @@ def test_header_is_stripped():
     assert parse_graph6(">>graph6<<Bw") == complete(3)
 
 
-@pytest.mark.parametrize("bad", ["", "B", "Bww", "\x1c", "~~"])
+GRAPH6_REFUSALS = {
+    "": "empty graph6 string",
+    "\x1c": "empty graph6 string",  # str.strip() takes it for whitespace
+    "B\x7f": "byte outside graph6 range in 'B\\x7f'",
+    "~~": "unsupported graph6 size form",
+    "?": "vertex count 0 outside [1, 64]",
+    "~?A?": "vertex count 128 outside [1, 64]",
+    "B": "expected 1 data bytes for n=3, got 0",
+    "Bww": "expected 1 data bytes for n=3, got 2",
+    "Bx": "nonzero padding bits",  # 'x' is 111001: the 3 pair bits, then 001
+}
+
+
+@pytest.mark.parametrize("bad", list(GRAPH6_REFUSALS))
 def test_parse_errors(bad):
-    with pytest.raises(UserError):
+    with pytest.raises(UserError) as err:
         parse_graph6(bad)
+    assert str(err.value) == GRAPH6_REFUSALS[bad]
 
 
 def test_round_trip_random():
@@ -358,6 +375,48 @@ def test_emit_agrees_with_networkx():
         G.add_edges_from(g.edge_pairs())
         expected = nx.to_graph6_bytes(G, header=False).decode().strip()
         assert emit_graph6(g) == expected
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except UserError as exc:
+        return str(exc)
+
+
+def test_codec_matches_the_bitwise_oracle():
+    """The bit-string codec against the per-bit loops it replaced: the same
+    string for every class on up to 7 vertices and for random graphs on
+    1..64 vertices, and the same graph or the same message for every string,
+    the ones emitted with one to three random edits and random ones over the
+    graph6 alphabet plus a space, \\x1c and \\x7f."""
+    graphs = [g for n in range(1, 8) for m in range(pair_count(n) + 1)
+              for g in connected_graphs(n, m, False)]
+    rng = random.Random(6)
+    graphs += [g for n in range(1, 65) for g in (Graph(n, 0), complete(n), _random_graph(rng, n))]
+    assert len(graphs) == 1252 + 3 * 64  # every class on 1..7 vertices, then 3 graphs per n
+    strings = [emit_graph6(g) for g in graphs]
+    assert strings == [bitwise_emit_graph6(g) for g in graphs]
+    assert [parse_graph6(text) for text in strings] == graphs
+    alphabet = [chr(c) for c in range(63, 127)] + [" ", "\x1c", "\x7f"]
+    tried = list(strings)
+    for _ in range(5000):
+        if rng.random() < 0.5:
+            chars = list(rng.choice(strings))
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(chars) + 1)
+                edit = rng.randrange(3)
+                if edit == 0 or at == len(chars):
+                    chars.insert(at, rng.choice(alphabet))
+                elif edit == 1:
+                    chars[at] = rng.choice(alphabet)
+                else:
+                    del chars[at]
+            tried.append("".join(chars))
+        else:
+            tried.append("".join(rng.choices(alphabet, k=rng.choice([1, 2, 3, 4, 5, 12]))))
+    for text in tried:
+        assert _parse_outcome(parse_graph6, text) == _parse_outcome(bitwise_parse_graph6, text)
 
 
 def test_emit_four_byte_size_form_round_trips():

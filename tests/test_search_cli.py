@@ -3,6 +3,8 @@
 import importlib
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -134,6 +136,21 @@ def test_verify_records_flags_corruption():
     assert any("density" in p for p in verify_records([wrong_density], path(4)))
 
 
+def test_verify_records_names_each_fault():
+    """Each check that stops a record's verification, with its message; the
+    density strings agree with the fields, so each record has one fault."""
+    records = [
+        SearchRecord("Bx", 3, 3, 0, "0/2^3", []),  # 'x' sets a padding bit
+        SearchRecord("Bw", 4, 3, 0, "0/2^3", []),  # the triangle has 3 vertices
+        SearchRecord("C~", 4, 6, 1, "1/2^6", []),  # one member claimed, none given
+    ]
+    assert verify_records(records, path(4)) == [
+        "record Bx: bad host graph6 (nonzero padding bits)",
+        "record Bw: n/m fields disagree with the host",
+        "record C~: witness length != clique_size",
+    ]
+
+
 def test_summary_collects_all_argmax_hosts():
     recs = [
         SearchRecord("A?", 2, 1, 1, "1/2^1", ["0x1"]),
@@ -154,6 +171,9 @@ def test_resolve_builtin_and_shapes():
     assert resolve_graph("k4") == complete(4)
     assert resolve_graph("K2,4").edge_count == 8
     assert resolve_graph("c5").edge_count == 5
+    # leading zeros are no part of a size, however many int() would refuse
+    assert resolve_graph("p" + "0" * 5000 + "4") == path(4)
+    assert resolve_graph("k" + "0" * 5000 + "2,04") == complete_multipartite([2, 4])
 
 
 def test_resolve_graph6_and_edge_list(tmp_path):
@@ -487,6 +507,12 @@ def test_user_errors_share_one_class():
     (["clique", "--host", "3 1\n0 3"], "bad edge list: vertex pair (0, 3) out of range for n=3"),
     # the vertex count is refused before any edge line is read
     (["clique", "--host", "65 1\n0 70"], "bad edge list: vertex count 65 outside [1, 64]"),
+    # more digits than int() reads, and than str() would write back
+    (["clique", "--host", "p" + "9" * 5000], "5000-digit size exceeds the 64-vertex cap"),
+    (["clique", "--host", "k1," + "9" * 5000], "5000-digit size exceeds the 64-vertex cap"),
+    (["search", "-n", "6", "-m", "7,x", "--out", "OUT"],
+     "expected comma-separated integers, got '7,x'"),
+    (["construct", "--parts", "2,x", "--t", "4"], "expected comma-separated integers, got '2,x'"),
 ])
 def test_cli_caps_and_bad_sizes_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     # a cap that let a construction through would build its members here and
@@ -603,6 +629,40 @@ def test_cli_non_ascii_files_exit_2(tmp_path, capsys):
     records.write_bytes(json.dumps(GOOD_RECORD).encode() + b"\n" + text.read_bytes())
     assert main(["verify", "--records", str(records)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {records}:2: 'ascii' codec")
+
+
+def _hifam(argv, env_updates):
+    """Start `python -m hifam argv` with both output streams piped."""
+    env = {**os.environ, "PYTHONPATH": str(Path(hifam.cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    env.update(env_updates)
+    return subprocess.Popen([sys.executable, "-m", "hifam", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("env_updates", [{}, {"PYTHONUNBUFFERED": "1"}])
+def test_cli_stops_quietly_when_the_reader_closes_stdout(tmp_path, env_updates):
+    """`hifam verify ... | head -1`: the reader takes a line and closes the
+    pipe while the command still has most of its output to write.  That is no
+    user error: exit 141, as a shell reports a process SIGPIPE ended, with no
+    `error:` line and no "Exception ignored" at shutdown."""
+    records = tmp_path / "records.jsonl"
+    bad = json.dumps({**GOOD_RECORD, "host_graph6": "Bx"})
+    records.write_text((bad + "\n") * 30000)  # 1.5 MB of violations, past any pipe buffer
+    with _hifam(["verify", "--records", str(records)], env_updates) as proc:
+        assert proc.stdout.readline() == b"record Bx: bad host graph6 (nonzero padding bits)\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+
+
+def test_cli_stops_quietly_when_stdout_is_closed_before_it_writes():
+    """With stdout block-buffered, a short answer is written by main's own
+    flush, the one write that fails here."""
+    with _hifam(["clique", "--host", "christofides"], {}) as proc:
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
 
 
 def test_cli_usage_error_exits_2():
