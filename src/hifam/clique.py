@@ -108,13 +108,14 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     every candidate t inside c, and in the same pass fills ``down[c]``, the
     candidates inside c, which is c's ``sub`` row.  Candidates a and b are
     adjacent exactly when some candidate t lies inside both (take
-    t = a & b), so row a is a's swept entry without its own bit.  Only
-    candidates' entries are ever set: a superset of a candidate is one, and
-    a subset with no candidate inside it keeps 0.  Hosts with more than
-    MAX_HOST_EDGES edges raise UserError at once: their 2^e lattice is out
-    of reach.  So do more than MAX_CANDIDATES candidates, as soon as the
-    table is closed: every candidate gets several rows with one bit per
-    candidate, so memory grows with the square of the count.
+    t = a & b), so row a is a's swept entry without its own bit, which it
+    always holds.  Only candidates' entries are ever set: a superset of a
+    candidate is one, and a subset with no candidate inside it keeps 0.
+    Hosts with more than MAX_HOST_EDGES edges raise UserError at once:
+    their 2^e lattice is out of reach.  So do more than MAX_CANDIDATES
+    candidates, as soon as the table is closed: every candidate gets
+    several rows with one bit per candidate, so memory grows with the
+    square of the count.
     """
     e = host.edge_count
     if e > MAX_HOST_EDGES:
@@ -156,7 +157,7 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
             if c & bit:
                 up[c] |= up[c ^ bit]
                 down[c] |= down[c ^ bit]
-    adjacency = [up[c] & ~(1 << i) for i, c in enumerate(cands)]
+    adjacency = [up[c] ^ 1 << i for i, c in enumerate(cands)]
     sub = [down[c] for c in cands]
     return CompatibilityGraph([subsets[c] for c in cands], adjacency, sup, sub)
 
@@ -166,14 +167,18 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
 # ---------------------------------------------------------------------------
 
 
-def _color_sort(p_mask: int, adj: list[int]) -> list[tuple[int, int]]:
-    """Greedy-color the candidate set; returns (vertex, color) ascending by color.
+def _color_sort(p_mask: int, excl: list[int], kmin: int) -> list[tuple[int, int]]:
+    """Greedy-color the candidate set; returns (vertex, color) ascending by
+    color, for the vertices whose color exceeds kmin only.
 
-    Each color class is filled from the highest vertex down, so in a
-    compatibility graph every superset, compatible with all that its
-    subsets are compatible with, is colored before them.  The last color,
-    the color count, bounds the clique size within p_mask: a clique meets
-    each color class at most once.
+    ``excl[v]`` is every vertex but v and its neighbours.  Each color class
+    is filled from the highest vertex down, so in a compatibility graph
+    every superset, compatible with all that its subsets are compatible
+    with, is colored before them.  A clique meets each color class at most
+    once, so a vertex's color bounds the clique it can finish within the
+    vertices colored up to it.  Every vertex is colored, so the classes do
+    not depend on kmin; the caller's branch and bound would stop at the
+    first vertex of color kmin or less, and those are not listed.
     """
     out = []
     color = 0
@@ -183,10 +188,10 @@ def _color_sort(p_mask: int, adj: list[int]) -> list[tuple[int, int]]:
         avail = rest
         while avail:
             v = avail.bit_length() - 1
-            top = 1 << v
-            avail = (avail ^ top) & ~adj[v]
-            rest ^= top
-            out.append((v, color))
+            avail &= excl[v]
+            rest ^= 1 << v
+            if color > kmin:
+                out.append((v, color))
     return out
 
 
@@ -202,18 +207,27 @@ def max_clique(cg: CompatibilityGraph) -> CliqueResult:
     vertex whose remaining candidate set still holds a clique of the needed
     size; see _lex_min_clique.  Both phases read the ``sup`` and ``sub``
     rows; with rows that hold only their own candidate (a plain graph, not
-    a lattice) they search every clique.
+    a lattice) they search every clique.  Both color with the same
+    ``excl`` rows, each vertex's complement of its closed neighbourhood,
+    built here once.
     """
     n = cg.size
     adj = cg.adjacency
+    excl = [~(row | 1 << v) for v, row in enumerate(adj)]
     sup, sub = cg.sup, cg.sub
-    best, clique, phase1_nodes = _upset_search((1 << n) - 1, 0, n + 1, adj, sup, sub)
-    witness, phase2_nodes = _lex_min_clique(adj, sup, sub, n, best, clique)
+    best, clique, phase1_nodes = _upset_search((1 << n) - 1, 0, n + 1, adj, excl, sup, sub)
+    witness, phase2_nodes = _lex_min_clique(adj, excl, sup, sub, n, best, clique)
     return CliqueResult(witness, phase1_nodes, phase2_nodes)
 
 
 def _upset_search(
-    p_mask: int, floor: int, stop: int, adj: list[int], sup: list[int], sub: list[int]
+    p_mask: int,
+    floor: int,
+    stop: int,
+    adj: list[int],
+    excl: list[int],
+    sup: list[int],
+    sub: list[int],
 ) -> tuple[int, int, int]:
     """Largest up-closed clique inside p_mask, if it beats floor.
 
@@ -229,10 +243,13 @@ def _upset_search(
 
     One loop over a stack of frames (set, size, clique, order), with no
     recursion: a node's order, an iterator over its coloring made when it
-    is first popped, also holds the position reached.  Taking v pushes the
-    frame that leaves v out, then v's child.  The search stops at the first
-    clique of size stop or more.  Returns (size, clique mask, nodes): size
-    stays floor, with mask 0, when no clique beats it.
+    is first popped, also holds the position reached.  The coloring lists
+    only the vertices of color above best - size: best only grows while
+    the order is alive, so the bound would stop at any other, and a node
+    whose listing runs out instead has size below best.  Taking v pushes
+    the frame that leaves v out, then v's child.  The search stops at the
+    first clique of size stop or more.  Returns (size, clique mask, nodes):
+    size stays floor, with mask 0, when no clique beats it.
     """
     best, found, nodes = floor, 0, 0
     stack = [(p_mask, 0, 0, None)]
@@ -240,7 +257,7 @@ def _upset_search(
         p_mask, size, clique, order = stack.pop()
         if order is None:
             nodes += 1
-            order = reversed(_color_sort(p_mask, adj) if size < stop else [])
+            order = reversed(_color_sort(p_mask, excl, best - size) if size < stop else [])
         for v, color in order:
             if size + color <= best:
                 break
@@ -258,7 +275,13 @@ def _upset_search(
 
 
 def _lex_min_clique(
-    adj: list[int], sup: list[int], sub: list[int], n: int, k: int, clique: int
+    adj: list[int],
+    excl: list[int],
+    sup: list[int],
+    sub: list[int],
+    n: int,
+    k: int,
+    clique: int,
 ) -> tuple[list[int], int]:
     """First clique of size k in lexicographic order of sorted vertex lists.
 
@@ -286,7 +309,7 @@ def _lex_min_clique(
             if low == clique & -clique:
                 clique ^= low
                 break
-            size, found, count = _upset_search(rest, need - 2, need - 1, adj, sup, sub)
+            size, found, count = _upset_search(rest, need - 2, need - 1, adj, excl, sup, sub)
             nodes += count
             if size >= need - 1:
                 clique = found

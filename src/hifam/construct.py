@@ -18,7 +18,6 @@ from .graphs import (
     Record,
     UserError,
     complete_multipartite,
-    iter_bits,
     pair_count,
     submasks,
 )
@@ -110,13 +109,22 @@ def _first_pair_lacking(
 
 
 def _minimal_members(family: SubgraphFamily) -> list[int]:
-    """Members from which no one edge can be removed within the family.
+    """The members that contain no other member, in member order.
 
-    Every minimal member is among them, and every one of them is a member,
-    so their pairs decide the family (see verify_intersecting).
+    Members are taken by edge count, and one is kept unless it contains a
+    member kept before it: a member inside it has fewer edges and contains
+    a kept one itself.  Each member is tested against the kept ones only,
+    so the cost is at most that of checking their pairs, which follows.
     """
-    present = set(family.members)
-    return [x for x in family.members if all(x ^ 1 << b not in present for b in iter_bits(x))]
+    kept: list[int] = []
+    for x in sorted(family.members, key=int.bit_count):
+        for low in kept:
+            if x & low == low:
+                break
+        else:
+            kept.append(x)
+    minimal = set(kept)
+    return [x for x in family.members if x in minimal]
 
 
 def verify_intersecting(family: SubgraphFamily, target: Graph) -> tuple[int, int] | None:
@@ -125,11 +133,11 @@ def verify_intersecting(family: SubgraphFamily, target: Graph) -> tuple[int, int
     A member paired with itself must hold the target on its own.  Returns
     the first failing index pair in member order, rows first.
 
-    Any set S of members that contains every minimal member decides the
+    The minimal members, those that contain no other member, decide the
     family: each member contains a minimal one and containment is monotone,
-    so every pair of members holds the target exactly when every pair i <= j
-    of S does.  S is the members with no member one edge smaller.  Only
-    when S fails are all members scanned, to name the first failing pair.
+    so every pair of members holds the target exactly when every pair
+    i <= j of minimal members does.  Only when those fail are all members
+    scanned, to name the first failing pair.
     """
     check = containment_check(target)
     n = family.host.n

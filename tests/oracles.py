@@ -20,7 +20,6 @@ from hifam import (
     is_connected,
     verify_intersecting,
 )
-from hifam.clique import _color_sort
 from hifam.graphs import (
     GRAPH6_HEADER,
     MAX_VERTICES,
@@ -195,9 +194,11 @@ def recursive_upset_search(
     mask, nodes): size stays floor, with mask 0, when no clique beats it.
 
     This is how clique._upset_search searched before it became one loop
-    over a stack of frames.  It recurses once per up-set taken, so an
-    optimum of about twice the interpreter's recursion limit is out of its
-    reach.
+    over a stack of frames and its coloring came to list only the vertices
+    above best - size; it colors with its own _top_first_coloring and walks
+    every listed vertex down to the bound.  It recurses once per up-set
+    taken, so an optimum of about twice the interpreter's recursion limit
+    is out of its reach.
     """
     best = floor
     found = 0
@@ -207,7 +208,7 @@ def recursive_upset_search(
         nonlocal best, found, nodes
         nodes += 1
         if size < stop:
-            for v, color in reversed(_color_sort(p_mask, adj)):
+            for v, color in reversed(_top_first_coloring(p_mask, adj)):
                 if size + color <= best:
                     return False
                 if not p_mask >> v & 1:
@@ -548,6 +549,19 @@ def verify_pairwise(
             if not check(Graph(n, members[i] & members[j])):
                 return (i, j)
     return None
+
+
+def one_edge_minimal_members(family: SubgraphFamily) -> list[int]:
+    """Members from which no one edge can be removed within the family, in
+    member order.
+
+    Every minimal member is among them, and on an up-closed family they
+    are exactly the minimal members.  This is how verify_intersecting
+    chose the members whose pairs decide a family before it kept the
+    minimal members only.
+    """
+    present = set(family.members)
+    return [x for x in family.members if all(x ^ 1 << b not in present for b in iter_bits(x))]
 
 
 def largest_first_multipartite(g: Graph, parts: list[int]) -> bool:

@@ -40,6 +40,7 @@ from oracles import (
     pairwise_compatibility,
     plain_instance,
     recursive_upset_search,
+    _top_first_coloring,
     validate_compatibility,
 )
 
@@ -67,6 +68,19 @@ def _random_upset_instance(rng, e):
     ]
     sup, sub = containment_rows(plain_instance(adjacency, labels))
     return CompatibilityGraph(labels, adjacency, sup, sub)
+
+
+def _excl(adjacency):
+    """Each vertex's complement of its closed neighbourhood, as max_clique
+    builds it for the coloring."""
+    return [~(row | 1 << v) for v, row in enumerate(adjacency)]
+
+
+def _oracle_args(args):
+    """_upset_search's arguments without the excl rows the recursion does
+    not take."""
+    p_mask, floor, stop, adj, _, sup, sub = args
+    return p_mask, floor, stop, adj, sup, sub
 
 
 def _from_pairs(size, pairs):
@@ -399,12 +413,13 @@ def test_upset_loop_matches_the_recursion_it_replaced(monkeypatch):
     rng = random.Random(113)
     for trial in range(60):
         cg = _random_upset_instance(rng, rng.randint(2, 7))
-        rows = cg.adjacency, cg.sup, cg.sub
+        rows = cg.adjacency, _excl(cg.adjacency), cg.sup, cg.sub
         full = (1 << cg.size) - 1
         best = clique._upset_search(full, 0, cg.size + 1, *rows)[0]
         for floor, stop in ((0, cg.size + 1), (best - 2, best - 1), (best, best + 1)):
             args = (full, floor, stop, *rows)
-            assert clique._upset_search(*args) == recursive_upset_search(*args), trial
+            expected = recursive_upset_search(*_oracle_args(args))
+            assert clique._upset_search(*args) == expected, trial
 
     calls = []
     loop = clique._upset_search
@@ -419,7 +434,7 @@ def test_upset_loop_matches_the_recursion_it_replaced(monkeypatch):
             max_clique(build_compatibility(host, path(4)))
     assert len(calls) == 836  # one phase-1 call per host, 775 from phase 2
     for args in calls:
-        assert loop(*args) == recursive_upset_search(*args)
+        assert loop(*args) == recursive_upset_search(*_oracle_args(args))
 
 
 def test_adding_edges_never_shrinks_clique():
@@ -447,7 +462,7 @@ def test_root_coloring_bound_is_sound():
     for _ in range(20):
         size = rng.randint(2, 16)
         cg = _random_instance(rng, size, 0.5)
-        bound = _color_sort((1 << size) - 1, cg.adjacency)[-1][1]
+        bound = _color_sort((1 << size) - 1, _excl(cg.adjacency), 0)[-1][1]
         assert bound >= max_clique(cg).size
 
 
@@ -455,7 +470,24 @@ def test_coloring_fills_each_class_from_the_top():
     # path 0 - 1 - 2 and an isolated 3: both orders find two classes,
     # but the top-first one places 3 and 2 before 0
     cg = _from_pairs(4, [(0, 1), (1, 2)])
-    assert _color_sort(0b1111, cg.adjacency) == [(3, 1), (2, 1), (0, 1), (1, 2)]
+    assert _color_sort(0b1111, _excl(cg.adjacency), 0) == [(3, 1), (2, 1), (0, 1), (1, 2)]
+
+
+def test_coloring_lists_exactly_the_classes_above_the_cut_off():
+    """On random sets of random graphs, and for every cut-off from below 0
+    to past the last color, the listing is the oracle coloring's (vertex,
+    color) pairs with color above the cut-off, in the same order."""
+    rng = random.Random(109)
+    for trial in range(200):
+        size = rng.randint(1, 24)
+        adjacency = _random_instance(rng, size, rng.random()).adjacency
+        excl = _excl(adjacency)
+        p_mask = rng.getrandbits(size)
+        full = _top_first_coloring(p_mask, adjacency)
+        colors = full[-1][1] if full else 0
+        for kmin in range(-1, colors + 2):
+            expected = [(v, color) for v, color in full if color > kmin]
+            assert _color_sort(p_mask, excl, kmin) == expected, (trial, kmin)
 
 
 def test_witness_is_lexicographically_smallest():
@@ -496,9 +528,10 @@ def test_solver_restores_recursion_limit(monkeypatch):
 def test_phase_two_fails_loudly_without_a_clique():
     cg = _from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     own = [1 << v for v in range(5)]
-    assert _lex_min_clique(cg.adjacency, own, own, 5, 2, 0)[0] == [0, 1]
+    excl = _excl(cg.adjacency)
+    assert _lex_min_clique(cg.adjacency, excl, own, own, 5, 2, 0)[0] == [0, 1]
     with pytest.raises(AssertionError, match="no clique of the optimum size"):
-        _lex_min_clique(cg.adjacency, own, own, 5, 3, 0)
+        _lex_min_clique(cg.adjacency, excl, own, own, 5, 3, 0)
 
 
 def test_node_counters():

@@ -12,6 +12,7 @@ from hifam import (
     SubgraphFamily,
     complete,
     complete_multipartite,
+    connected_graphs,
     contains_multipartite,
     density_string,
     from_edges,
@@ -22,7 +23,7 @@ from hifam import (
     summarize,
     verify_intersecting,
 )
-from hifam import detect
+from hifam import construct, detect
 from hifam.clique import MAX_HOST_EDGES
 from hifam.construct import _minimal_members
 from hifam.graphs import UserError, edge_index, iter_bits
@@ -32,6 +33,7 @@ from oracles import (
     construction_counts,
     construction_seeds,
     incident_edge_mask_by_edges,
+    one_edge_minimal_members,
     verify_pairwise,
 )
 
@@ -372,6 +374,15 @@ def _host_subsets(host):
     return [sum(1 << positions[i] for i in iter_bits(c)) for c in range(1 << len(positions))]
 
 
+def _random_host(rng):
+    """A host on 3 to 6 vertices with 2 to 7 edges."""
+    n = rng.randint(3, 6)
+    host = Graph(n, 0)
+    while not 2 <= host.edge_count <= 7:
+        host = Graph(n, rng.getrandbits(n * (n - 1) // 2))
+    return host
+
+
 def _random_family(rng, host, kind):
     subsets = _host_subsets(host)
     if kind == "up-closed":
@@ -398,10 +409,7 @@ def test_up_closure_path_matches_quadratic_oracle():
     targets = [path(2), path(3), path(4), complete(3), complete_multipartite([1, 2])]
     seen = set()
     for _ in range(600):
-        n = rng.randint(3, 6)
-        host = Graph(n, 0)
-        while not 2 <= host.edge_count <= 7:
-            host = Graph(n, rng.getrandbits(n * (n - 1) // 2))
+        host = _random_host(rng)
         family = _random_family(rng, host, rng.choice(["up-closed", "above-core", "tiny", "any"]))
         target = rng.choice(targets)
         got = verify_intersecting(family, target)
@@ -412,6 +420,59 @@ def test_up_closure_path_matches_quadratic_oracle():
     # the empty family is up-closed and passes
     cases = {(u, ok, size) for u in (True, False) for ok in (True, False) for size in (1, 2, 3)}
     assert seen == cases | {(True, True, 0)}
+
+
+def test_minimal_members_are_kept_by_the_one_edge_rule():
+    """On random families, up-closed or not, the minimal members come in
+    member order, each has no member one edge smaller, and every member
+    contains one of them; on up-closed families the two rules agree."""
+    rng = random.Random(2025)
+    for _ in range(400):
+        host = _random_host(rng)
+        family = _random_family(rng, host, rng.choice(["up-closed", "above-core", "tiny", "any"]))
+        minimal = _minimal_members(family)
+        oracle = one_edge_minimal_members(family)
+        assert set(minimal) <= set(oracle), family
+        assert minimal == [x for x in family.members if x in minimal], family
+        assert all(any(x & low == low for low in minimal) for x in family.members), family
+        if _is_up_closed(family):
+            assert minimal == oracle, family
+
+
+def test_minimal_members_match_the_one_edge_rule_on_witnesses_and_the_construction():
+    """Search witnesses and the construction are up-closed, so there the
+    two rules keep the same members, in the same order."""
+    families = []
+    for m, target in ((7, path(4)), (8, path(4)), (11, complete(3))):
+        hosts = connected_graphs(6, m, True)
+        for host, record in zip(hosts, search_hosts(hosts, target)):
+            families.append(SubgraphFamily(host, [int(h, 16) for h in record.witness_hex]))
+    assert len(families) == 50
+    built = multipartite_family([4], 24).family
+    for family in families + [built]:
+        assert _is_up_closed(family)
+        assert _minimal_members(family) == one_edge_minimal_members(family)
+    host = built.host
+    seeds = [host.edges & ~incident_edge_mask_by_edges(host, w) for w in range(4, host.n)]
+    assert _minimal_members(built) == sorted(seeds)
+
+
+def test_verifier_answers_as_before_on_families_that_are_not_up_closed(monkeypatch):
+    """The same verdict and the same first failing pair as the quadratic
+    scan and as the verifier on the one-edge rule's members."""
+    rng = random.Random(2026)
+    targets = [path(2), path(3), path(4), complete(3), complete_multipartite([1, 2])]
+    cases = []
+    while len(cases) < 300:
+        host = _random_host(rng)
+        family = _random_family(rng, host, rng.choice(["above-core", "tiny", "any"]))
+        if not _is_up_closed(family):
+            cases.append((family, rng.choice(targets)))
+    got = [verify_intersecting(family, target) for family, target in cases]
+    assert got == [verify_pairwise(f, target, require_self=True) for f, target in cases]
+    monkeypatch.setattr(construct, "_minimal_members", one_edge_minimal_members)
+    assert got == [verify_intersecting(family, target) for family, target in cases]
+    assert {answer is None for answer in got} == {True, False}
 
 
 def test_family_validation():
