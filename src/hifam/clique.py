@@ -114,8 +114,12 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     Hosts with more than MAX_HOST_EDGES edges raise UserError at once:
     their 2^e lattice is out of reach.  So do more than MAX_CANDIDATES
     candidates, as soon as the table is closed: every candidate gets
-    several rows with one bit per candidate, so memory grows with the
-    square of the count.
+    several rows with one bit per candidate, so the rows grow with the
+    square of the count (one list of 2^14 rows of 2^14 bits is 32 MB).
+    The solver can need far more: phase 1's stack holds one colour
+    listing per frame, as deep as the clique, and ``hifam clique --host
+    k1,14 --target k2`` (16,383 candidates) peaks at about 4 GB
+    (CPython 3.11).
     """
     e = host.edge_count
     if e > MAX_HOST_EDGES:
@@ -207,16 +211,15 @@ def max_clique(cg: CompatibilityGraph) -> CliqueResult:
     vertex whose remaining candidate set still holds a clique of the needed
     size; see _lex_min_clique.  Both phases read the ``sup`` and ``sub``
     rows; with rows that hold only their own candidate (a plain graph, not
-    a lattice) they search every clique.  Both color with the same
-    ``excl`` rows, each vertex's complement of its closed neighbourhood,
-    built here once.
+    a lattice) they search every clique.  Both read adjacency only
+    through the ``excl`` rows, each vertex's complement of its closed
+    neighbourhood, built here once.
     """
     n = cg.size
-    adj = cg.adjacency
-    excl = [~(row | 1 << v) for v, row in enumerate(adj)]
+    excl = [~(row | 1 << v) for v, row in enumerate(cg.adjacency)]
     sup, sub = cg.sup, cg.sub
-    best, clique, phase1_nodes = _upset_search((1 << n) - 1, 0, n + 1, adj, excl, sup, sub)
-    witness, phase2_nodes = _lex_min_clique(adj, excl, sup, sub, n, best, clique)
+    best, clique, phase1_nodes = _upset_search((1 << n) - 1, 0, n + 1, excl, sup, sub)
+    witness, phase2_nodes = _lex_min_clique(excl, sup, sub, n, best, clique)
     return CliqueResult(witness, phase1_nodes, phase2_nodes)
 
 
@@ -224,7 +227,6 @@ def _upset_search(
     p_mask: int,
     floor: int,
     stop: int,
-    adj: list[int],
     excl: list[int],
     sup: list[int],
     sub: list[int],
@@ -264,7 +266,7 @@ def _upset_search(
             if p_mask >> v & 1:
                 u = sup[v] & p_mask
                 stack.append((p_mask & ~sub[v], size, clique, order))
-                stack.append((p_mask & adj[v] & ~u, size + u.bit_count(), clique | u, None))
+                stack.append((p_mask & ~(excl[v] | u), size + u.bit_count(), clique | u, None))
                 break
         else:
             if size > best:
@@ -275,7 +277,6 @@ def _upset_search(
 
 
 def _lex_min_clique(
-    adj: list[int],
     excl: list[int],
     sup: list[int],
     sub: list[int],
@@ -305,11 +306,11 @@ def _lex_min_clique(
                 raise AssertionError("no clique of the optimum size found")
             low = q & -q
             v = low.bit_length() - 1
-            rest = p_mask & adj[v] & -(low << 1)
+            rest = p_mask & ~excl[v] & -(low << 1)
             if low == clique & -clique:
                 clique ^= low
                 break
-            size, found, count = _upset_search(rest, need - 2, need - 1, adj, excl, sup, sub)
+            size, found, count = _upset_search(rest, need - 2, need - 1, excl, sup, sub)
             nodes += count
             if size >= need - 1:
                 clique = found

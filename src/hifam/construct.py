@@ -6,11 +6,16 @@ minus every edge at w), and take all proper supergraphs of every seed plus
 the host itself.  Any two members then intersect in some seed or a pair
 intersection of seeds, which still holds a complete multipartite pattern
 one part-step smaller.
+
+verify_intersecting checks such a statement for any family in one pass
+over its members by edge count: only the minimal members, which contain
+no other member, are paired, and a failure names the first pair of them
+in that order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from .detect import containment_check
 from .graphs import (
@@ -97,53 +102,36 @@ def multipartite_family(parts: Sequence[int], t: int) -> MultipartiteFamily:
     return MultipartiteFamily(parts, t, SubgraphFamily(host, sorted(members)))
 
 
-def _first_pair_lacking(
-    n: int, masks: Sequence[int], check: Callable[[Graph], bool]
-) -> tuple[int, int] | None:
-    """First pair i <= j of masks, in row order, whose intersection fails check."""
-    for i in range(len(masks)):
-        for j in range(i, len(masks)):
-            if not check(Graph(n, masks[i] & masks[j])):
-                return (i, j)
-    return None
+def verify_intersecting(family: SubgraphFamily, target: Graph) -> tuple[int, int] | None:
+    """Check that every pair i <= j of members holds the target; None means all do.
 
+    A member paired with itself must hold the target on its own.  The
+    minimal members, which contain no other member, decide the family:
+    every member contains one, and containment of the target is monotone,
+    so a pair holds it whenever the pair of minimal members inside holds it.
 
-def _minimal_members(family: SubgraphFamily) -> list[int]:
-    """The members that contain no other member, in member order.
-
-    Members are taken by edge count, and one is kept unless it contains a
-    member kept before it: a member inside it has fewer edges and contains
-    a kept one itself.  Each member is tested against the kept ones only,
-    so the cost is at most that of checking their pairs, which follows.
+    One pass takes the members by edge count, ties in member order, and
+    skips each that contains a member kept before it.  Any other is
+    minimal (a member inside it has fewer edges, so came earlier and is or
+    contains a kept one); it is checked with itself, then with each kept
+    member in kept order, and kept.  The first pair lacking the target, a
+    pair of minimal members, is returned as member indices (i, j), i <= j;
+    a family that passes costs one test per pair of minimal members.
     """
+    check = containment_check(target)
+    n = family.host.n
     kept: list[int] = []
     for x in sorted(family.members, key=int.bit_count):
         for low in kept:
             if x & low == low:
                 break
         else:
+            for other in (x, *kept):
+                if not check(Graph(n, x & other)):
+                    i, j = sorted((family.members.index(other), family.members.index(x)))
+                    return (i, j)
             kept.append(x)
-    minimal = set(kept)
-    return [x for x in family.members if x in minimal]
-
-
-def verify_intersecting(family: SubgraphFamily, target: Graph) -> tuple[int, int] | None:
-    """Check every pair i <= j of members for the target; None means all pass.
-
-    A member paired with itself must hold the target on its own.  Returns
-    the first failing index pair in member order, rows first.
-
-    The minimal members, those that contain no other member, decide the
-    family: each member contains a minimal one and containment is monotone,
-    so every pair of members holds the target exactly when every pair
-    i <= j of minimal members does.  Only when those fail are all members
-    scanned, to name the first failing pair.
-    """
-    check = containment_check(target)
-    n = family.host.n
-    if _first_pair_lacking(n, _minimal_members(family), check) is None:
-        return None
-    return _first_pair_lacking(n, family.members, check)
+    return None
 
 
 def lifted_count_string(family_size: int, host_edges: int, n: int) -> str:

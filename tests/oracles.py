@@ -532,12 +532,14 @@ def bitwise_parse_graph6(text: str) -> Graph:
 def verify_pairwise(
     family: SubgraphFamily, target: Graph, require_self: bool = False
 ) -> tuple[int, int] | None:
-    """The quadratic scan behind verify_intersecting: every pair, in order.
+    """The quadratic scan over every pair of members, rows first.
 
     Distinct pairs are always checked; with require_self each member is
     also checked on its own, just before its row.  This is how
     verify_intersecting scanned before "intersecting" came to mean every
-    pair i <= j; with require_self it gives the same answers.
+    pair i <= j; with require_self it gives the same verdicts, and names
+    the first failing pair in row order, where verify_intersecting names
+    first_failing_minimal_pair's.
     """
     check = containment_check(target)
     members = family.members
@@ -562,6 +564,31 @@ def one_edge_minimal_members(family: SubgraphFamily) -> list[int]:
     """
     present = set(family.members)
     return [x for x in family.members if all(x ^ 1 << b not in present for b in iter_bits(x))]
+
+
+def quadratic_minimal_members(family: SubgraphFamily) -> list[int]:
+    """The members that no other member is a proper subset of, in member
+    order, each tested against every other member."""
+    members = family.members
+    return [x for x in members if not any(y != x and x & y == y for y in members)]
+
+
+def first_failing_minimal_pair(
+    family: SubgraphFamily, target: Graph
+) -> tuple[int, int] | None:
+    """The pair verify_intersecting names: the quadratic rule's minimal
+    members, taken by edge count, ties in member order, each checked with
+    itself and then with each one before it; the first pair whose
+    intersection lacks the target, as member indices i <= j."""
+    check = containment_check(target)
+    members = family.members
+    minimal = sorted(quadratic_minimal_members(family), key=int.bit_count)
+    for b, y in enumerate(minimal):
+        for x in [y] + minimal[:b]:
+            if not check(Graph(family.host.n, x & y)):
+                i, j = sorted((members.index(x), members.index(y)))
+                return (i, j)
+    return None
 
 
 def largest_first_multipartite(g: Graph, parts: list[int]) -> bool:
@@ -623,19 +650,11 @@ def construction_counts(parts: Sequence[int], t: int) -> tuple[int, int]:
 
 
 def construction_seeds(built: MultipartiteFamily) -> list[int]:
-    """The built family's minimal members, in member order.
-
-    Members are taken in order of edge count, and each one that contains no
-    member kept so far is kept: every member contains a minimal one, which
-    has no more edges, so exactly the minimal members are kept.  On the
-    construction these are its seeds, the host minus the edges at one
-    final-part vertex.
+    """The built family's minimal members, in member order, by the
+    quadratic rule (quadratic_minimal_members).  On the construction these
+    are its seeds, the host minus the edges at one final-part vertex.
     """
-    minimal = []
-    for x in sorted(built.family.members, key=int.bit_count):
-        if not any(s & x == s for s in minimal):
-            minimal.append(x)
-    return sorted(minimal)
+    return quadratic_minimal_members(built.family)
 
 
 def apply_permutation(g: Graph, perm: Sequence[int]) -> Graph:

@@ -77,10 +77,10 @@ def _excl(adjacency):
 
 
 def _oracle_args(args):
-    """_upset_search's arguments without the excl rows the recursion does
-    not take."""
-    p_mask, floor, stop, adj, _, sup, sub = args
-    return p_mask, floor, stop, adj, sup, sub
+    """_upset_search's arguments with the adjacency rows the recursion
+    takes in place of the excl rows: ~excl[v] is v's closed neighbourhood."""
+    p_mask, floor, stop, excl, sup, sub = args
+    return p_mask, floor, stop, [~row ^ 1 << v for v, row in enumerate(excl)], sup, sub
 
 
 def _from_pairs(size, pairs):
@@ -413,7 +413,7 @@ def test_upset_loop_matches_the_recursion_it_replaced(monkeypatch):
     rng = random.Random(113)
     for trial in range(60):
         cg = _random_upset_instance(rng, rng.randint(2, 7))
-        rows = cg.adjacency, _excl(cg.adjacency), cg.sup, cg.sub
+        rows = _excl(cg.adjacency), cg.sup, cg.sub
         full = (1 << cg.size) - 1
         best = clique._upset_search(full, 0, cg.size + 1, *rows)[0]
         for floor, stop in ((0, cg.size + 1), (best - 2, best - 1), (best, best + 1)):
@@ -529,9 +529,9 @@ def test_phase_two_fails_loudly_without_a_clique():
     cg = _from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     own = [1 << v for v in range(5)]
     excl = _excl(cg.adjacency)
-    assert _lex_min_clique(cg.adjacency, excl, own, own, 5, 2, 0)[0] == [0, 1]
+    assert _lex_min_clique(excl, own, own, 5, 2, 0)[0] == [0, 1]
     with pytest.raises(AssertionError, match="no clique of the optimum size"):
-        _lex_min_clique(cg.adjacency, excl, own, own, 5, 3, 0)
+        _lex_min_clique(excl, own, own, 5, 3, 0)
 
 
 def test_node_counters():

@@ -13,6 +13,7 @@ from hifam import (
     complete,
     complete_multipartite,
     connected_graphs,
+    containment_check,
     contains_multipartite,
     density_string,
     from_edges,
@@ -25,15 +26,16 @@ from hifam import (
 )
 from hifam import construct, detect
 from hifam.clique import MAX_HOST_EDGES
-from hifam.construct import _minimal_members
 from hifam.graphs import UserError, edge_index, iter_bits
 
 from oracles import (
     check_seeds,
     construction_counts,
     construction_seeds,
+    first_failing_minimal_pair,
     incident_edge_mask_by_edges,
     one_edge_minimal_members,
+    quadratic_minimal_members,
     verify_pairwise,
 )
 
@@ -344,7 +346,7 @@ def test_family_that_is_not_up_closed_is_decided_by_its_minimal_pairs(monkeypatc
     # triangle | e23 is missing, so the family is not up-closed
     family = SubgraphFamily(host, [triangle, triangle | e03, matching, triangle | e13,
                                    matching | e02])
-    assert _minimal_members(family) == [triangle, matching]
+    assert quadratic_minimal_members(family) == [triangle, matching]
     assert verify_intersecting(family, path(2)) is None
     # the three pairs i <= j of the two minimal members, not all 15 pairs
     assert len(calls) == 3
@@ -352,21 +354,28 @@ def test_family_that_is_not_up_closed_is_decided_by_its_minimal_pairs(monkeypatc
 
     calls.clear()
     lone_edge = from_edges(4, [(0, 3)]).edges
-    assert verify_intersecting(SubgraphFamily(host, [triangle, lone_edge]), path(2)) == (0, 1)
-    # both members are minimal: (0, 0) holds and (0, 1) fails, then the scan
-    # of all members names that pair
-    assert len(calls) == 4
+    family = SubgraphFamily(host, [triangle, lone_edge])
+    assert verify_intersecting(family, path(2)) == (0, 1)
+    # both members are minimal: the lone edge, with fewer edges, holds K2 on
+    # its own, then the triangle does, and the two together fail; the loop
+    # stops there
+    assert len(calls) == 3
+    assert first_failing_minimal_pair(family, path(2)) == (0, 1)
+    assert verify_pairwise(family, path(2), require_self=True) is not None
 
 
 def test_verify_self_check_catches_weak_members():
     host = path(4)  # edge slots {0, 2, 5}
     short = 0b101  # edges (0,1) and (1,2): contains P3, not P4
-    family = SubgraphFamily(host, [host.edges, short])
-    assert verify_intersecting(family, path(4)) == (0, 1)
-    assert verify_intersecting(SubgraphFamily(host, [short, host.edges]), path(4)) == (0, 0)
-    # a member paired with itself must hold the target, even when it is alone
-    assert verify_intersecting(SubgraphFamily(host, [short]), path(4)) == (0, 0)
-    assert verify_intersecting(SubgraphFamily(host, [host.edges]), path(4)) is None
+    # the member with fewer edges comes first, and it lacks P4 on its own
+    cases = [([host.edges, short], (1, 1)), ([short, host.edges], (0, 0)),
+             # a member paired with itself must hold the target, even when it is alone
+             ([short], (0, 0)), ([host.edges], None)]
+    for members, pair in cases:
+        family = SubgraphFamily(host, members)
+        assert verify_intersecting(family, path(4)) == pair, members
+        assert first_failing_minimal_pair(family, path(4)) == pair, members
+        assert (verify_pairwise(family, path(4), require_self=True) is None) == (pair is None)
 
 
 def _host_subsets(host):
@@ -413,7 +422,9 @@ def test_up_closure_path_matches_quadratic_oracle():
         family = _random_family(rng, host, rng.choice(["up-closed", "above-core", "tiny", "any"]))
         target = rng.choice(targets)
         got = verify_intersecting(family, target)
-        assert got == verify_pairwise(family, target, require_self=True), (family, target)
+        assert (got is None) == (verify_pairwise(family, target, require_self=True) is None), (
+            family, target)
+        assert got == first_failing_minimal_pair(family, target), (family, target)
         up_closed = _is_up_closed(family)
         seen.add((up_closed, got is None, min(len(family), 3)))
     # every size (3 standing for "3 or more") up-closed or not, passing or failing;
@@ -422,44 +433,63 @@ def test_up_closure_path_matches_quadratic_oracle():
     assert seen == cases | {(True, True, 0)}
 
 
-def test_minimal_members_are_kept_by_the_one_edge_rule():
-    """On random families, up-closed or not, the minimal members come in
-    member order, each has no member one edge smaller, and every member
-    contains one of them; on up-closed families the two rules agree."""
-    rng = random.Random(2025)
-    for _ in range(400):
-        host = _random_host(rng)
-        family = _random_family(rng, host, rng.choice(["up-closed", "above-core", "tiny", "any"]))
-        minimal = _minimal_members(family)
-        oracle = one_edge_minimal_members(family)
-        assert set(minimal) <= set(oracle), family
-        assert minimal == [x for x in family.members if x in minimal], family
-        assert all(any(x & low == low for low in minimal) for x in family.members), family
-        if _is_up_closed(family):
-            assert minimal == oracle, family
+def test_verifier_checks_exactly_the_pairs_of_minimal_members(monkeypatch):
+    """A passing family costs one containment test per pair i <= j of its
+    minimal members by the quadratic rule, and no other: on the search
+    witnesses, on K_{4,24}'s construction, whose minimal members are its 26
+    seeds, and on random families that pass.  The first two are up-closed,
+    so there those members are also the one-edge rule's."""
+    checked = []
 
+    def recording(target):
+        check = containment_check(target)
 
-def test_minimal_members_match_the_one_edge_rule_on_witnesses_and_the_construction():
-    """Search witnesses and the construction are up-closed, so there the
-    two rules keep the same members, in the same order."""
+        def record(g):
+            checked.append(g.edges)
+            return check(g)
+
+        return record
+
     families = []
     for m, target in ((7, path(4)), (8, path(4)), (11, complete(3))):
         hosts = connected_graphs(6, m, True)
         for host, record in zip(hosts, search_hosts(hosts, target)):
-            families.append(SubgraphFamily(host, [int(h, 16) for h in record.witness_hex]))
+            families.append((SubgraphFamily(host, [int(h, 16) for h in record.witness_hex]),
+                             target))
     assert len(families) == 50
-    built = multipartite_family([4], 24).family
-    for family in families + [built]:
-        assert _is_up_closed(family)
-        assert _minimal_members(family) == one_edge_minimal_members(family)
+    built = multipartite_family([4], 24)
+    families.append((built.family, built.target))
     host = built.host
     seeds = [host.edges & ~incident_edge_mask_by_edges(host, w) for w in range(4, host.n)]
-    assert _minimal_members(built) == sorted(seeds)
+    assert quadratic_minimal_members(built.family) == sorted(seeds)
+    for family, _ in families:
+        assert _is_up_closed(family)
+        assert quadratic_minimal_members(family) == one_edge_minimal_members(family)
+    rng = random.Random(2025)
+    targets = [path(2), path(3), complete(3), complete_multipartite([1, 2])]
+    while len(families) < 51 + 200:
+        host = _random_host(rng)
+        family = _random_family(rng, host, rng.choice(["up-closed", "above-core", "any"]))
+        target = rng.choice(targets)
+        if verify_pairwise(family, target, require_self=True) is None:
+            families.append((family, target))
+
+    monkeypatch.setattr(construct, "containment_check", recording)
+    counts = []
+    for family, target in families:
+        checked.clear()
+        assert verify_intersecting(family, target) is None
+        minimal = quadratic_minimal_members(family)
+        pairs = [a & b for i, a in enumerate(minimal) for b in minimal[i:]]
+        assert sorted(checked) == sorted(pairs), family
+        counts.append(len(pairs))
+    assert counts[50] == 351  # K_{4,24}'s 26 seeds
+    assert not all(_is_up_closed(family) for family, _ in families[51:])
 
 
-def test_verifier_answers_as_before_on_families_that_are_not_up_closed(monkeypatch):
-    """The same verdict and the same first failing pair as the quadratic
-    scan and as the verifier on the one-edge rule's members."""
+def test_verifier_answers_as_before_on_families_that_are_not_up_closed():
+    """The same verdict as the quadratic scan, and the first failing pair
+    of minimal members that the oracle names."""
     rng = random.Random(2026)
     targets = [path(2), path(3), path(4), complete(3), complete_multipartite([1, 2])]
     cases = []
@@ -469,9 +499,9 @@ def test_verifier_answers_as_before_on_families_that_are_not_up_closed(monkeypat
         if not _is_up_closed(family):
             cases.append((family, rng.choice(targets)))
     got = [verify_intersecting(family, target) for family, target in cases]
-    assert got == [verify_pairwise(f, target, require_self=True) for f, target in cases]
-    monkeypatch.setattr(construct, "_minimal_members", one_edge_minimal_members)
-    assert got == [verify_intersecting(family, target) for family, target in cases]
+    assert [answer is None for answer in got] == [
+        verify_pairwise(f, target, require_self=True) is None for f, target in cases]
+    assert got == [first_failing_minimal_pair(f, target) for f, target in cases]
     assert {answer is None for answer in got} == {True, False}
 
 

@@ -391,6 +391,18 @@ def test_cli_verify_flags_bad_records(tmp_path, capsys):
     rec = SearchRecord(emit_graph6(path(4)), 4, 3, 1, "1/2^3", ["0x5"])
     write_records([rec], str(out))  # 0x5 = two edges, lacks the path
     assert main(["verify", "--records", str(out), "--target", "p4"]) == 1
+    # the triangle search's witnesses hold K3 but not P4: on each host the
+    # first member, one with the fewest edges, lacks P4 on its own
+    argv = ["search", "-n", "6", "-m", "11", "--connected", "--target", "k3", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["verify", "--records", str(out), "--target", "k3"]) == 0
+    assert capsys.readouterr().out == "ok: 9 records, 0 violations\n"
+    assert main(["verify", "--records", str(out)]) == 1
+    *problems, last = capsys.readouterr().out.splitlines()
+    assert last == "FAIL: 9 records, 9 violations"
+    assert len(problems) == 9
+    assert all(p.endswith(": members (0, 0) lack the target intersection") for p in problems)
 
 
 @pytest.mark.parametrize("entry", ["3f", "0x3_f", "0X3F", " 0x3f"])
