@@ -433,12 +433,9 @@ def test_up_closure_path_matches_quadratic_oracle():
     assert seen == cases | {(True, True, 0)}
 
 
-def test_verifier_checks_exactly_the_pairs_of_minimal_members(monkeypatch):
-    """A passing family costs one containment test per pair i <= j of its
-    minimal members by the quadratic rule, and no other: on the search
-    witnesses, on K_{4,24}'s construction, whose minimal members are its 26
-    seeds, and on random families that pass.  The first two are up-closed,
-    so there those members are also the one-edge rule's."""
+def _record_checked_pairs(monkeypatch):
+    """Route the verifier's containment tests through a recorder; returns
+    the list that collects the edge sets it is asked about."""
     checked = []
 
     def recording(target):
@@ -450,6 +447,55 @@ def test_verifier_checks_exactly_the_pairs_of_minimal_members(monkeypatch):
 
         return record
 
+    monkeypatch.setattr(construct, "containment_check", recording)
+    return checked
+
+
+def _assert_checks_minimal_pairs(checked, family, target):
+    """A passing family costs one containment test per pair i <= j of its
+    minimal members by the quadratic rule, and no other."""
+    checked.clear()
+    assert verify_intersecting(family, target) is None
+    minimal = quadratic_minimal_members(family)
+    pairs = [a & b for i, a in enumerate(minimal) for b in minimal[i:]]
+    assert sorted(checked) == sorted(pairs), family
+    return len(pairs)
+
+
+def test_minimal_members_are_kept_by_the_one_edge_rule(monkeypatch):
+    """On random families, up-closed or not, the minimal members come in
+    member order, each has no member one edge smaller, and every member
+    contains one of them; on up-closed families the two rules agree.  On
+    those that pass, the verifier checks exactly the pairs of them."""
+    rng = random.Random(2025)
+    targets = [path(2), path(3), complete(3), complete_multipartite([1, 2])]
+    passing = []
+    for _ in range(400):
+        host = _random_host(rng)
+        family = _random_family(rng, host, rng.choice(["up-closed", "above-core", "tiny", "any"]))
+        minimal = quadratic_minimal_members(family)
+        oracle = one_edge_minimal_members(family)
+        assert set(minimal) <= set(oracle), family
+        assert minimal == [x for x in family.members if x in minimal], family
+        assert all(any(x & low == low for low in minimal) for x in family.members), family
+        if _is_up_closed(family):
+            assert minimal == oracle, family
+        target = rng.choice(targets)
+        if verify_pairwise(family, target, require_self=True) is None:
+            passing.append((family, target))
+    assert len(passing) >= 100
+    assert not all(_is_up_closed(family) for family, _ in passing)
+
+    checked = _record_checked_pairs(monkeypatch)
+    for family, target in passing:
+        _assert_checks_minimal_pairs(checked, family, target)
+
+
+def test_minimal_members_match_the_one_edge_rule_on_witnesses_and_the_construction(
+        monkeypatch):
+    """Search witnesses and the construction are up-closed, so there the
+    two rules keep the same members, in the same order; K_{4,24}'s are its
+    26 seeds.  The verifier checks exactly the pairs of them."""
     families = []
     for m, target in ((7, path(4)), (8, path(4)), (11, complete(3))):
         hosts = connected_graphs(6, m, True)
@@ -465,26 +511,11 @@ def test_verifier_checks_exactly_the_pairs_of_minimal_members(monkeypatch):
     for family, _ in families:
         assert _is_up_closed(family)
         assert quadratic_minimal_members(family) == one_edge_minimal_members(family)
-    rng = random.Random(2025)
-    targets = [path(2), path(3), complete(3), complete_multipartite([1, 2])]
-    while len(families) < 51 + 200:
-        host = _random_host(rng)
-        family = _random_family(rng, host, rng.choice(["up-closed", "above-core", "any"]))
-        target = rng.choice(targets)
-        if verify_pairwise(family, target, require_self=True) is None:
-            families.append((family, target))
 
-    monkeypatch.setattr(construct, "containment_check", recording)
-    counts = []
-    for family, target in families:
-        checked.clear()
-        assert verify_intersecting(family, target) is None
-        minimal = quadratic_minimal_members(family)
-        pairs = [a & b for i, a in enumerate(minimal) for b in minimal[i:]]
-        assert sorted(checked) == sorted(pairs), family
-        counts.append(len(pairs))
+    checked = _record_checked_pairs(monkeypatch)
+    counts = [_assert_checks_minimal_pairs(checked, family, target)
+              for family, target in families]
     assert counts[50] == 351  # K_{4,24}'s 26 seeds
-    assert not all(_is_up_closed(family) for family, _ in families[51:])
 
 
 def test_verifier_answers_as_before_on_families_that_are_not_up_closed():
