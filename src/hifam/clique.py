@@ -102,15 +102,17 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     bit i set.  With k = 0 the empty set is the one copy and every subset a
     candidate; with k > e there is no copy and no candidate.
 
-    Two sweeps over the lattice then give the adjacency.  A superset
-    sweep sets ``up[c]`` to the candidates that contain c, which is also
-    c's ``sup`` row; a subset sweep, in place, ORs into it ``up[t]`` for
-    every candidate t inside c, and in the same pass fills ``down[c]``, the
-    candidates inside c, which is c's ``sub`` row.  Candidates a and b are
-    adjacent exactly when some candidate t lies inside both (take
-    t = a & b), so row a is a's swept entry without its own bit, which it
-    always holds.  Only candidates' entries are ever set: a superset of a
-    candidate is one, and a subset with no candidate inside it keeps 0.
+    Per-edge masks then give the rows: ``has[b]`` is the candidates that
+    hold edge b, c's ``sup`` row the AND of ``has[b]`` over c's edges and
+    its ``sub`` row the AND of their complements over the edges c lacks.
+    Each AND splits over the low and high halves of the edge bits, so a
+    row is the AND of one entry from each half's table of 2^(e/2) entries
+    (one table of 2^e entries would triple the peak at 16 edges).
+    Candidates a and b are adjacent exactly when some candidate t lies
+    inside both (take t = a & b), so one subset sweep over the lattice,
+    seeded with the ``sup`` rows, ORs ``up[t]`` into ``up[c]`` for every
+    candidate t inside c, and row a is a's entry without its own bit.  The
+    sweep sets candidates' entries only: no non-candidate contains one.
     Hosts with more than MAX_HOST_EDGES edges raise UserError at once:
     their 2^e lattice is out of reach.  So do more than MAX_CANDIDATES
     candidates, as soon as the table is closed: every candidate gets
@@ -146,23 +148,30 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     # the table's set bits, read from its binary string: iter_bits would
     # copy the whole 2^e-bit table once per candidate
     cands = [c for c, bit in enumerate(bin(table)[:1:-1]) if bit == "1"]
+    everyone = (1 << len(cands)) - 1
+    # bit b of every candidate, last candidate first, is a strided slice of
+    # their e-bit strings; leading zeros make a number of an empty slice
+    bits = "0" * e + (f"{{:0{e}b}}" * len(cands)).format(*cands)[::-1]
+    has = [int(bits[b::e], 2) for b in range(e)]
+    half = e // 2
+    tables = []
+    for part in has[:half], has[half:]:
+        sup = sub = [everyone]  # doubled by each bit: entry x for subset x
+        for row in part:
+            sup, sub = sup + [r & row for r in sup], [r & ~row for r in sub] + sub
+        tables += sup, sub
+    lo_sup, lo_sub, hi_sup, hi_sub = tables
+    low = (1 << half) - 1
+    sup = [lo_sup[c & low] & hi_sup[c >> half] for c in cands]
+    sub = [lo_sub[c & low] & hi_sub[c >> half] for c in cands]
     up = [0] * len(subsets)
-    for i, c in enumerate(cands):
-        up[c] = 1 << i
-    down = up[:]
-    bits = [1 << i for i in range(e)]
-    for bit in bits:
-        for c in cands:
-            if not c & bit:
-                up[c] |= up[c | bit]
-    sup = [up[c] for c in cands]
-    for bit in bits:
+    for c, row in zip(cands, sup):
+        up[c] = row
+    for bit in [1 << b for b in range(e)]:
         for c in cands:
             if c & bit:
                 up[c] |= up[c ^ bit]
-                down[c] |= down[c ^ bit]
     adjacency = [up[c] ^ 1 << i for i, c in enumerate(cands)]
-    sub = [down[c] for c in cands]
     return CompatibilityGraph([subsets[c] for c in cands], adjacency, sup, sub)
 
 
@@ -216,9 +225,10 @@ def max_clique(cg: CompatibilityGraph) -> CliqueResult:
     neighbourhood, built here once.
     """
     n = cg.size
-    excl = [~(row | 1 << v) for v, row in enumerate(cg.adjacency)]
+    everyone = (1 << n) - 1
+    excl = [everyone ^ (row | 1 << v) for v, row in enumerate(cg.adjacency)]
     sup, sub = cg.sup, cg.sub
-    best, clique, phase1_nodes = _upset_search((1 << n) - 1, 0, n + 1, excl, sup, sub)
+    best, clique, phase1_nodes = _upset_search(everyone, 0, n + 1, excl, sup, sub)
     witness, phase2_nodes = _lex_min_clique(excl, sup, sub, n, best, clique)
     return CliqueResult(witness, phase1_nodes, phase2_nodes)
 

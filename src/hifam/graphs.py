@@ -162,9 +162,6 @@ class Graph(Record):
                 lower ^= low
         return adj
 
-    def degree_sequence(self) -> list[int]:
-        return sorted(a.bit_count() for a in self.adjacency())
-
     def incident_edge_mask(self, v: int) -> int:
         """Bitset (over edge slots) of this graph's edges incident to v.
 

@@ -20,6 +20,7 @@ from hifam import (
     is_connected,
     verify_intersecting,
 )
+from hifam.clique import MAX_CANDIDATES, MAX_HOST_EDGES, _clear_masks
 from hifam.graphs import (
     GRAPH6_HEADER,
     MAX_VERTICES,
@@ -89,6 +90,60 @@ def pairwise_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
                 adjacency[a] |= 1 << b
                 adjacency[b] |= 1 << a
     return plain_instance(adjacency, [subsets[c] for c in cands])
+
+
+def sweep_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
+    """The compatibility graph, sup and sub rows by two sweeps over the
+    subset lattice, with the caps and messages of clique.build_compatibility.
+
+    This is how build_compatibility worked before it read sup and sub off
+    per-edge candidate masks.  A superset sweep sets ``up[c]`` to the
+    candidates containing c (its sup row); a subset sweep ORs into it
+    ``up[t]`` for every candidate t inside c (a candidate inside both ends
+    of a pair is what makes them adjacent) and fills ``down[c]``, the
+    candidates inside c (its sub row).
+    """
+    e = host.edge_count
+    if e > MAX_HOST_EDGES:
+        raise UserError(f"compatibility graphs capped at {MAX_HOST_EDGES} host edges, got {e}")
+    check = containment_check(target)
+    subsets = list(submasks(host.edges))
+    ends = [1 << i | 1 << j for i, j in host.edge_pairs()]
+    cover = sum(1 for row in target.adjacency() if row)
+    table = 0
+    for edges in itertools.combinations(range(e), target.edge_count):
+        c = touched = 0
+        for i in edges:
+            c |= 1 << i
+            touched |= ends[i]
+        if touched.bit_count() == cover and check(Graph(host.n, subsets[c])):
+            table |= 1 << c
+    for i, clear in enumerate(_clear_masks(e)):
+        table |= (table & clear) << (1 << i)
+    count = table.bit_count()
+    if count > MAX_CANDIDATES:
+        raise UserError(
+            f"compatibility graphs capped at {MAX_CANDIDATES} candidates, got {count}"
+        )
+    cands = [c for c, bit in enumerate(bin(table)[:1:-1]) if bit == "1"]
+    up = [0] * len(subsets)
+    for i, c in enumerate(cands):
+        up[c] = 1 << i
+    down = up[:]
+    bits = [1 << i for i in range(e)]
+    for bit in bits:
+        for c in cands:
+            if not c & bit:
+                up[c] |= up[c | bit]
+    sup = [up[c] for c in cands]
+    for bit in bits:
+        for c in cands:
+            if c & bit:
+                up[c] |= up[c ^ bit]
+                down[c] |= down[c ^ bit]
+    adjacency = [up[c] ^ 1 << i for i, c in enumerate(cands)]
+    sub = [down[c] for c in cands]
+    return CompatibilityGraph([subsets[c] for c in cands], adjacency, sup, sub)
 
 
 def degree_ordered_clique_size(cg: CompatibilityGraph) -> int:

@@ -3,6 +3,7 @@
 import gc
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -30,7 +31,7 @@ from hifam import (
 )
 from hifam import clique
 from hifam.clique import MAX_CANDIDATES, MAX_HOST_EDGES, _color_sort, _lex_min_clique
-from hifam.graphs import iter_bits, submasks
+from hifam.graphs import UserError, iter_bits, submasks
 
 from oracles import (
     brute_force_clique,
@@ -40,6 +41,7 @@ from oracles import (
     pairwise_compatibility,
     plain_instance,
     recursive_upset_search,
+    sweep_compatibility,
     _top_first_coloring,
     validate_compatibility,
 )
@@ -73,14 +75,17 @@ def _random_upset_instance(rng, e):
 def _excl(adjacency):
     """Each vertex's complement of its closed neighbourhood, as max_clique
     builds it for the coloring."""
-    return [~(row | 1 << v) for v, row in enumerate(adjacency)]
+    everyone = (1 << len(adjacency)) - 1
+    return [everyone ^ (row | 1 << v) for v, row in enumerate(adjacency)]
 
 
 def _oracle_args(args):
     """_upset_search's arguments with the adjacency rows the recursion
-    takes in place of the excl rows: ~excl[v] is v's closed neighbourhood."""
+    takes in place of the excl rows: everyone ^ excl[v] is v's closed
+    neighbourhood."""
     p_mask, floor, stop, excl, sup, sub = args
-    return p_mask, floor, stop, [~row ^ 1 << v for v, row in enumerate(excl)], sup, sub
+    everyone = (1 << len(excl)) - 1
+    return p_mask, floor, stop, [everyone ^ row ^ 1 << v for v, row in enumerate(excl)], sup, sub
 
 
 def _from_pairs(size, pairs):
@@ -281,6 +286,54 @@ def test_builder_matches_oracle_on_edge_case_targets(target):
         old = pairwise_compatibility(host, target)
         assert (cg.labels, cg.adjacency) == (old.labels, old.adjacency)
         assert (cg.sup, cg.sub) == containment_rows(cg)
+
+
+def _built_or_refused(build, host, target):
+    try:
+        return build(host, target)
+    except UserError as error:
+        return str(error)
+
+
+def test_builder_matches_the_sweeps_it_replaced():
+    """Labels, adjacency, sup and sub rows, or the refusal, as the two
+    lattice sweeps gave them: every host with at most 6 vertices against
+    eight targets (only K6 passes the candidate cap, with each of them),
+    and three large instances."""
+    paw = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    two_k2 = from_edges(4, [(0, 1), (2, 3)])
+    targets = [complete(2), path(3), path(4), complete(3), cycle(4), two_k2, paw, Graph(3, 0)]
+    pairs = [(host, target) for n in range(1, 7) for host in _all_hosts(n) for target in targets]
+    pairs += [
+        (complete(5), path(4)),
+        (complete_multipartite([1, 12]), complete(2)),
+        (complete_multipartite([2, 7]), complete_multipartite([2, 3])),
+    ]
+    refused = 0
+    for host, target in pairs:
+        new = _built_or_refused(build_compatibility, host, target)
+        assert new == _built_or_refused(sweep_compatibility, host, target), (host, target)
+        refused += isinstance(new, str)
+    assert (len(pairs), refused) == (1667, 8)
+
+
+def test_builder_peak_memory_stays_at_the_sweeps():
+    """The half-tables cost next to nothing beside the rows: on K_{2,7}
+    with K_{2,3} (3,991 candidates) the builder's tracemalloc peak stays
+    within 10% of the sweeps' (one table of 2^14 sup rows, dropped before
+    the adjacency sweep, took 1.13 times it)."""
+    host, target = complete_multipartite([2, 7]), complete_multipartite([2, 3])
+    peaks = []
+    tracemalloc.start()
+    try:
+        for build in (sweep_compatibility, build_compatibility):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert build(host, target).size == 3991
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 @pytest.mark.parametrize("target, size", [

@@ -470,5 +470,5 @@ def test_edge_list_errors():
 def test_christofides_host_shape():
     g = christofides_host()
     assert (g.n, g.edge_count) == (6, 7)
-    assert g.degree_sequence() == [1, 2, 2, 2, 3, 4]
+    assert sorted(row.bit_count() for row in g.adjacency()) == [1, 2, 2, 2, 3, 4]
     assert contains_subgraph(g, path(4))
