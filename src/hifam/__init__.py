@@ -35,7 +35,6 @@ from .graphs import (
     complete_multipartite,
     cycle,
     edge_index,
-    edge_pair,
     emit_graph6,
     from_edges,
     parse_edge_list,

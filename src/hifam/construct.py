@@ -23,6 +23,8 @@ from .graphs import (
     Record,
     UserError,
     complete_multipartite,
+    from_edges,
+    iter_bits,
     pair_count,
     submasks,
 )
@@ -96,7 +98,9 @@ def multipartite_family(parts: Sequence[int], t: int) -> MultipartiteFamily:
     size = (t + 2) * ((1 << m) - 1) + 1
     if size > MAX_MEMBERS:
         raise UserError(f"the family would have {size} members; cap is {MAX_MEMBERS}")
-    seeds = [host.edges & ~host.incident_edge_mask(w) for w in range(m, host.n)]
+    adj = host.adjacency()
+    seeds = [host.edges ^ from_edges(host.n, ((v, w) for v in iter_bits(adj[w]))).edges
+             for w in range(m, host.n)]
     # every supergraph of every seed; the full extension is the host itself
     members = {seed | added for seed in seeds for added in submasks(host.edges ^ seed)}
     return MultipartiteFamily(parts, t, SubgraphFamily(host, sorted(members)))

@@ -68,16 +68,18 @@ def _place(
 def contains_p4(g: Graph) -> bool:
     """True iff g contains a path on 4 vertices.
 
-    Scan each edge {u, v} for a neighbor of u besides v and a neighbor of v
-    besides u that are not the same single vertex; equivalent to the generic
-    backtracking test on the 3-edge path.
+    Scan each edge {i, j}, i < j, column j's lower neighbours i in turn, for
+    a neighbor of i besides j and a neighbor of j besides i that are not the
+    same single vertex; equivalent to the generic backtracking test on the
+    3-edge path.
     """
     adj = g.adjacency()
-    for i, j in g.edge_pairs():
-        a = adj[i] & ~(1 << j)
-        b = adj[j] & ~(1 << i)
-        if a and b and (a | b).bit_count() >= 2:
-            return True
+    for j, row in enumerate(adj):
+        for i in iter_bits(row & ((1 << j) - 1)):
+            a = adj[i] ^ 1 << j
+            b = row ^ 1 << i
+            if a and b and (a | b).bit_count() >= 2:
+                return True
     return False
 
 

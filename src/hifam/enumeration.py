@@ -31,8 +31,6 @@ def is_connected(g: Graph) -> bool:
     Connectivity is over the full vertex set: an isolated vertex makes the
     graph disconnected (unless n == 1).
     """
-    if g.n == 1:
-        return True
     adj = g.adjacency()
     seen = 1
     frontier = 1

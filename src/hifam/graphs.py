@@ -3,12 +3,13 @@
 A graph is a vertex count ``n`` plus a Python integer whose bits index the
 n(n-1)/2 unordered vertex pairs.  Pairs are numbered column by column along
 the upper triangle of the adjacency matrix -- (0,1), (0,2), (1,2), (0,3),
-... -- which makes graph6 emission a straight bit copy.
+... -- which makes graph6 emission a straight bit copy.  edge_index, through
+from_edges, is the one encoder of that layout and Graph.adjacency the one
+decoder.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator, Sequence
 from operator import attrgetter
 
@@ -46,15 +47,6 @@ def edge_index(i: int, j: int, n: int) -> int:
     if i > j:
         i, j = j, i
     return j * (j - 1) // 2 + i
-
-
-def edge_pair(index: int, n: int) -> tuple[int, int]:
-    """Inverse of edge_index: the pair (i, j), i < j, at a bit position."""
-    if not 0 <= index < pair_count(n):
-        raise ValueError(f"edge index {index} out of range for n={n}")
-    j = (1 + math.isqrt(1 + 8 * index)) // 2
-    i = index - j * (j - 1) // 2
-    return i, j
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -141,7 +133,10 @@ class Graph(Record):
         return self.edges.bit_count()
 
     def edge_pairs(self) -> list[tuple[int, int]]:
-        return [edge_pair(b, self.n) for b in iter_bits(self.edges)]
+        """The edges as pairs (i, j), i < j, in bit order: column j's lower
+        neighbours i, column by column."""
+        return [(i, j) for j, row in enumerate(self.adjacency())
+                for i in iter_bits(row & ((1 << j) - 1))]
 
     def adjacency(self) -> list[int]:
         """Per-vertex neighbor bitmasks (bit v of adjacency()[u] marks edge uv).
@@ -161,17 +156,6 @@ class Graph(Record):
                 adj[low.bit_length() - 1] |= bit
                 lower ^= low
         return adj
-
-    def incident_edge_mask(self, v: int) -> int:
-        """Bitset (over edge slots) of this graph's edges incident to v.
-
-        Column v holds v's edges to lower vertices; each higher vertex j
-        holds its edge to v at slot j(j-1)/2 + v.
-        """
-        mask = ((1 << v) - 1) << pair_count(v)
-        for j in range(v + 1, self.n):
-            mask |= 1 << (pair_count(j) + v)
-        return self.edges & mask
 
 
 def from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -226,24 +210,32 @@ def christofides_host() -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_edges(n: int, edges: int) -> int:
-    """Minimum edge bitset over all relabelings, built one column at a time.
+def canonical_key(g: Graph) -> Graph:
+    """Canonical form of g: the relabeling with the minimum edge bitset; n <= 8.
 
-    Column k (bits of the pairs (i, k), i < k) outranks every lower column,
-    so positions are filled from n - 1 down.  A state is an ordered
-    partition of the unplaced vertices into cells that fill positions 0, 1,
-    ... in order.  The vertex w placed at position k comes from the last
-    cell; its column is smallest when its neighbours come first in every
-    cell, which splits each cell in two.  Each tried vertex's column comes
-    first, from the neighbour counts of the cells; only a vertex whose
-    column ties or beats the best so far has its refined cells built, and
-    only the states whose column ties the minimum survive to the next
-    position.  Lower columns see only the unplaced vertices, so equal states
-    have equal futures and are kept once; that bounds the work on graphs
-    with many automorphisms (for the empty graph, one state per set of
-    placed vertices, not one per ordering).
+    Two graphs are isomorphic iff their canonical forms are equal.  The key
+    is built one column at a time.  Column k (bits of the pairs (i, k),
+    i < k) outranks every lower column, so positions are filled from n - 1
+    down.  A state is an ordered partition of the unplaced vertices into
+    cells that fill positions 0, 1, ... in order.  The vertex w placed at
+    position k comes from the last cell; its column is smallest when its
+    neighbours come first in every cell, which splits each cell in two (at
+    the top, a minimum-degree vertex with its neighbours first gives the
+    least column, 2^delta - 1).  Each tried vertex's column comes first,
+    from the neighbour counts of the cells; only a vertex whose column ties
+    or beats the best so far has its refined cells built, and only the
+    states whose column ties the minimum survive to the next position.
+    Lower columns see only the unplaced vertices, so equal states have
+    equal futures and are kept once; that bounds the work on graphs with
+    many automorphisms (for the empty graph, one state per set of placed
+    vertices, not one per ordering).
     """
-    adj = Graph(n, edges).adjacency()
+    n = g.n
+    if n > CANONICAL_MAX_VERTICES:
+        raise UserError(
+            f"canonical_key supports n <= {CANONICAL_MAX_VERTICES}, got n={n}"
+        )
+    adj = g.adjacency()
     key = 0
     states = {((1 << n) - 1,)}
     for k in range(n - 1, 0, -1):
@@ -277,23 +269,7 @@ def _canonical_edges(n: int, edges: int) -> int:
                 survivors.add(tuple(refined))
         key |= best << pair_count(k)
         states = survivors
-    return key
-
-
-def canonical_key(g: Graph) -> Graph:
-    """Canonical form of g: the relabeling with the minimum edge bitset; n <= 8.
-
-    Two graphs are isomorphic iff their canonical forms are equal.  The
-    top column, pairs (i, n-1), is at least 2^delta - 1 (delta the minimum
-    degree), reached exactly by a minimum-degree vertex at n - 1 with its
-    neighbours first; the same argument repeats at each lower position, so
-    only relabelings that survive it are tried.
-    """
-    if g.n > CANONICAL_MAX_VERTICES:
-        raise UserError(
-            f"canonical_key supports n <= {CANONICAL_MAX_VERTICES}, got n={g.n}"
-        )
-    return Graph(g.n, _canonical_edges(g.n, g.edges))
+    return Graph(n, key)
 
 
 # ---------------------------------------------------------------------------

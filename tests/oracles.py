@@ -7,6 +7,7 @@ which tests use to state what the library's results mean.
 """
 
 import itertools
+import math
 from collections.abc import Sequence
 from functools import lru_cache
 
@@ -27,7 +28,6 @@ from hifam.graphs import (
     Record,
     UserError,
     edge_index,
-    edge_pair,
     iter_bits,
     pair_count,
     submasks,
@@ -195,26 +195,24 @@ def degree_ordered_clique_size(cg: CompatibilityGraph) -> int:
     return best
 
 
-def coloring_max_clique(cg: CompatibilityGraph) -> CliqueResult:
-    """Exact maximum clique and its lexicographically smallest witness by
-    plain branch and bound over every clique, ignoring sup and sub.
+def certify_clique_bound(cg: CompatibilityGraph, claim: int) -> tuple[int, int]:
+    """Branch and bound over every clique in the given vertex order, pruned
+    by the top-first coloring bound, with claim as its incumbent
+    (coloring_max_clique's phase 1 starts from 0): it looks only for
+    cliques larger than claim, so a search that finds none proves that
+    claim is an upper bound on the clique size.
 
-    Phase 1 searches the given vertex order with the top-first coloring
-    bound at every node; phase 2 re-searches in ascending vertex order,
-    pruned by the same bound, and backtracks on failure.  This is how
-    clique.max_clique worked before it searched up-closed cliques only.
-    Both phases recurse once per clique vertex, so hosts whose optimum
-    nears the interpreter's recursion limit are out of its reach.
+    Returns (best, nodes): best is claim when no larger clique exists and
+    the size of the largest clique otherwise; nodes counts the search's
+    calls.  Like coloring_max_clique it ignores sup and sub, so it takes on
+    trust neither the up-closure lemma nor the solver's branching.
     """
-    n = cg.size
-    if n == 0:
-        return CliqueResult([])
     adj = cg.adjacency
-
-    best = 0
+    best, nodes = claim, 0
 
     def expand(p_mask: int, size: int) -> None:
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
         if not p_mask:
             if size > best:
                 best = size
@@ -226,9 +224,26 @@ def coloring_max_clique(cg: CompatibilityGraph) -> CliqueResult:
             expand(p_mask & adj[v], size + 1)
             p_mask &= ~(1 << v)
 
-    expand((1 << n) - 1, 0)
-    witness = _lex_min_clique(cg.adjacency, n, best)
-    return CliqueResult(witness)
+    expand((1 << cg.size) - 1, 0)
+    return best, nodes
+
+
+def coloring_max_clique(cg: CompatibilityGraph) -> CliqueResult:
+    """Exact maximum clique and its lexicographically smallest witness by
+    plain branch and bound over every clique, ignoring sup and sub.
+
+    Phase 1 (certify_clique_bound from 0) searches the given vertex order
+    with the top-first coloring bound at every node; phase 2 re-searches in
+    ascending vertex order, pruned by the same bound, and backtracks on
+    failure.  This is how clique.max_clique worked before it searched
+    up-closed cliques only.  Both phases recurse once per clique vertex,
+    so hosts whose optimum nears the interpreter's recursion limit are out
+    of its reach.
+    """
+    if cg.size == 0:
+        return CliqueResult([])
+    best, _ = certify_clique_bound(cg, 0)
+    return CliqueResult(_lex_min_clique(cg.adjacency, cg.size, best))
 
 
 def recursive_upset_search(
@@ -497,6 +512,20 @@ def labeled_classes(n: int, m: int, connected: bool) -> tuple[Graph, ...]:
     return tuple(Graph(n, key) for key in sorted(keys))
 
 
+def edge_pair(index: int, n: int) -> tuple[int, int]:
+    """Inverse of edge_index: the pair (i, j), i < j, at a bit position.
+
+    Column j starts at bit j(j-1)/2, so j is the largest integer with
+    j(j-1)/2 <= index, read off a square root.  The library has no inverse:
+    it decodes whole columns in Graph.adjacency.
+    """
+    if not 0 <= index < pair_count(n):
+        raise ValueError(f"edge index {index} out of range for n={n}")
+    j = (1 + math.isqrt(1 + 8 * index)) // 2
+    i = index - j * (j - 1) // 2
+    return i, j
+
+
 def pairwise_adjacency(g: Graph) -> list[int]:
     """Per-vertex neighbor bitmasks, one edge at a time.
 
@@ -505,7 +534,8 @@ def pairwise_adjacency(g: Graph) -> list[int]:
     columns of the bitset.
     """
     adj = [0] * g.n
-    for i, j in g.edge_pairs():
+    for b in iter_bits(g.edges):
+        i, j = edge_pair(b, g.n)
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     return adj
@@ -515,8 +545,8 @@ def incident_edge_mask_by_edges(g: Graph, v: int) -> int:
     """Bitset of g's edges at v, one edge at a time.
 
     Each set bit of the edge bitset is mapped back to its pair by
-    edge_pair; this is how Graph.incident_edge_mask worked before it read
-    v's column and the higher vertices' slots directly.
+    edge_pair; the construction's seeds, the host minus the edges at one
+    vertex, are pinned to it.
     """
     mask = 0
     for b in iter_bits(g.edges):

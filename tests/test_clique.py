@@ -11,6 +11,7 @@ import pytest
 from hifam import (
     CompatibilityGraph,
     Graph,
+    SubgraphFamily,
     build_compatibility,
     canonical_key,
     christofides_host,
@@ -20,6 +21,7 @@ from hifam import (
     containment_check,
     contains_subgraph,
     cycle,
+    emit_graph6,
     from_edges,
     is_connected,
     max_clique,
@@ -35,6 +37,7 @@ from hifam.graphs import UserError, iter_bits, submasks
 
 from oracles import (
     brute_force_clique,
+    certify_clique_bound,
     coloring_max_clique,
     containment_rows,
     degree_ordered_clique_size,
@@ -44,6 +47,7 @@ from oracles import (
     sweep_compatibility,
     _top_first_coloring,
     validate_compatibility,
+    verify_pairwise,
 )
 
 
@@ -231,6 +235,22 @@ def test_p4_rows(p4_records, n, m, sizes, best):
     assert str(summary.max_density) == best
     if (n, m) == (7, 8):
         assert summary.argmax_hosts == ["F]qC?", "F]pC?", "FlhC?", "FbXc?"]
+
+
+P4_HOSTS = [g for m in (7, 8, 9) for g in connected_graphs(6, m)]
+
+
+@pytest.mark.parametrize("host", P4_HOSTS, ids=[emit_graph6(g) for g in P4_HOSTS])
+def test_p4_optimum_is_certified_without_the_solver(host):
+    """The solver's P4 optimum on each connected 6-vertex host with 7 to 9
+    edges, checked by oracles only: its witness is a family (the lower
+    bound), and the every-clique search seeded with the optimum finds
+    nothing larger (the upper bound), on the pairwise-built graph."""
+    cg = pairwise_compatibility(host, path(4))
+    result = max_clique(cg)
+    family = SubgraphFamily(host, [cg.labels[i] for i in result.witness])
+    assert verify_pairwise(family, path(4), require_self=True) is None
+    assert certify_clique_bound(cg, result.size)[0] == result.size
 
 
 def test_seven_vertex_ten_edge_p4_row(ten_edge_records):

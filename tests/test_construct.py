@@ -10,6 +10,7 @@ from hifam import (
     Graph,
     SearchRecord,
     SubgraphFamily,
+    build_compatibility,
     complete,
     complete_multipartite,
     connected_graphs,
@@ -18,6 +19,7 @@ from hifam import (
     density_string,
     from_edges,
     lifted_count_string,
+    max_clique,
     multipartite_family,
     path,
     search_hosts,
@@ -29,6 +31,7 @@ from hifam.clique import MAX_HOST_EDGES
 from hifam.graphs import UserError, edge_index, iter_bits
 
 from oracles import (
+    certify_clique_bound,
     check_seeds,
     construction_counts,
     construction_seeds,
@@ -172,6 +175,38 @@ def test_one_vertex_larger_host_keeps_the_optimum_density(parts, t):
     [record] = search_hosts([host], complete_multipartite(parts + (t,)))
     expected = 80 if (parts, t) == ((2,), 1) else max(construction_counts(parts, t)) << sum(parts)
     assert record.clique_size == expected
+
+
+# (parts, t, extra vertices in the last part): each instance of the two
+# tables above, the host K_{parts,t+extra} and the pattern K_{parts,t}
+CERTIFIED = [(parts, t, 2) for parts, t in SOLVABLE_CONSTRUCTIONS]
+CERTIFIED += [(parts, t, 3) for parts, t in LARGER_HOSTS]
+# over 2 s each (CPython 3.11): the quadratic witness check of K_{5,1}'s
+# 1,024 members and the 1,603-node search for K_{3,2} on K_{3,5}
+SLOW_CERTIFIED = {((5,), 1, 2), ((3,), 2, 3)}
+
+
+@pytest.mark.parametrize("parts,t,extra", CERTIFIED, ids=[
+    f"{','.join(map(str, p))}-{t}-on-{t + x}" for p, t, x in CERTIFIED])
+def test_table_optimum_is_certified_without_the_solver(request, parts, t, extra):
+    """The optima of both tables above, checked by oracles only: the
+    solver's witness is a family of the table's size (the lower bound), and
+    the every-clique search seeded with that size finds nothing larger (the
+    upper bound)."""
+    if (parts, t, extra) in SLOW_CERTIFIED and not request.config.getoption(
+            "--run-large-verify"):
+        pytest.skip("needs --run-large-verify")
+    host = complete_multipartite(parts + (t + extra,))
+    target = complete_multipartite(parts + (t,))
+    claim = max(construction_counts(parts, t))
+    if extra == 3:
+        claim = 80 if (parts, t) == ((2,), 1) else claim << sum(parts)
+    cg = build_compatibility(host, target)
+    result = max_clique(cg)
+    family = SubgraphFamily(host, [cg.labels[i] for i in result.witness])
+    assert len(family) == claim
+    assert verify_pairwise(family, target, require_self=True) is None
+    assert certify_clique_bound(cg, claim)[0] == claim
 
 
 def test_k41_on_k44_is_over_the_candidate_cap():

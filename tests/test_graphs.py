@@ -22,7 +22,7 @@ from hifam import (
     parse_graph6,
     path,
 )
-from hifam.graphs import _canonical_edges, edge_index, edge_pair, pair_count, submasks
+from hifam.graphs import edge_index, iter_bits, pair_count, submasks
 
 from oracles import (
     apply_permutation,
@@ -30,6 +30,7 @@ from oracles import (
     bitwise_parse_graph6,
     canonical_edges,
     compact_subsets,
+    edge_pair,
     incident_edge_mask_by_edges,
     pairwise_adjacency,
     tied_state_canonical_edges,
@@ -147,16 +148,21 @@ def test_adjacency_matches_pairwise_oracle(n):
     graphs += [_random_graph(rng, n, p) for p in (0.1, 0.5, 0.9) for _ in range(5)]
     for g in graphs:
         assert g.adjacency() == pairwise_adjacency(g)
+        assert g.edge_pairs() == [edge_pair(b, n) for b in iter_bits(g.edges)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 30, 64])
 def test_incident_edge_mask_matches_per_edge_oracle(n):
+    # the edges at v as the construction builds them: v's adjacency row
+    # encoded back by from_edges
     rng = random.Random(n)
     graphs = [Graph(n, 0), complete(n)]
     graphs += [_random_graph(rng, n, p) for p in (0.1, 0.5, 0.9) for _ in range(3)]
     for g in graphs:
+        adj = g.adjacency()
         for v in range(n):
-            assert g.incident_edge_mask(v) == incident_edge_mask_by_edges(g, v), (g, v)
+            star = from_edges(n, ((u, v) for u in iter_bits(adj[v])))
+            assert star.edges == incident_edge_mask_by_edges(g, v), (g, v)
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +256,14 @@ def test_column_first_key_matches_tied_state_oracle():
     # and 8-vertex graphs at low, middle and high edge density
     for n in range(1, 7):
         for edges in range(1 << pair_count(n)):
-            assert _canonical_edges(n, edges) == tied_state_canonical_edges(n, edges), (n, edges)
+            key = canonical_key(Graph(n, edges)).edges
+            assert key == tied_state_canonical_edges(n, edges), (n, edges)
     rng = random.Random(20261019)
     for n, count in ((7, 300), (8, 150)):
         for p in (0.15, 0.5, 0.85):
             for _ in range(count):
                 g = _random_graph(rng, n, p)
-                assert _canonical_edges(n, g.edges) == tied_state_canonical_edges(n, g.edges), (
+                assert canonical_key(g).edges == tied_state_canonical_edges(n, g.edges), (
                     n, g.edges)
 
 

@@ -73,7 +73,7 @@ def test_public_names_are_pinned():
         "UserError", "build_compatibility", "canonical_key", "christofides_host",
         "complete", "complete_multipartite", "connected_graphs", "containment_check",
         "contains_multipartite", "contains_p4", "contains_subgraph", "cycle",
-        "density_string", "edge_index", "edge_pair", "emit_graph6", "from_edges",
+        "density_string", "edge_index", "emit_graph6", "from_edges",
         "is_connected", "lifted_count_string", "load_records", "max_clique",
         "multipartite_family", "parse_edge_list", "parse_graph6", "path",
         "search_hosts", "solve_host", "summarize", "verify_intersecting",

@@ -27,10 +27,11 @@ from hifam import (
     emit_graph6,
     from_edges,
     max_clique,
+    parse_graph6,
     path,
     search_hosts,
 )
-from hifam.graphs import edge_index
+from hifam.graphs import edge_index, pair_count
 
 PAW = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])  # a triangle with a pendant edge
 
@@ -107,18 +108,40 @@ def test_p3_on_k5_beats_the_trivial_bound(request):
     assert (record.host_graph6, record.clique_size) == ("D~{", 320)
 
 
-def test_the_paw_on_the_christofides_host_plus_a_chord_lifts_p4():
-    """The chord (1, 2) joins the small side of the Christofides host's
-    K_{2,3}.  The host has no triangle, so every paw of the new host uses the
-    chord, and a set S of host edges holds a P4 exactly when S plus the
-    chord holds a paw: S -> S | chord maps the 71 P4 candidates onto the 71
-    paw candidates, and the optima agree."""
-    host = christofides_host()
-    chord = 1 << edge_index(1, 2, host.n)
-    lifted = Graph(host.n, host.edges | chord)
-    assert emit_graph6(canonical_key(lifted)) == "E}q?"
+# (P4 host, paw host, P4 candidates, paw candidates, optimum): the paw
+# host is the P4 host plus one edge e; only where the counts agree does
+# S -> S | e map the P4 candidates onto the paw candidates
+PAW_LIFTS = [
+    (emit_graph6(christofides_host()), "E}q?", 71, 71, 17),
+    ("F]qC?", "F}qC?", 145, 145, 34),
+    ("F]pC?", "F}pC?", 145, 145, 34),
+    ("FlhC?", "F|hC?", 166, 143, 34),
+    ("FbXc?", "FjXc?", 161, 142, 34),
+]
+
+
+@pytest.mark.parametrize("p4_host,paw_host,p4_count,paw_count,optimum", PAW_LIFTS,
+                         ids=["christofides", "F]qC?", "F]pC?", "FlhC?", "FbXc?"])
+def test_an_added_edge_lifts_p4_to_the_paw(p4_host, paw_host, p4_count, paw_count, optimum):
+    """Each P4 host (the Christofides host and the four 7-vertex, 8-edge P4
+    argmax hosts) plus exactly one edge e is the paw host, whose paw
+    optimum equals the P4 optimum.  On the Christofides host e is the chord
+    (1, 2) across the small side of its K_{2,3}; the host has no triangle,
+    so every paw of the new host uses the chord, and a set S of host edges
+    holds a P4 exactly when S | e holds a paw.  The same map works on F]qC?
+    and F]pC?; on FlhC? and FbXc? the candidate counts differ, so it fails
+    there, though the optima still agree."""
+    host = parse_graph6(p4_host)
+    key = parse_graph6(paw_host)
+    lifts = [Graph(host.n, host.edges | 1 << b) for b in range(pair_count(host.n))
+             if not host.edges >> b & 1]
+    [lifted] = [g for g in lifts if canonical_key(g) == key]
+    e = lifted.edges ^ host.edges
+    if host == christofides_host():
+        assert e == 1 << edge_index(1, 2, host.n)
     p4 = build_compatibility(host, path(4))
     paw = build_compatibility(lifted, PAW)
-    assert sorted(label | chord for label in p4.labels) == sorted(paw.labels)
-    assert len(paw.labels) == 71
-    assert max_clique(p4).size == max_clique(paw).size == 17
+    assert (len(p4.labels), len(paw.labels)) == (p4_count, paw_count)
+    maps = sorted(label | e for label in p4.labels) == sorted(paw.labels)
+    assert maps == (p4_count == paw_count)
+    assert max_clique(p4).size == max_clique(paw).size == optimum
