@@ -2,10 +2,11 @@
 """Density table for the multipartite family construction.
 
 For a complete multipartite pattern K_{s_1,...,s_{k-1},t}, hosting the
-family on K_{s_1,...,s_{k-1},t+2} and taking all proper supergraphs of the
-t+2 vertex-deleted seeds (plus the host) gives (t+2)(2^m - 1) + 1 members
-with m = s_1 + ... + s_{k-1}.  At t >= 2^m this beats the trivial
-1/2^e(pattern) density; the table below uses the smallest such t.
+family on K_{s_1,...,s_{k-1},t+2} and taking each of the t+2
+vertex-deleted seeds and every supergraph of it, the host shared, gives
+(t+2)(2^m - 1) + 1 members with m = s_1 + ... + s_{k-1}.  At t >= 2^m
+this beats the trivial 1/2^e(pattern) density; the table below uses the
+smallest such t.
 """
 
 from hifam import density_string, multipartite_family, verify_intersecting

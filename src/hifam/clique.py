@@ -10,7 +10,6 @@ so a heuristic proves nothing.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 
 from .detect import containment_check
@@ -68,18 +67,6 @@ class CliqueResult(Record):
         return len(self.witness)
 
 
-@lru_cache(maxsize=None)
-def _clear_masks(e: int) -> tuple[int, ...]:
-    """Per edge bit i < e, the compact indices below 2^e whose bit i is 0.
-
-    That is a block of 2^i ones repeated every 2^(i+1) bits: the 2^e-bit
-    all-ones number divided by 2^(2^(i+1)) - 1 has a one at the start of
-    each period, and the product spreads it over the block.
-    """
-    full = (1 << (1 << e)) - 1
-    return tuple(full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(e))
-
-
 def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     """Compatibility graph of all target-containing edge subsets of the host.
 
@@ -96,11 +83,12 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     exactly as many vertices as the target has non-isolated ones.  So the
     containment predicate, detect.containment_check's for the target, runs
     only on the k-edge subsets that touch that many vertices; the others
-    cannot hold the target.  The copies, as set
-    bits of one 2^e-bit table, are then closed upward by one shift per edge
-    bit i, which passes each index with bit i clear on to the index with
-    bit i set.  With k = 0 the empty set is the one copy and every subset a
-    candidate; with k > e there is no copy and no candidate.
+    cannot hold the target.  The copies' compact indices go into a set,
+    which is then closed upward one edge at a time: each host edge is
+    added to every member, so every superset of a copy is reached by
+    adding its missing edges in index order.  With k = 0 the empty set is
+    the one copy and every subset a candidate; with k > e there is no copy
+    and no candidate.
 
     Per-edge masks then give the rows: ``has[b]`` is the candidates that
     hold edge b, c's ``sup`` row the AND of ``has[b]`` over c's edges and
@@ -115,13 +103,15 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     sweep sets candidates' entries only: no non-candidate contains one.
     Hosts with more than MAX_HOST_EDGES edges raise UserError at once:
     their 2^e lattice is out of reach.  So do more than MAX_CANDIDATES
-    candidates, as soon as the table is closed: every candidate gets
+    candidates, as soon as the set is closed: every candidate gets
     several rows with one bit per candidate, so the rows grow with the
     square of the count (one list of 2^14 rows of 2^14 bits is 32 MB).
-    The solver can need far more: phase 1's stack holds one colour
-    listing per frame, as deep as the clique, and ``hifam clique --host
-    k1,14 --target k2`` (16,383 candidates) peaks at about 4 GB
-    (CPython 3.11).
+    Phase 1 of max_clique starts from the trivial family, so ``hifam
+    clique --host k1,14 --target k2`` (16,383 candidates, optimum 8,192)
+    takes about 0.16 s and 140 MB RSS (CPython 3.11), about the four
+    lists of rows.  Each frame of the solver's stack still keeps its colour
+    listing, so an instance whose optimum beats the trivial family can
+    still dive as deep as its clique and need far more.
     """
     e = host.edge_count
     if e > MAX_HOST_EDGES:
@@ -130,24 +120,21 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     subsets = list(submasks(host.edges))
     ends = [1 << i | 1 << j for i, j in host.edge_pairs()]
     cover = sum(1 for row in target.adjacency() if row)
-    table = 0
+    cands = set()
     for edges in combinations(range(e), target.edge_count):
         c = touched = 0
         for i in edges:
             c |= 1 << i
             touched |= ends[i]
         if touched.bit_count() == cover and check(Graph(host.n, subsets[c])):
-            table |= 1 << c
-    for i, clear in enumerate(_clear_masks(e)):
-        table |= (table & clear) << (1 << i)
-    count = table.bit_count()
-    if count > MAX_CANDIDATES:
+            cands.add(c)
+    for bit in [1 << i for i in range(e)]:
+        cands.update([c | bit for c in cands])
+    if len(cands) > MAX_CANDIDATES:
         raise UserError(
-            f"compatibility graphs capped at {MAX_CANDIDATES} candidates, got {count}"
+            f"compatibility graphs capped at {MAX_CANDIDATES} candidates, got {len(cands)}"
         )
-    # the table's set bits, read from its binary string: iter_bits would
-    # copy the whole 2^e-bit table once per candidate
-    cands = [c for c, bit in enumerate(bin(table)[:1:-1]) if bit == "1"]
+    cands = sorted(cands)
     everyone = (1 << len(cands)) - 1
     # bit b of every candidate, last candidate first, is a strided slice of
     # their e-bit strings; leading zeros make a number of an empty slice
@@ -215,12 +202,16 @@ def max_clique(cg: CompatibilityGraph) -> CliqueResult:
     containing one of its members, is a clique too: its intersections hold
     its members' intersections.  So every maximal clique, and every maximum
     one, is up-closed.  Phase 1 finds the optimum with _upset_search over
-    all candidates, which searches up-closed cliques only.  Phase 2 builds
-    the witness one vertex at a time in ascending order, taking the first
-    vertex whose remaining candidate set still holds a clique of the needed
-    size; see _lex_min_clique.  Both phases read the ``sup`` and ``sub``
-    rows; with rows that hold only their own candidate (a plain graph, not
-    a lattice) they search every clique.  Both read adjacency only
+    all candidates, which searches up-closed cliques only.  It starts from
+    ``sup[0]``, the up-set of the smallest candidate, and looks only for a
+    larger clique: that candidate is a copy of the target, since a copy
+    inside it comes no later, so its up-set is the trivial family.  Phase 2
+    builds the witness one vertex at a time in ascending order, taking the
+    first vertex whose remaining candidate set still holds a clique of the
+    needed size; see _lex_min_clique.  Both phases read the ``sup`` and
+    ``sub`` rows; with rows that hold only their own candidate (a plain
+    graph, not a lattice) they search every clique, and phase 1 starts
+    from vertex 0 alone.  Both read adjacency only
     through the ``excl`` rows, each vertex's complement of its closed
     neighbourhood, built here once.
     """
@@ -228,8 +219,11 @@ def max_clique(cg: CompatibilityGraph) -> CliqueResult:
     everyone = (1 << n) - 1
     excl = [everyone ^ (row | 1 << v) for v, row in enumerate(cg.adjacency)]
     sup, sub = cg.sup, cg.sub
-    best, clique, phase1_nodes = _upset_search(everyone, 0, n + 1, excl, sup, sub)
-    witness, phase2_nodes = _lex_min_clique(excl, sup, sub, n, best, clique)
+    trivial = sup[0] if n else 0
+    best, clique, phase1_nodes = _upset_search(
+        everyone, trivial.bit_count(), n + 1, excl, sup, sub
+    )
+    witness, phase2_nodes = _lex_min_clique(excl, sup, sub, n, best, clique or trivial)
     return CliqueResult(witness, phase1_nodes, phase2_nodes)
 
 

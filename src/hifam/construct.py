@@ -2,8 +2,8 @@
 
 The central recipe: host the complete multipartite graph whose final part
 has two spare vertices, seed one subgraph per final-part vertex w (the host
-minus every edge at w), and take all proper supergraphs of every seed plus
-the host itself.  Any two members then intersect in some seed or a pair
+minus every edge at w), and take each seed and every supergraph of it, the
+host shared by all.  Any two members then intersect in some seed or a pair
 intersection of seeds, which still holds a complete multipartite pattern
 one part-step smaller.
 
@@ -80,12 +80,13 @@ class MultipartiteFamily(Record):
 
 
 def multipartite_family(parts: Sequence[int], t: int) -> MultipartiteFamily:
-    """Build the family: the host plus all proper supergraphs of every seed.
+    """Build the family: each seed and every supergraph of it, the host shared.
 
     Seeds are the host minus all edges at one final-part vertex; each seed
-    misses exactly m = sum(parts) edges, so it contributes 2^m - 1 proper
-    supergraphs and the family has (t+2)(2^m - 1) + 1 members, a count
-    checked against MAX_MEMBERS before any member is built.  Part sizes
+    misses exactly m = sum(parts) edges, so it and its supergraphs other
+    than the host are 2^m - 1 members, and with the host the family has
+    (t+2)(2^m - 1) + 1 members, a count checked against MAX_MEMBERS
+    before any member is built.  Part sizes
     below 1 and a host past the caps raise UserError.
     """
     parts = tuple(parts)

@@ -21,7 +21,7 @@ from hifam import (
     is_connected,
     verify_intersecting,
 )
-from hifam.clique import MAX_CANDIDATES, MAX_HOST_EDGES, _clear_masks
+from hifam.clique import MAX_CANDIDATES, MAX_HOST_EDGES
 from hifam.graphs import (
     GRAPH6_HEADER,
     MAX_VERTICES,
@@ -92,16 +92,32 @@ def pairwise_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     return plain_instance(adjacency, [subsets[c] for c in cands])
 
 
+@lru_cache(maxsize=None)
+def _clear_masks(e: int) -> tuple[int, ...]:
+    """Per edge bit i < e, the compact indices below 2^e whose bit i is 0.
+
+    That is a block of 2^i ones repeated every 2^(i+1) bits: the 2^e-bit
+    all-ones number divided by 2^(2^(i+1)) - 1 has a one at the start of
+    each period, and the product spreads it over the block.
+    """
+    full = (1 << (1 << e)) - 1
+    return tuple(full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(e))
+
+
 def sweep_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     """The compatibility graph, sup and sub rows by two sweeps over the
     subset lattice, with the caps and messages of clique.build_compatibility.
 
     This is how build_compatibility worked before it read sup and sub off
-    per-edge candidate masks.  A superset sweep sets ``up[c]`` to the
-    candidates containing c (its sup row); a subset sweep ORs into it
-    ``up[t]`` for every candidate t inside c (a candidate inside both ends
-    of a pair is what makes them adjacent) and fills ``down[c]``, the
-    candidates inside c (its sub row).
+    per-edge candidate masks, and before it closed the copies upward in a
+    set: here the copies are set bits of one 2^e-bit table, closed by one
+    shift per edge bit i, which passes each index with bit i clear on to
+    the index with bit i set, and read back from the table's binary
+    string.  A superset sweep sets ``up[c]`` to the candidates containing
+    c (its sup row); a subset sweep ORs into it ``up[t]`` for every
+    candidate t inside c (a candidate inside both ends of a pair is what
+    makes them adjacent) and fills ``down[c]``, the candidates inside c
+    (its sub row).
     """
     e = host.edge_count
     if e > MAX_HOST_EDGES:

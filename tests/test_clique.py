@@ -253,6 +253,26 @@ def test_p4_optimum_is_certified_without_the_solver(host):
     assert certify_clique_bound(cg, result.size)[0] == result.size
 
 
+@pytest.mark.parametrize("m, hosts, nodes", [(8, 67, 2_877), (9, 107, 191_266)])
+def test_seven_vertex_p4_rows_are_certified_without_the_solver(p4_records, m, hosts, nodes):
+    """The recorded P4 optimum on each connected 7-vertex host with m edges,
+    checked by oracles only: its witness is a family (the lower bound), and
+    the every-clique search seeded with the optimum finds nothing larger on
+    the built graph (the upper bound).  The m = 9 row takes about 5 s."""
+    records = p4_records[7, m]
+    total = 0
+    for record in records:
+        host = parse_graph6(record.host_graph6)
+        family = SubgraphFamily(host, [int(h, 16) for h in record.witness_hex])
+        assert len(family.members) == record.clique_size
+        assert verify_pairwise(family, path(4), require_self=True) is None
+        cg = build_compatibility(host, path(4))
+        best, count = certify_clique_bound(cg, record.clique_size)
+        assert best == record.clique_size, record.host_graph6
+        total += count
+    assert (len(records), total) == (hosts, nodes)
+
+
 def test_seven_vertex_ten_edge_p4_row(ten_edge_records):
     """The connected 7-vertex hosts with 10 edges: 60 of the 132 classes
     reach 17/2^7, and F~LC? lies strictly between 1/8 and 17/2^7."""
@@ -316,8 +336,8 @@ def _built_or_refused(build, host, target):
 
 
 def test_builder_matches_the_sweeps_it_replaced():
-    """Labels, adjacency, sup and sub rows, or the refusal, as the two
-    lattice sweeps gave them: every host with at most 6 vertices against
+    """Labels, adjacency, sup and sub rows, or the refusal, as the table's
+    shift closure and the two lattice sweeps gave them: every host with at most 6 vertices against
     eight targets (only K6 passes the candidate cap, with each of them),
     and three large instances."""
     paw = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -354,6 +374,26 @@ def test_builder_peak_memory_stays_at_the_sweeps():
     finally:
         tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_phase_one_starts_from_the_trivial_family():
+    """K_{1,12} with K2: the trivial family, the 2,048 supersets of one
+    edge, is optimal, so phase 1 proves it at its first node, and the solve
+    allocates less than the build.  A phase 1 that started from nothing
+    dived 1,025 nodes deep, each frame keeping its colour listing: 220 MB
+    at its peak, and about 4 GB on K_{1,14}."""
+    tracemalloc.start()
+    try:
+        cg = build_compatibility(complete_multipartite([1, 12]), complete(2))
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = max_clique(cg)
+        solve_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (result.size, result.phase1_nodes) == (2048, 1)
+    assert solve_peak < build_peak
 
 
 @pytest.mark.parametrize("target, size", [
@@ -505,7 +545,7 @@ def test_upset_loop_matches_the_recursion_it_replaced(monkeypatch):
     for m in (7, 8, 9):
         for host in connected_graphs(6, m, True):
             max_clique(build_compatibility(host, path(4)))
-    assert len(calls) == 836  # one phase-1 call per host, 775 from phase 2
+    assert len(calls) == 796  # one phase-1 call per host (61), 735 from phase 2
     for args in calls:
         assert loop(*args) == recursive_upset_search(*_oracle_args(args))
 
@@ -615,8 +655,8 @@ def test_node_counters():
 
     christofides = max_clique(build_compatibility(christofides_host(), path(4)))
     assert (christofides.phase1_nodes, christofides.phase2_nodes) == (11, 29)
-    assert totals(7, 8) == (1294, 416)
-    assert totals(9) == (9476, 1568)
+    assert totals(7, 8) == (1227, 261)
+    assert totals(9) == (9447, 1484)
     k114 = max_clique(build_compatibility(complete_multipartite([1, 1, 4]),
                                           complete_multipartite([1, 2])))
     assert (k114.size, k114.phase1_nodes, k114.phase2_nodes) == (160, 3871, 27)
