@@ -82,13 +82,13 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     the target's k edges that holds it, and whose edges therefore touch
     exactly as many vertices as the target has non-isolated ones.  So the
     containment predicate, detect.containment_check's for the target, runs
-    only on the k-edge subsets that touch that many vertices; the others
-    cannot hold the target.  The copies' compact indices go into a set,
-    which is then closed upward one edge at a time: each host edge is
-    added to every member, so every superset of a copy is reached by
-    adding its missing edges in index order.  With k = 0 the empty set is
-    the one copy and every subset a candidate; with k > e there is no copy
-    and no candidate.
+    only on the k-edge subsets that touch that many vertices, on adjacency
+    rows built from their edges' endpoints; the others cannot hold the
+    target.  The copies' compact indices go into a set, which is then
+    closed upward one edge at a time: each host edge is added to every
+    member, so every superset of a copy is reached by adding its missing
+    edges in index order.  With k = 0 the empty set is the one copy and
+    every subset a candidate; with k > e there is no copy and no candidate.
 
     Per-edge masks then give the rows: ``has[b]`` is the candidates that
     hold edge b, c's ``sup`` row the AND of ``has[b]`` over c's edges and
@@ -118,7 +118,8 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
         raise UserError(f"compatibility graphs capped at {MAX_HOST_EDGES} host edges, got {e}")
     check = containment_check(target)
     subsets = list(submasks(host.edges))
-    ends = [1 << i | 1 << j for i, j in host.edge_pairs()]
+    pairs = host.edge_pairs()
+    ends = [1 << i | 1 << j for i, j in pairs]
     cover = sum(1 for row in target.adjacency() if row)
     cands = set()
     for edges in combinations(range(e), target.edge_count):
@@ -126,8 +127,14 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
         for i in edges:
             c |= 1 << i
             touched |= ends[i]
-        if touched.bit_count() == cover and check(Graph(host.n, subsets[c])):
-            cands.add(c)
+        if touched.bit_count() == cover:
+            rows = [0] * host.n
+            for i in edges:
+                a, b = pairs[i]
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+            if check(rows):
+                cands.add(c)
     for bit in [1 << i for i in range(e)]:
         cands.update([c | bit for c in cands])
     if len(cands) > MAX_CANDIDATES:

@@ -119,23 +119,26 @@ def verify_intersecting(family: SubgraphFamily, target: Graph) -> tuple[int, int
     skips each that contains a member kept before it.  Any other is
     minimal (a member inside it has fewer edges, so came earlier and is or
     contains a kept one); it is checked with itself, then with each kept
-    member in kept order, and kept.  The first pair lacking the target, a
+    member in kept order, and kept.  Each kept member is decoded once: the
+    rows of an intersection x & y are the rowwise AND of x's and y's rows,
+    so a pair is tested on those.  The first pair lacking the target, a
     pair of minimal members, is returned as member indices (i, j), i <= j;
     a family that passes costs one test per pair of minimal members.
     """
     check = containment_check(target)
     n = family.host.n
-    kept: list[int] = []
+    kept: list[tuple[int, list[int]]] = []
     for x in sorted(family.members, key=int.bit_count):
-        for low in kept:
+        for low, _ in kept:
             if x & low == low:
                 break
         else:
-            for other in (x, *kept):
-                if not check(Graph(n, x & other)):
+            rows = Graph(n, x).adjacency()
+            for other, other_rows in ((x, rows), *kept):
+                if not check([a & b for a, b in zip(rows, other_rows)]):
                     i, j = sorted((family.members.index(other), family.members.index(x)))
                     return (i, j)
-            kept.append(x)
+            kept.append((x, rows))
     return None
 
 

@@ -4,7 +4,9 @@ These decide whether a graph contains a copy of a target pattern -- the
 primitive behind intersecting-family verification.  Containment is always
 non-induced (extra edges never hurt), and isolated target vertices are
 ignored: families here are edge subsets of a shared host, so only edges
-matter.
+matter.  Each test takes the tested graph as its adjacency rows, one
+neighbour bitmask per vertex as Graph.adjacency() gives them, n being
+their count, so a caller can build them from edges or rows it holds.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from collections.abc import Callable, Sequence
 from .graphs import Graph, iter_bits
 
 
-def contains_subgraph(g: Graph, h: Graph) -> bool:
-    """True iff g contains a (not necessarily induced) copy of h.
+def contains_subgraph(adj: list[int], h: Graph) -> bool:
+    """True iff the graph with these adjacency rows contains a (not
+    necessarily induced) copy of h.
 
     Backtracking over injective vertex maps, target vertices in descending
     degree order, pruned by degree and by adjacency to already-placed
@@ -28,10 +31,9 @@ def contains_subgraph(g: Graph, h: Graph) -> bool:
     )
     if not core:
         return True
-    if len(core) > g.n:
+    if len(core) > len(adj):
         return False
-    gadj = g.adjacency()
-    gdeg = [a.bit_count() for a in gadj]
+    gdeg = [a.bit_count() for a in adj]
 
     position = {v: p for p, v in enumerate(core)}
     # for each position: g-vertices with enough degree, and the already-placed
@@ -40,12 +42,12 @@ def contains_subgraph(g: Graph, h: Graph) -> bool:
     placed_neighbors: list[list[int]] = []
     for p, v in enumerate(core):
         need = hadj[v].bit_count()
-        base.append(sum(1 << u for u in range(g.n) if gdeg[u] >= need))
+        base.append(sum(1 << u for u, d in enumerate(gdeg) if d >= need))
         placed_neighbors.append(
             [position[w] for w in iter_bits(hadj[v]) if position[w] < p]
         )
 
-    return _place(0, 0, [0] * len(core), base, placed_neighbors, gadj)
+    return _place(0, 0, [0] * len(core), base, placed_neighbors, adj)
 
 
 def _place(
@@ -65,15 +67,14 @@ def _place(
     return False
 
 
-def contains_p4(g: Graph) -> bool:
-    """True iff g contains a path on 4 vertices.
+def contains_p4(adj: list[int]) -> bool:
+    """True iff the graph with these adjacency rows contains a path on 4 vertices.
 
     Scan each edge {i, j}, i < j, column j's lower neighbours i in turn, for
     a neighbor of i besides j and a neighbor of j besides i that are not the
     same single vertex; equivalent to the generic backtracking test on the
     3-edge path.
     """
-    adj = g.adjacency()
     for j, row in enumerate(adj):
         for i in iter_bits(row & ((1 << j) - 1)):
             a = adj[i] ^ 1 << j
@@ -83,8 +84,9 @@ def contains_p4(g: Graph) -> bool:
     return False
 
 
-def contains_multipartite(g: Graph, parts: Sequence[int]) -> bool:
-    """True iff g contains the complete multipartite pattern with these part sizes.
+def contains_multipartite(adj: list[int], parts: Sequence[int]) -> bool:
+    """True iff the graph with these adjacency rows contains the complete
+    multipartite pattern with these part sizes.
 
     The sizes may come in any order; one part, or none, is an edgeless
     pattern, which every graph contains.  Recurses part by part, smallest
@@ -97,11 +99,10 @@ def contains_multipartite(g: Graph, parts: Sequence[int]) -> bool:
     sizes = sorted(parts)
     if len(sizes) <= 1:
         return True  # edgeless pattern
-    if sum(sizes) > g.n:
+    if sum(sizes) > len(adj):
         return False
-    adj = g.adjacency()
     rest_after = [sum(sizes[k + 1:]) for k in range(len(sizes) - 1)]
-    full = (1 << g.n) - 1
+    full = (1 << len(adj)) - 1
     return _pick(0, sizes[0], full, full, sizes, rest_after, adj)
 
 
@@ -131,8 +132,9 @@ def _pick(
     return False
 
 
-def containment_check(target: Graph) -> Callable[[Graph], bool]:
-    """Containment predicate for one target: the one dispatch to the tests above.
+def containment_check(target: Graph) -> Callable[[list[int]], bool]:
+    """Containment predicate for one target over a graph's adjacency rows:
+    the one dispatch to the tests above.
 
     Only the target's core, its non-isolated vertices, counts.  A core with
     degrees 1, 1, 2, 2 (only P4 has them) goes to the contains_p4 scan.  A
@@ -151,5 +153,5 @@ def containment_check(target: Graph) -> Callable[[Graph], bool]:
     part = {v: core_mask & ~adj[v] for v in core}
     if all(part[u] == part[v] for v in core for u in iter_bits(part[v])):
         sizes = sorted(p.bit_count() for p in set(part.values()))
-        return lambda g: contains_multipartite(g, sizes)
-    return lambda g: contains_subgraph(g, target)
+        return lambda rows: contains_multipartite(rows, sizes)
+    return lambda rows: contains_subgraph(rows, target)

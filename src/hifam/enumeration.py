@@ -3,12 +3,17 @@
 The classes of n-vertex graphs with m edges are grown in one direction
 only: add below half, complement above half.  Up to half the vertex pairs,
 each level is grown from the level one edge below (McKay, "Isomorph-free
-exhaustive generation", 1998) by adding each missing edge to each
-(m-1)-edge representative; each distinct labeled child is keyed by the
-exact canonical key, so a set of keys removes the isomorphic duplicates
-and no canonical-parent test is needed.  Above half, complement is a
-bijection between the classes with m edges and those with slots - m, so
-each representative there is the canonical key of one complement.
+exhaustive generation", 1998) by adding missing edges to each (m-1)-edge
+representative, one per orbit of its twin swaps.  Vertices u and v are
+twins when N(u) - {v} = N(v) - {u}; twinship is an equivalence, and
+swapping two twins is an automorphism, so two missing edges whose
+endpoints lie in the same two twin classes (or both in one) give
+isomorphic children, and only the first of them is added.  Each distinct
+labeled child is keyed by the exact canonical key, so a set of keys
+removes the remaining isomorphic duplicates and no canonical-parent test
+is needed.  Above half, complement is a bijection between the classes
+with m edges and those with slots - m, so each representative there is
+the canonical key of one complement.
 """
 
 from __future__ import annotations
@@ -48,10 +53,11 @@ def _class_keys(n: int, m: int) -> tuple[int, ...]:
     """Canonical edge bitsets of all n-vertex graphs with m edges, ascending.
 
     Add below half, complement above half: up to half the pairs, each
-    missing edge is added to each (m-1)-edge class, and each distinct
-    labeled child is keyed once; above half, the classes are the
-    complements of the (slots - m)-edge classes, one key each.  Recurses
-    on itself, not on connected_graphs, so that one call of
+    (m-1)-edge class gets the lowest missing edge of each orbit, keyed by
+    the unordered pair of its endpoints' twin-class representatives, and
+    each distinct labeled child is keyed once; above half, the classes are
+    the complements of the (slots - m)-edge classes, one key each.
+    Recurses on itself, not on connected_graphs, so that one call of
     connected_graphs stays one call however many levels it builds.
     """
     if m == 0:
@@ -61,7 +67,17 @@ def _class_keys(n: int, m: int) -> tuple[int, ...]:
     if 2 * m > slots:
         labeled = [full ^ p for p in _class_keys(n, slots - m)]
     else:
-        labeled = {p | 1 << b for p in _class_keys(n, m - 1) for b in iter_bits(full ^ p)}
+        labeled = set()
+        for p in _class_keys(n, m - 1):
+            adj = Graph(n, p).adjacency()
+            # each vertex's twin-class representative: its lowest twin
+            rep = [next(u for u in range(v + 1) if adj[u] & ~(1 << v) == row & ~(1 << u))
+                   for v, row in enumerate(adj)]
+            missing = full ^ p
+            orbits = {}  # the representatives' pair as a bitset -> the orbit's lowest edge
+            for b, (i, j) in zip(iter_bits(missing), Graph(n, missing).edge_pairs()):
+                orbits.setdefault(1 << rep[i] | 1 << rep[j], b)
+            labeled.update(p | 1 << b for b in orbits.values())
     return tuple(sorted({canonical_key(Graph(n, edges)).edges for edges in labeled}))
 
 

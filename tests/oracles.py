@@ -17,6 +17,7 @@ from hifam import (
     Graph,
     MultipartiteFamily,
     SubgraphFamily,
+    canonical_key,
     containment_check,
     is_connected,
     verify_intersecting,
@@ -81,7 +82,7 @@ def pairwise_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     """
     check = containment_check(target)
     subsets = list(submasks(host.edges))
-    table = bytes(check(Graph(host.n, s)) for s in subsets)
+    table = bytes(check(Graph(host.n, s).adjacency()) for s in subsets)
     cands = [c for c in range(len(subsets)) if table[c]]
     adjacency = [0] * len(cands)
     for a, ca in enumerate(cands):
@@ -132,7 +133,7 @@ def sweep_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
         for i in edges:
             c |= 1 << i
             touched |= ends[i]
-        if touched.bit_count() == cover and check(Graph(host.n, subsets[c])):
+        if touched.bit_count() == cover and check(Graph(host.n, subsets[c]).adjacency()):
             table |= 1 << c
     for i, clear in enumerate(_clear_masks(e)):
         table |= (table & clear) << (1 << i)
@@ -528,6 +529,29 @@ def labeled_classes(n: int, m: int, connected: bool) -> tuple[Graph, ...]:
     return tuple(Graph(n, key) for key in sorted(keys))
 
 
+@lru_cache(maxsize=None)
+def all_children_class_keys(n: int, m: int) -> tuple[int, ...]:
+    """Canonical edge bitsets of all n-vertex graphs with m edges, ascending,
+    growing every child of every class.
+
+    Up to half the pairs, each missing edge is added to each (m-1)-edge
+    class and each distinct labeled child is keyed by canonical_key; above
+    half, the classes are the complements of the (slots - m)-edge classes.
+    This is how enumeration._class_keys worked before it added one missing
+    edge per orbit of each class's twin swaps.
+    """
+    if m == 0:
+        return (0,)
+    slots = pair_count(n)
+    full = (1 << slots) - 1
+    if 2 * m > slots:
+        labeled = [full ^ p for p in all_children_class_keys(n, slots - m)]
+    else:
+        labeled = {p | 1 << b for p in all_children_class_keys(n, m - 1)
+                   for b in iter_bits(full ^ p)}
+    return tuple(sorted({canonical_key(Graph(n, edges)).edges for edges in labeled}))
+
+
 def edge_pair(index: int, n: int) -> tuple[int, int]:
     """Inverse of edge_index: the pair (i, j), i < j, at a bit position.
 
@@ -555,6 +579,17 @@ def pairwise_adjacency(g: Graph) -> list[int]:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     return adj
+
+
+def rows_edges(rows: list[int]) -> int:
+    """The edge bitset of the graph with these adjacency rows, one pair at
+    a time: the inverse of Graph.adjacency, for reading back the rows a
+    containment test is given."""
+    edges = 0
+    for j, row in enumerate(rows):
+        for i in iter_bits(row & ((1 << j) - 1)):
+            edges |= 1 << edge_index(i, j, len(rows))
+    return edges
 
 
 def incident_edge_mask_by_edges(g: Graph, v: int) -> int:
@@ -646,10 +681,10 @@ def verify_pairwise(
     members = family.members
     n = family.host.n
     for i in range(len(members)):
-        if require_self and not check(Graph(n, members[i])):
+        if require_self and not check(Graph(n, members[i]).adjacency()):
             return (i, i)
         for j in range(i + 1, len(members)):
-            if not check(Graph(n, members[i] & members[j])):
+            if not check(Graph(n, members[i] & members[j]).adjacency()):
                 return (i, j)
     return None
 
@@ -686,7 +721,7 @@ def first_failing_minimal_pair(
     minimal = sorted(quadratic_minimal_members(family), key=int.bit_count)
     for b, y in enumerate(minimal):
         for x in [y] + minimal[:b]:
-            if not check(Graph(family.host.n, x & y)):
+            if not check(Graph(family.host.n, x & y).adjacency()):
                 i, j = sorted((members.index(x), members.index(y)))
                 return (i, j)
     return None

@@ -203,10 +203,11 @@ def test_criterion_9_property_suites():
         targets = [(s, complete_multipartite(s)) for s in shapes]
         for n in range(1, 6):
             for edges in range(1 << pair_count(n)):
-                g = Graph(n, edges)
-                assert contains_p4(g) == contains_subgraph(g, p4)
+                adj = Graph(n, edges).adjacency()
+                assert contains_p4(adj) == contains_subgraph(adj, p4)
                 for parts, target_graph in targets:
-                    assert contains_multipartite(g, parts) == contains_subgraph(g, target_graph)
+                    found = contains_multipartite(adj, parts)
+                    assert found == contains_subgraph(adj, target_graph)
 
         # canonical key permutation invariance, 1000 randomized cases
         for _ in range(1000):

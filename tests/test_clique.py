@@ -44,6 +44,7 @@ from oracles import (
     pairwise_compatibility,
     plain_instance,
     recursive_upset_search,
+    rows_edges,
     sweep_compatibility,
     _top_first_coloring,
     validate_compatibility,
@@ -126,12 +127,12 @@ def test_christofides_compatibility_structure():
     host = christofides_host()
     # every candidate contains the target itself
     for label in cg.labels:
-        assert contains_subgraph(Graph(host.n, label), target)
+        assert contains_subgraph(Graph(host.n, label).adjacency(), target)
     # adjacency means target-containing intersection
     for i in range(cg.size):
         for j in range(i + 1, cg.size):
             expected = contains_subgraph(
-                Graph(host.n, cg.labels[i] & cg.labels[j]), target
+                Graph(host.n, cg.labels[i] & cg.labels[j]).adjacency(), target
             )
             assert bool(cg.adjacency[i] >> j & 1) == expected
 
@@ -178,7 +179,8 @@ def test_large_hosts_match_oracles(request):
     assert result.size == degree_ordered_clique_size(cg) == 128
     members = {cg.labels[i] for i in result.witness}
     assert len(members) == 128
-    assert all(contains_subgraph(Graph(5, a & b), path(4)) for a in members for b in members)
+    assert all(contains_subgraph(Graph(5, a & b).adjacency(), path(4))
+               for a in members for b in members)
     for host in connected_graphs(6, 9, True) + connected_graphs(7, 9, True):
         cg = build_compatibility(host, path(4))
         assert (cg.sup, cg.sub) == containment_rows(cg)
@@ -291,9 +293,9 @@ def test_containment_calls_only_on_copies(monkeypatch, host, target, calls):
     def counting_check(pattern):
         check = containment_check(pattern)
 
-        def counted(g):
-            made.append(g.edges)
-            return check(g)
+        def counted(rows):
+            made.append(rows_edges(rows))
+            return check(rows)
 
         return counted
 
@@ -304,7 +306,7 @@ def test_containment_calls_only_on_copies(monkeypatch, host, target, calls):
     assert all(s.bit_count() == target.edge_count for s in made)
     # the candidates are exactly the holders of the full per-subset table
     check = containment_check(target)
-    assert cg.labels == [s for s in submasks(host.edges) if check(Graph(host.n, s))]
+    assert cg.labels == [s for s in submasks(host.edges) if check(Graph(host.n, s).adjacency())]
 
 
 @pytest.mark.parametrize("target", [
@@ -456,9 +458,10 @@ def test_witness_is_valid_intersecting_family():
     members = [Graph(host.n, cg.labels[i]) for i in result.witness]
     assert len(members) == result.size
     for a in range(len(members)):
-        assert contains_subgraph(members[a], target)
+        assert contains_subgraph(members[a].adjacency(), target)
         for b in range(a + 1, len(members)):
-            assert contains_subgraph(Graph(host.n, members[a].edges & members[b].edges), target)
+            common = Graph(host.n, members[a].edges & members[b].edges)
+            assert contains_subgraph(common.adjacency(), target)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from oracles import (
     incident_edge_mask_by_edges,
     one_edge_minimal_members,
     quadratic_minimal_members,
+    rows_edges,
     verify_pairwise,
 )
 
@@ -288,9 +289,9 @@ def test_up_closed_verification_checks_only_minimal_pairs(monkeypatch):
     # the t + 2 seeds are the minimal members: (t+2)(t+3)/2 pairs i <= j
     calls = []
 
-    def counting(g, parts):
-        calls.append(g)
-        return contains_multipartite(g, parts)
+    def counting(adj, parts):
+        calls.append(adj)
+        return contains_multipartite(adj, parts)
 
     monkeypatch.setattr(detect, "contains_multipartite", counting)
     built = multipartite_family((4,), 16)
@@ -368,9 +369,9 @@ def test_verify_reports_first_failing_pair():
 def test_family_that_is_not_up_closed_is_decided_by_its_minimal_pairs(monkeypatch):
     calls = []
 
-    def counting(g, parts):
-        calls.append(g)
-        return contains_multipartite(g, parts)
+    def counting(adj, parts):
+        calls.append(adj)
+        return contains_multipartite(adj, parts)
 
     # path(2), one edge, is K_{1,1}: the multipartite test decides it
     monkeypatch.setattr(detect, "contains_multipartite", counting)
@@ -476,9 +477,9 @@ def _record_checked_pairs(monkeypatch):
     def recording(target):
         check = containment_check(target)
 
-        def record(g):
-            checked.append(g.edges)
-            return check(g)
+        def record(rows):
+            checked.append(rows_edges(rows))
+            return check(rows)
 
         return record
 

@@ -21,7 +21,12 @@ from hifam import (
 from hifam import detect
 from hifam.graphs import pair_count
 
-from oracles import apply_permutation, construction_seeds, largest_first_multipartite
+from oracles import (
+    apply_permutation,
+    construction_seeds,
+    largest_first_multipartite,
+    rows_edges,
+)
 
 # every complete multipartite shape on at most 4 non-isolated vertices
 SMALL_PART_LISTS = [
@@ -44,18 +49,18 @@ def _random_graph(rng, n, p=0.5):
 
 
 def test_containment_basics():
-    assert contains_subgraph(complete(4), path(4))
+    assert contains_subgraph(complete(4).adjacency(), path(4))
     star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    assert not contains_subgraph(star, path(4))
-    assert contains_subgraph(cycle(6), complete_multipartite([1, 2]))
+    assert not contains_subgraph(star.adjacency(), path(4))
+    assert contains_subgraph(cycle(6).adjacency(), complete_multipartite([1, 2]))
 
 
 def test_isolated_target_vertices_are_ignored():
     # one edge plus three isolated vertices fits in a 2-vertex graph
     target = from_edges(5, [(0, 1)])
-    assert contains_subgraph(complete(2), target)
-    assert contains_subgraph(Graph(2, 0), Graph(5, 0))
-    assert not contains_subgraph(Graph(2, 0), target)
+    assert contains_subgraph(complete(2).adjacency(), target)
+    assert contains_subgraph(Graph(2, 0).adjacency(), Graph(5, 0))
+    assert not contains_subgraph(Graph(2, 0).adjacency(), target)
 
 
 def test_containment_monotone_under_edge_addition():
@@ -66,8 +71,8 @@ def test_containment_monotone_under_edge_addition():
         extra = _random_graph(rng, n, 0.3)
         bigger = Graph(n, g.edges | extra.edges)
         h = _random_graph(rng, rng.randint(2, 4), 0.5)
-        if contains_subgraph(g, h):
-            assert contains_subgraph(bigger, h)
+        if contains_subgraph(g.adjacency(), h):
+            assert contains_subgraph(bigger.adjacency(), h)
 
 
 def test_containment_is_isomorphism_invariant():
@@ -80,8 +85,8 @@ def test_containment_is_isomorphism_invariant():
         ph = list(range(h.n))
         rng.shuffle(pg)
         rng.shuffle(ph)
-        assert contains_subgraph(g, h) == contains_subgraph(
-            apply_permutation(g, pg), apply_permutation(h, ph)
+        assert contains_subgraph(g.adjacency(), h) == contains_subgraph(
+            apply_permutation(g, pg).adjacency(), apply_permutation(h, ph)
         )
 
 
@@ -91,11 +96,11 @@ def test_containment_is_isomorphism_invariant():
 
 
 def test_p4_basics():
-    assert contains_p4(path(4))
-    assert not contains_p4(complete(3))
+    assert contains_p4(path(4).adjacency())
+    assert not contains_p4(complete(3).adjacency())
     from hifam import christofides_host
 
-    assert contains_p4(christofides_host())
+    assert contains_p4(christofides_host().adjacency())
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +109,9 @@ def test_p4_basics():
 
 
 def test_multipartite_basics():
-    assert contains_multipartite(complete_multipartite([2, 6]), [2, 4])
+    assert contains_multipartite(complete_multipartite([2, 6]).adjacency(), [2, 4])
     matching = from_edges(6, [(0, 1), (2, 3), (4, 5)])
-    assert not contains_multipartite(matching, [1, 2])
+    assert not contains_multipartite(matching.adjacency(), [1, 2])
 
 
 def test_deleted_vertex_overlap_in_small_star_host():
@@ -123,12 +128,12 @@ def test_deleted_vertex_overlap_contains_shrunk_pattern():
     built = multipartite_family((2,), 4)  # host K_{2,6}
     a, b = construction_seeds(built)[:2]
     common = Graph(built.host.n, a & b)
-    assert contains_multipartite(common, [4, 2])
+    assert contains_multipartite(common.adjacency(), [4, 2])
 
 
 def test_single_part_target_is_edgeless():
-    assert contains_multipartite(Graph(2, 0), [5])
-    assert contains_multipartite(Graph(2, 0), [])
+    assert contains_multipartite(Graph(2, 0).adjacency(), [5])
+    assert contains_multipartite(Graph(2, 0).adjacency(), [])
 
 
 def test_multipartite_matches_largest_first_oracle_on_random_graphs():
@@ -137,7 +142,8 @@ def test_multipartite_matches_largest_first_oracle_on_random_graphs():
         n = rng.randint(1, 30)
         g = _random_graph(rng, n, rng.choice([0.3, 0.6, 0.9]))
         parts = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
-        assert contains_multipartite(g, parts) == largest_first_multipartite(g, parts)
+        found = contains_multipartite(g.adjacency(), parts)
+        assert found == largest_first_multipartite(g, parts)
 
 
 def test_multipartite_matches_largest_first_oracle_on_seed_intersections():
@@ -151,11 +157,29 @@ def test_multipartite_matches_largest_first_oracle_on_seed_intersections():
         for i, a in enumerate(seeds):
             for b in seeds[i:]:
                 g = Graph(n, a & b)
-                found = contains_multipartite(g, parts)
+                found = contains_multipartite(g.adjacency(), parts)
                 assert found == largest_first_multipartite(g, parts)
                 hits[parts] += found
     # a pair of distinct seeds misses two vertices of the 26-part, one seed one
     assert hits == {(4, 24): 351, (4, 25): 26, (3, 26): 0, (1, 1, 2): 0}
+
+
+def test_intersection_rows_are_the_rowwise_and():
+    # the builder and the verifier hand the tests rows they build without
+    # decoding the edge set: an intersection's rows are its parts' rows ANDed
+    rng = random.Random(41)
+    pairs = []
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        p = rng.choice([0.3, 0.6, 0.9])
+        pairs.append((n, _random_graph(rng, n, p).edges, _random_graph(rng, n, p).edges))
+    built = multipartite_family((4,), 24)
+    seeds = construction_seeds(built)
+    pairs += [(built.host.n, a, b) for i, a in enumerate(seeds) for b in seeds[i:]]
+    for n, x, y in pairs:
+        rows = [a & b for a, b in zip(Graph(n, x).adjacency(), Graph(n, y).adjacency())]
+        assert Graph(n, x & y).adjacency() == rows
+        assert rows_edges(rows) == x & y
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +192,11 @@ def test_specialized_engines_match_generic_exhaustively():
     targets = [(parts, complete_multipartite(parts)) for parts in SMALL_PART_LISTS]
     for n in range(1, 6):
         for edges in range(1 << pair_count(n)):
-            g = Graph(n, edges)
-            assert contains_p4(g) == contains_subgraph(g, p4)
+            adj = Graph(n, edges).adjacency()
+            assert contains_p4(adj) == contains_subgraph(adj, p4)
             for parts, target_graph in targets:
-                assert contains_multipartite(g, parts) == contains_subgraph(g, target_graph)
+                found = contains_multipartite(adj, parts)
+                assert found == contains_subgraph(adj, target_graph)
 
 
 def test_containment_check_dispatch():
@@ -186,9 +211,9 @@ def test_containment_check_dispatch():
         assert check is not contains_p4
         for _ in range(50):
             g = _random_graph(rng, 5)
-            assert check(g) == contains_subgraph(g, target)
+            assert check(g.adjacency()) == contains_subgraph(g.adjacency(), target)
     check = containment_check(complete_multipartite([1, 2]))
-    assert check(path(3)) and not check(Graph(3, 1))
+    assert check(path(3).adjacency()) and not check(Graph(3, 1).adjacency())
 
 
 ROUTES = ("contains_multipartite", "contains_p4", "contains_subgraph")
@@ -200,9 +225,9 @@ def routes(monkeypatch):
     called through detect's module globals."""
     calls = []
     for name in ROUTES:
-        def counted(g, *rest, name=name, test=getattr(detect, name)):
+        def counted(adj, *rest, name=name, test=getattr(detect, name)):
             calls.append((name, rest))
-            return test(g, *rest)
+            return test(adj, *rest)
 
         monkeypatch.setattr(detect, name, counted)
     return calls
@@ -227,7 +252,7 @@ def test_containment_check_route(routes, target, route, parts):
     rng = random.Random(11)
     for _ in range(30):
         g = _random_graph(rng, 6)
-        assert check(g) == contains_subgraph(g, target)
+        assert check(g.adjacency()) == contains_subgraph(g.adjacency(), target)
     assert {name for name, _ in routes} == {route}
     if parts is not None:
         assert all(sorted(rest[0]) == parts for _, rest in routes)
@@ -270,8 +295,8 @@ def test_containment_check_agrees_with_generic_on_every_small_target(routes):
             routes.clear()
             check = containment_check(target)
             for g in hosts:
-                found = check(g)
-                assert found == contains_subgraph(g, target), (target, g)
+                found = check(g.adjacency())
+                assert found == contains_subgraph(g.adjacency(), target), (target, g)
                 outcomes.add(found)
             expected = ("contains_p4" if key == p4 else
                         "contains_multipartite" if key in multipartite else "contains_subgraph")

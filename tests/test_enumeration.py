@@ -20,7 +20,8 @@ from hifam import (
 from hifam.enumeration import _class_keys
 from hifam.graphs import UserError, edge_index, pair_count, submasks
 
-from oracles import labeled_classes
+import oracles
+from oracles import all_children_class_keys, labeled_classes
 
 # regression constants, cross-checked below against the networkx atlas
 CONNECTED_6_7 = 19
@@ -101,20 +102,21 @@ def test_classes_match_labeled_oracle():
         assert list(connected_graphs(*spec)) == list(labeled_classes(*spec)), spec
 
 
-# (n, edge counts asked for in turn, canonical keys computed) from cold caches
-KEY_CALLS = [((6, [8]), 526), ((6, [7, 8]), 526), ((6, [11]), 121)]
+# (n, edge counts asked for in turn, canonical keys computed by the
+# enumerator and by the all-children oracle) from cold caches
+KEY_CALLS = [((6, [8]), 281, 526), ((6, [7, 8]), 281, 526), ((6, [11]), 40, 121)]
 
 
-def _counting_key_calls(monkeypatch):
-    """Record every graph enumeration passes to canonical_key, from cold caches."""
+def _counting_key_calls(monkeypatch, module=hifam.enumeration):
+    """Record every graph module passes to canonical_key, from cold caches."""
     calls = []
-    original = hifam.enumeration.canonical_key
+    original = module.canonical_key
 
     def counting(g):
         calls.append(g)
         return original(g)
 
-    monkeypatch.setattr(hifam.enumeration, "canonical_key", counting)
+    monkeypatch.setattr(module, "canonical_key", counting)
     connected_graphs.cache_clear()
     _class_keys.cache_clear()
     return calls
@@ -123,22 +125,38 @@ def _counting_key_calls(monkeypatch):
 def test_augmentation_key_calls(monkeypatch):
     # one canonical key per distinct child of each level up to half the 15
     # pairs, not one per labeled edge set (C(15, 8) = 6435), plus one per
-    # complement above half: m = 8 takes the 502 distinct children of levels
-    # 1..7 and the 24 complements of level 7, so m = 7 comes free; m = 11
-    # takes the 112 distinct children of levels 1..4 and the 9 complements
-    # of level 4
+    # complement above half, so m = 7 comes free with m = 8.  The oracle
+    # adds every missing edge: m = 8 takes the 502 distinct children of
+    # levels 1..7 and the 24 complements of level 7, m = 11 the 112
+    # children of levels 1..4 and the 9 complements of level 4.  The
+    # enumerator adds one edge per orbit of twin swaps, which leaves 257
+    # and 31 children.
     calls = _counting_key_calls(monkeypatch)
+    oracle_calls = _counting_key_calls(monkeypatch, oracles)
     try:
-        for (n, edge_counts), expected in KEY_CALLS:
+        for (n, edge_counts), expected, oracle_expected in KEY_CALLS:
             calls.clear()
+            oracle_calls.clear()
             connected_graphs.cache_clear()
             _class_keys.cache_clear()
+            all_children_class_keys.cache_clear()
             for m in edge_counts:
                 connected_graphs(n, m, True)
+                all_children_class_keys(n, m)
             assert len(calls) == expected, (n, edge_counts)
+            assert len(oracle_calls) == oracle_expected, (n, edge_counts)
     finally:
         connected_graphs.cache_clear()
         _class_keys.cache_clear()
+        all_children_class_keys.cache_clear()
+
+
+def test_levels_match_all_children_oracle():
+    # every level of every n <= 7, class by class; n = 8 is
+    # test_every_eight_vertex_class's
+    for n in range(1, 8):
+        for m in range(pair_count(n) + 1):
+            assert _class_keys(n, m) == all_children_class_keys(n, m), (n, m)
 
 
 def test_no_labeled_graph_is_keyed_twice(monkeypatch):
@@ -157,12 +175,15 @@ def test_no_labeled_graph_is_keyed_twice(monkeypatch):
 
 def test_every_eight_vertex_class(request):
     """All 12,346 graphs and 11,117 connected graphs on 8 vertices (OEIS
-    A000088 and A001349), summed over m = 0..28 (seconds)."""
+    A000088 and A001349), summed over m = 0..28, and each level equal to
+    the all-children oracle's, class by class (seconds)."""
     if not request.config.getoption("--run-large-verify"):
         pytest.skip("needs --run-large-verify")
     levels = range(pair_count(8) + 1)
     assert sum(len(connected_graphs(8, m, False)) for m in levels) == 12_346
     assert sum(len(connected_graphs(8, m, True)) for m in levels) == 11_117
+    for m in levels:
+        assert _class_keys(8, m) == all_children_class_keys(8, m), m
 
 
 def test_representatives_have_requested_shape():
