@@ -7,62 +7,99 @@ ignored: families here are edge subsets of a shared host, so only edges
 matter.  Each test takes the tested graph as its adjacency rows, one
 neighbour bitmask per vertex as Graph.adjacency() gives them, n being
 their count, so a caller can build them from edges or rows it holds.
+
+One backtracking search serves the generic and the multipartite test.  It
+places the target's core, its non-isolated vertices, in an order planned
+once per target, each twin (graphs.twin_representatives) above the twin
+placed before it, since swapping twins is an automorphism.  A last run of
+pairwise non-adjacent twins, such as a multipartite target's largest part,
+is counted, not placed: any vertices adjacent to all its neighbours will do.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from functools import lru_cache
 
-from .graphs import Graph, iter_bits
+from .graphs import Graph, complete_multipartite, iter_bits, twin_representatives
 
 
 def contains_subgraph(adj: list[int], h: Graph) -> bool:
     """True iff the graph with these adjacency rows contains a (not
-    necessarily induced) copy of h.
+    necessarily induced) copy of h; isolated vertices of h are ignored."""
+    return _contains(adj, _plan(h))
 
-    Backtracking over injective vertex maps, target vertices in descending
-    degree order, pruned by degree and by adjacency to already-placed
-    neighbors.  Isolated vertices of h are ignored.
+
+def contains_multipartite(adj: list[int], parts: Sequence[int]) -> bool:
+    """True iff the graph with these adjacency rows contains the complete
+    multipartite pattern with these part sizes.
+
+    The sizes may come in any order; one part, or none, is an edgeless
+    pattern, which every graph contains.  A pattern larger than the graph
+    is absent unbuilt; a part size below 1 is complete_multipartite's
+    UserError.
+    """
+    sizes = tuple(sorted(parts))
+    if len(sizes) <= 1:
+        return True  # edgeless pattern
+    if sizes[0] >= 1 and sum(sizes) > len(adj):
+        return False
+    return _contains(adj, _multipartite_plan(sizes))
+
+
+@lru_cache(maxsize=None)
+def _multipartite_plan(sizes: tuple[int, ...]) -> tuple:
+    """_plan of the pattern with these part sizes, built once."""
+    return _plan(complete_multipartite(sizes))
+
+
+@lru_cache(maxsize=None)
+def _plan(h: Graph) -> tuple[tuple[tuple[int, ...], int, bool], ...]:
+    """The search's steps for target h, one per core position: the earlier
+    positions of its neighbours, its degree and whether its twin has the
+    position before it.  The core is ordered by descending degree, then by
+    twin class, so twins are consecutive.  The last step stands for the
+    run of pairwise non-adjacent twins the core ends in (at least its last
+    vertex; none for an edgeless core), its degree replaced by the run's
+    length.
     """
     hadj = h.adjacency()
-    core = sorted(
-        (v for v in range(h.n) if hadj[v]),
-        key=lambda v: (-hadj[v].bit_count(), v),
-    )
-    if not core:
-        return True
-    if len(core) > len(adj):
-        return False
-    gdeg = [a.bit_count() for a in adj]
-
+    rep = twin_representatives(hadj)
+    core = sorted((v for v in range(h.n) if hadj[v]),
+                  key=lambda v: (-hadj[v].bit_count(), rep[v], v))
     position = {v: p for p, v in enumerate(core)}
-    # for each position: g-vertices with enough degree, and the already-placed
-    # h-neighbors it must attach to
-    base = []
-    placed_neighbors: list[list[int]] = []
-    for p, v in enumerate(core):
-        need = hadj[v].bit_count()
-        base.append(sum(1 << u for u, d in enumerate(gdeg) if d >= need))
-        placed_neighbors.append(
-            [position[w] for w in iter_bits(hadj[v]) if position[w] < p]
-        )
-
-    return _place(0, 0, [0] * len(core), base, placed_neighbors, adj)
+    steps = [(tuple(position[w] for w in iter_bits(hadj[v]) if position[w] < p),
+              hadj[v].bit_count(), p > 0 and rep[core[p - 1]] == rep[v])
+             for p, v in enumerate(core)]
+    run = 1
+    while run < len(core) and steps[-run][2] and not hadj[core[-run]] >> core[-run - 1] & 1:
+        run += 1
+    return (*steps[:len(core) - run], (steps[-1][0], run, False)) if core else (((), 0, False),)
 
 
-def _place(
-    p: int, used: int, mapping: list[int], base: list[int], placed: list[list[int]], adj: list[int]
-) -> bool:
-    """Map core positions p.. to unused g-vertices, given mapping[:p]; one
-    call per position, so the depth is at most the target's core size."""
-    if p == len(mapping):
-        return True
-    allowed = base[p] & ~used
-    for q in placed[p]:
+def _contains(adj: list[int], steps: tuple[tuple[tuple[int, ...], int, bool], ...]) -> bool:
+    """Whether _plan's steps place in the graph with these rows; a core
+    with more vertices than the graph is absent unsearched."""
+    size, n = len(steps) - 1 + steps[-1][1], len(adj)
+    return size <= n and _place(0, (1 << n) - 1, [0] * len(steps), steps, adj)
+
+
+def _place(p: int, free: int, mapping: list[int], steps: tuple, adj: list[int]) -> bool:
+    """Map core positions p.. to free vertices, given mapping[:p]; one call
+    per position, so the depth is at most the target's core size."""
+    placed, need, twin = steps[p]
+    allowed = free
+    for q in placed:
         allowed &= adj[mapping[q]]
-    for u in iter_bits(allowed):
-        mapping[p] = u
-        if _place(p + 1, used | 1 << u, mapping, base, placed, adj):
+    if p == len(steps) - 1:
+        return allowed.bit_count() >= need  # the counted run
+    if twin:
+        allowed &= -2 << mapping[p - 1]
+    while allowed:
+        low = allowed & -allowed
+        allowed ^= low
+        u = mapping[p] = low.bit_length() - 1
+        if adj[u].bit_count() >= need and _place(p + 1, free ^ low, mapping, steps, adj):
             return True
     return False
 
@@ -84,54 +121,6 @@ def contains_p4(adj: list[int]) -> bool:
     return False
 
 
-def contains_multipartite(adj: list[int], parts: Sequence[int]) -> bool:
-    """True iff the graph with these adjacency rows contains the complete
-    multipartite pattern with these part sizes.
-
-    The sizes may come in any order; one part, or none, is an edgeless
-    pattern, which every graph contains.  Recurses part by part, smallest
-    first; every later part is restricted to the common neighborhood of all
-    vertices chosen so far.  Within a part, vertices are taken in ascending
-    order, so each placement is tried once.  The last part, the largest, needs no search: the pattern is
-    there exactly when the common neighborhood holds at least that many
-    vertices, since any of them will do.
-    """
-    sizes = sorted(parts)
-    if len(sizes) <= 1:
-        return True  # edgeless pattern
-    if sum(sizes) > len(adj):
-        return False
-    rest_after = [sum(sizes[k + 1:]) for k in range(len(sizes) - 1)]
-    full = (1 << len(adj)) - 1
-    return _pick(0, sizes[0], full, full, sizes, rest_after, adj)
-
-
-def _pick(
-    k: int, count: int, cand: int, common: int, sizes: list[int], rest_after: list[int],
-    adj: list[int],
-) -> bool:
-    """Place count more vertices of part k from cand, every later one in
-    common; one call per placed vertex, so at most the core size deep."""
-    if count == 0:
-        k += 1
-        count = sizes[k]
-        cand = common
-        if k == len(sizes) - 1:
-            return cand.bit_count() >= count
-    rest = rest_after[k]
-    while cand:
-        if cand.bit_count() < count:
-            return False
-        low = cand & -cand
-        cand ^= low
-        narrowed = common & adj[low.bit_length() - 1]
-        if narrowed.bit_count() >= rest and _pick(
-            k, count - 1, cand, narrowed, sizes, rest_after, adj
-        ):
-            return True
-    return False
-
-
 def containment_check(target: Graph) -> Callable[[list[int]], bool]:
     """Containment predicate for one target over a graph's adjacency rows:
     the one dispatch to the tests above.
@@ -141,9 +130,9 @@ def containment_check(target: Graph) -> Callable[[list[int]], bool]:
     core in which each vertex's part, itself plus its non-neighbours, is
     also the part of every vertex in it is complete multipartite with those
     parts: any such target (K3, K_{2,4}, a star, an edgeless graph) goes to
-    contains_multipartite.  Any other target goes to the generic
-    backtracking test.  The tests are looked up in this module's globals,
-    so one replaced there (as perfbench's tracer does) is the one that runs.
+    contains_multipartite.  Any other target goes to contains_subgraph.
+    The tests are looked up in this module's globals, so one replaced there
+    (as perfbench's tracer does) is the one that runs.
     """
     adj = target.adjacency()
     core = [v for v in range(target.n) if adj[v]]

@@ -4,8 +4,8 @@ The classes of n-vertex graphs with m edges are grown in one direction
 only: add below half, complement above half.  Up to half the vertex pairs,
 each level is grown from the level one edge below (McKay, "Isomorph-free
 exhaustive generation", 1998) by adding missing edges to each (m-1)-edge
-representative, one per orbit of its twin swaps.  Vertices u and v are
-twins when N(u) - {v} = N(v) - {u}; twinship is an equivalence, and
+representative, one per orbit of its twin swaps.  Twins are as
+graphs.twin_representatives defines them (N(u) - {v} = N(v) - {u}), and
 swapping two twins is an automorphism, so two missing edges whose
 endpoints lie in the same two twin classes (or both in one) give
 isomorphic children, and only the first of them is added.  Each distinct
@@ -27,6 +27,7 @@ from .graphs import (
     canonical_key,
     iter_bits,
     pair_count,
+    twin_representatives,
 )
 
 
@@ -69,10 +70,7 @@ def _class_keys(n: int, m: int) -> tuple[int, ...]:
     else:
         labeled = set()
         for p in _class_keys(n, m - 1):
-            adj = Graph(n, p).adjacency()
-            # each vertex's twin-class representative: its lowest twin
-            rep = [next(u for u in range(v + 1) if adj[u] & ~(1 << v) == row & ~(1 << u))
-                   for v, row in enumerate(adj)]
+            rep = twin_representatives(Graph(n, p).adjacency())
             missing = full ^ p
             orbits = {}  # the representatives' pair as a bitset -> the orbit's lowest edge
             for b, (i, j) in zip(iter_bits(missing), Graph(n, missing).edge_pairs()):

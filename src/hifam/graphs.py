@@ -57,6 +57,13 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def twin_representatives(adj: list[int]) -> list[int]:
+    """Each vertex's lowest twin, from the adjacency rows: u and v are twins
+    when N(u) - {v} = N(v) - {u}, an equivalence whose swaps are automorphisms."""
+    return [next(u for u in range(v + 1) if adj[u] & ~(1 << v) == row & ~(1 << u))
+            for v, row in enumerate(adj)]
+
+
 def submasks(mask: int) -> Iterator[int]:
     """Yield every subset of mask's bits, from 0 up to mask, in ascending order."""
     sub = 0

@@ -771,6 +771,109 @@ def largest_first_multipartite(g: Graph, parts: list[int]) -> bool:
         del pick  # break the closure's reference to itself
 
 
+def degree_ordered_subgraph(adj: list[int], h: Graph) -> bool:
+    """True iff the graph with these adjacency rows contains a (not
+    necessarily induced) copy of h.
+
+    Backtracking over injective vertex maps, target vertices in descending
+    degree order, pruned by degree and by adjacency to already-placed
+    neighbors.  Isolated vertices of h are ignored.  This is how
+    detect.contains_subgraph worked before it planned each target once,
+    placed twins in order and counted a last run of non-adjacent twins.
+    """
+    hadj = h.adjacency()
+    core = sorted(
+        (v for v in range(h.n) if hadj[v]),
+        key=lambda v: (-hadj[v].bit_count(), v),
+    )
+    if not core:
+        return True
+    if len(core) > len(adj):
+        return False
+    gdeg = [a.bit_count() for a in adj]
+
+    position = {v: p for p, v in enumerate(core)}
+    # for each position: g-vertices with enough degree, and the already-placed
+    # h-neighbors it must attach to
+    base = []
+    placed_neighbors: list[list[int]] = []
+    for p, v in enumerate(core):
+        need = hadj[v].bit_count()
+        base.append(sum(1 << u for u, d in enumerate(gdeg) if d >= need))
+        placed_neighbors.append(
+            [position[w] for w in iter_bits(hadj[v]) if position[w] < p]
+        )
+
+    return _place(0, 0, [0] * len(core), base, placed_neighbors, adj)
+
+
+def _place(
+    p: int, used: int, mapping: list[int], base: list[int], placed: list[list[int]], adj: list[int]
+) -> bool:
+    """Map core positions p.. to unused g-vertices, given mapping[:p]; one
+    call per position, so the depth is at most the target's core size."""
+    if p == len(mapping):
+        return True
+    allowed = base[p] & ~used
+    for q in placed[p]:
+        allowed &= adj[mapping[q]]
+    for u in iter_bits(allowed):
+        mapping[p] = u
+        if _place(p + 1, used | 1 << u, mapping, base, placed, adj):
+            return True
+    return False
+
+
+def smallest_first_multipartite(adj: list[int], parts: Sequence[int]) -> bool:
+    """True iff the graph with these adjacency rows contains the complete
+    multipartite pattern with these part sizes.
+
+    The sizes may come in any order; one part, or none, is an edgeless
+    pattern, which every graph contains.  Recurses part by part, smallest
+    first; every later part is restricted to the common neighborhood of all
+    vertices chosen so far.  Within a part, vertices are taken in ascending
+    order, so each placement is tried once.  The last part, the largest, needs no search: the pattern is
+    there exactly when the common neighborhood holds at least that many
+    vertices, since any of them will do.  This is how
+    detect.contains_multipartite worked before it became a case of the
+    generic search.
+    """
+    sizes = sorted(parts)
+    if len(sizes) <= 1:
+        return True  # edgeless pattern
+    if sum(sizes) > len(adj):
+        return False
+    rest_after = [sum(sizes[k + 1:]) for k in range(len(sizes) - 1)]
+    full = (1 << len(adj)) - 1
+    return _pick(0, sizes[0], full, full, sizes, rest_after, adj)
+
+
+def _pick(
+    k: int, count: int, cand: int, common: int, sizes: list[int], rest_after: list[int],
+    adj: list[int],
+) -> bool:
+    """Place count more vertices of part k from cand, every later one in
+    common; one call per placed vertex, so at most the core size deep."""
+    if count == 0:
+        k += 1
+        count = sizes[k]
+        cand = common
+        if k == len(sizes) - 1:
+            return cand.bit_count() >= count
+    rest = rest_after[k]
+    while cand:
+        if cand.bit_count() < count:
+            return False
+        low = cand & -cand
+        cand ^= low
+        narrowed = common & adj[low.bit_length() - 1]
+        if narrowed.bit_count() >= rest and _pick(
+            k, count - 1, cand, narrowed, sizes, rest_after, adj
+        ):
+            return True
+    return False
+
+
 def construction_counts(parts: Sequence[int], t: int) -> tuple[int, int]:
     """The closed form of the multipartite construction on its host.
 

@@ -19,7 +19,9 @@ from hifam import (
     contains_multipartite,
     contains_p4,
     contains_subgraph,
+    cycle,
     emit_graph6,
+    from_edges,
     max_clique,
     multipartite_family,
     parse_graph6,
@@ -38,7 +40,9 @@ from oracles import (
     check_seeds,
     construction_counts,
     construction_seeds,
+    degree_ordered_subgraph,
     plain_instance,
+    smallest_first_multipartite,
 )
 
 
@@ -197,17 +201,29 @@ def test_criterion_9_property_suites():
             cg = plain_instance(adjacency)
             assert max_clique(cg).size == brute_force_clique(cg)
 
-        # specialized containment engines vs the generic one, exhaustively
+        # containment engines vs the searches they replaced, exhaustively
         p4 = path(4)
         shapes = [(1, 1), (1, 2), (1, 3), (2, 2), (1, 1, 1), (1, 1, 2), (1, 1, 1, 1)]
         targets = [(s, complete_multipartite(s)) for s in shapes]
+        generic = [  # paw, 2K2, diamond, K_{1,3} as a graph, P5, C5
+            from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+            from_edges(4, [(0, 1), (2, 3)]),
+            from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+            from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+            path(5),
+            cycle(5),
+        ]
         for n in range(1, 6):
             for edges in range(1 << pair_count(n)):
                 adj = Graph(n, edges).adjacency()
-                assert contains_p4(adj) == contains_subgraph(adj, p4)
+                assert contains_p4(adj) == degree_ordered_subgraph(adj, p4)
                 for parts, target_graph in targets:
-                    found = contains_multipartite(adj, parts)
-                    assert found == contains_subgraph(adj, target_graph)
+                    found = smallest_first_multipartite(adj, parts)
+                    assert contains_multipartite(adj, parts) == found
+                    assert contains_subgraph(adj, target_graph) == found
+                for target in generic:
+                    found = degree_ordered_subgraph(adj, target)
+                    assert contains_subgraph(adj, target) == found
 
         # canonical key permutation invariance, 1000 randomized cases
         for _ in range(1000):

@@ -1,14 +1,20 @@
-"""Containment engines: generic backtracking, P4 scan, multipartite search."""
+"""Containment engines: the backtracking search (generic and multipartite)
+and the P4 scan."""
 
 import random
 
+import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from hifam import (
     Graph,
+    UserError,
+    build_compatibility,
     canonical_key,
     complete,
     complete_multipartite,
+    connected_graphs,
     contains_multipartite,
     contains_p4,
     contains_subgraph,
@@ -18,20 +24,37 @@ from hifam import (
     multipartite_family,
     path,
 )
-from hifam import detect
+from hifam import clique, detect
 from hifam.graphs import pair_count
 
 from oracles import (
     apply_permutation,
     construction_seeds,
+    degree_ordered_subgraph,
     largest_first_multipartite,
     rows_edges,
+    smallest_first_multipartite,
 )
 
 # every complete multipartite shape on at most 4 non-isolated vertices
 SMALL_PART_LISTS = [
     (1, 1), (1, 2), (1, 3), (2, 2),
     (1, 1, 1), (1, 1, 2), (1, 1, 1, 1),
+]
+
+PAW = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+
+# targets the generic test takes: the paw (one adjacent twin pair), 2K2 (two),
+# the diamond (an adjacent and a non-adjacent pair, the latter counted), the
+# star K_{1,3} as a graph (three non-adjacent twins, counted), and P5 and C5,
+# which have none
+GENERIC_TARGETS = [
+    PAW,
+    from_edges(4, [(0, 1), (2, 3)]),
+    from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+    from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+    path(5),
+    cycle(5),
 ]
 
 
@@ -136,6 +159,21 @@ def test_single_part_target_is_edgeless():
     assert contains_multipartite(Graph(2, 0).adjacency(), [])
 
 
+def test_pattern_larger_than_the_graph_is_absent_unbuilt():
+    # K_{40,40} has 80 vertices, past the 64-vertex cap of any built pattern
+    rows = complete_multipartite([4, 24]).adjacency()
+    assert not contains_multipartite(rows, [40, 40])
+    assert not contains_multipartite(rows, [1, 28])
+
+
+def test_part_size_below_one_is_refused():
+    isolated = Graph(2, 0).adjacency()
+    assert contains_multipartite(isolated, [3])
+    for parts in ([0, 3], [3, 0], [-1, 1], [0, 1, 1]):
+        with pytest.raises(UserError, match="part sizes must all be >= 1"):
+            contains_multipartite(isolated, parts)
+
+
 def test_multipartite_matches_largest_first_oracle_on_random_graphs():
     rng = random.Random(31)
     for _ in range(400):
@@ -183,20 +221,89 @@ def test_intersection_rows_are_the_rowwise_and():
 
 
 # ---------------------------------------------------------------------------
-# oracle equivalence: specialized engines vs the generic one, exhaustively
+# oracle equivalence: the engines vs the searches they replaced, and networkx
 # ---------------------------------------------------------------------------
 
 
 def test_specialized_engines_match_generic_exhaustively():
+    """Every graph on at most 5 vertices: the P4 scan, the multipartite test
+    and the generic test agree with the degree-ordered backtracking and the
+    smallest-first part search that the one twin-ordered search replaced."""
     p4 = path(4)
-    targets = [(parts, complete_multipartite(parts)) for parts in SMALL_PART_LISTS]
+    shapes = [(parts, complete_multipartite(parts)) for parts in SMALL_PART_LISTS]
+    hits = 0
     for n in range(1, 6):
         for edges in range(1 << pair_count(n)):
             adj = Graph(n, edges).adjacency()
-            assert contains_p4(adj) == contains_subgraph(adj, p4)
-            for parts, target_graph in targets:
-                found = contains_multipartite(adj, parts)
-                assert found == contains_subgraph(adj, target_graph)
+            assert contains_p4(adj) == degree_ordered_subgraph(adj, p4)
+            for parts, shape in shapes:
+                found = smallest_first_multipartite(adj, parts)
+                assert found == degree_ordered_subgraph(adj, shape)
+                assert contains_multipartite(adj, parts) == found
+                assert contains_subgraph(adj, shape) == found
+            for target in GENERIC_TARGETS:
+                found = degree_ordered_subgraph(adj, target)
+                assert contains_subgraph(adj, target) == found, (n, edges, target)
+                hits += found
+    assert 0 < hits < 6 * 1099
+
+
+def _nx_contains(g, edges):
+    """Whether g holds a subgraph monomorphic to the graph on these edges,
+    by networkx."""
+    host = nx.Graph(g.edge_pairs())
+    host.add_nodes_from(range(g.n))
+    return GraphMatcher(host, nx.Graph(edges)).subgraph_is_monomorphic()
+
+
+def test_containment_matches_networkx_on_random_graphs():
+    rng = random.Random(43)
+    outcomes = set()
+    for _ in range(300):
+        g = _random_graph(rng, rng.randint(1, 9), rng.choice([0.3, 0.5, 0.7, 0.9]))
+        adj = g.adjacency()
+        h = rng.choice(GENERIC_TARGETS + [_random_graph(rng, rng.randint(2, 5), 0.6)])
+        found = contains_subgraph(adj, h)
+        assert found == _nx_contains(g, h.edge_pairs()), (g, h)
+        outcomes.add(found)
+        parts = [rng.randint(1, 4) for _ in range(rng.randint(2, 3))]
+        if sum(parts) <= g.n:
+            pattern = complete_multipartite(parts)
+            assert contains_multipartite(adj, parts) == _nx_contains(g, pattern.edge_pairs())
+    assert outcomes == {True, False}
+
+
+def test_predicate_plans_its_target_once(monkeypatch):
+    """A predicate decodes its target a fixed number of times, however many
+    rows it tests: the paw over the rows of the 61 builds of a paw search."""
+    rows = []
+
+    def recording(target):
+        check = containment_check(target)
+
+        def check_and_record(r):
+            rows.append(r)
+            return check(r)
+        return check_and_record
+
+    monkeypatch.setattr(clique, "containment_check", recording)
+    for m in (7, 8, 9):
+        for host in connected_graphs(6, m):
+            build_compatibility(host, PAW)
+    decodes = 0
+    adjacency = Graph.adjacency
+
+    def counted(self):
+        nonlocal decodes
+        decodes += 1
+        return adjacency(self)
+
+    monkeypatch.setattr(Graph, "adjacency", counted)
+    check = containment_check(from_edges(4, [(3, 1), (3, 2), (1, 2), (2, 0)]))
+    decodes = 0
+    hits = sum(check(r) for r in rows)
+    assert (len(rows), hits) == (745, 581)
+    assert decodes <= 1
 
 
 def test_containment_check_dispatch():
@@ -279,8 +386,8 @@ def _partitions(n, low=1):
 
 def test_containment_check_agrees_with_generic_on_every_small_target(routes):
     """Every labeled target on at most 5 vertices: the dispatched predicate
-    agrees with the generic test, and the multipartite route is taken
-    exactly when the target's core is complete multipartite."""
+    agrees with the degree-ordered backtracking, and the multipartite route
+    is taken exactly when the target's core is complete multipartite."""
     multipartite = {_core_key(complete_multipartite(parts))
                     for n in range(1, 6) for parts in _partitions(n)}
     p4 = _core_key(path(4))
@@ -296,7 +403,7 @@ def test_containment_check_agrees_with_generic_on_every_small_target(routes):
             check = containment_check(target)
             for g in hosts:
                 found = check(g.adjacency())
-                assert found == contains_subgraph(g.adjacency(), target), (target, g)
+                assert found == degree_ordered_subgraph(g.adjacency(), target), (target, g)
                 outcomes.add(found)
             expected = ("contains_p4" if key == p4 else
                         "contains_multipartite" if key in multipartite else "contains_subgraph")
