@@ -302,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--target", default="p4")
     p_search.add_argument("--connected", action="store_true")
     p_search.add_argument("--jobs", "-j", type=int, default=1,
-                          help="at most this many worker processes, started once a "
-                               "search is long enough to pay for them (default 1)")
+                          help="at most this many worker processes, one per CPU at most, "
+                               "started once a search is long enough to pay for them (default 1)")
     p_search.add_argument("--out", "-o", required=True, help="JSONL output path")
     p_search.add_argument("--json", action="store_true")
     p_search.set_defaults(func=cmd_search)

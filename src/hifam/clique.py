@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .detect import containment_check
-from .graphs import Graph, Record, UserError, submasks
+from .graphs import Graph, Record, UserError, iter_bits
 
 MAX_HOST_EDGES = 16
 MAX_CANDIDATES = 1 << 14
@@ -73,55 +73,43 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     Candidates are the edge subsets that contain the target themselves (any
     clique of size >= 2 satisfies that automatically), in ascending order of
     their bitsets; two candidates are adjacent when their intersection
-    contains the target.  Subsets are addressed by compact index, their
-    position in ascending order: bit i picks the host's i-th edge, so every
-    subset of an index comes before it and the AND of two indices is the
-    index of the intersection.
+    contains the target.  Subsets are addressed by compact index: bit i
+    picks the host's i-th edge, so indices order subsets as their bitsets
+    do, and the AND of two indices is the index of the intersection.
 
-    Every subset that holds the target contains a copy of it: a subset with
-    the target's k edges that holds it, and whose edges therefore touch
-    exactly as many vertices as the target has non-isolated ones.  So the
-    containment predicate, detect.containment_check's for the target, runs
-    only on the k-edge subsets that touch that many vertices, on adjacency
-    rows built from their edges' endpoints; the others cannot hold the
-    target.  The copies' compact indices go into a set, which is then
-    closed upward one edge at a time: each host edge is added to every
-    member, so every superset of a copy is reached by adding its missing
-    edges in index order.  With k = 0 the empty set is the one copy and
-    every subset a candidate; with k > e there is no copy and no candidate.
+    Every subset that holds the target contains a copy of it: a k-edge
+    subset that holds it, whose edges touch exactly as many vertices as the
+    target has non-isolated ones.  detect.containment_check's predicate
+    runs only on those k-edge subsets, on rows built from their edges'
+    endpoints, and the copies it accepts are closed upward in a set, one
+    host edge at a time.  With k = 0 the empty set is the one copy; with
+    k > e there is none.
 
-    Per-edge masks then give the rows: ``has[b]`` is the candidates that
-    hold edge b, c's ``sup`` row the AND of ``has[b]`` over c's edges and
-    its ``sub`` row the AND of their complements over the edges c lacks.
-    Each AND splits over the low and high halves of the edge bits, so a
-    row is the AND of one entry from each half's table of 2^(e/2) entries
-    (one table of 2^e entries would triple the peak at 16 edges).
-    Candidates a and b are adjacent exactly when some candidate t lies
-    inside both (take t = a & b), so one subset sweep over the lattice,
-    seeded with the ``sup`` rows, ORs ``up[t]`` into ``up[c]`` for every
-    candidate t inside c, and row a is a's entry without its own bit.  The
-    sweep sets candidates' entries only: no non-candidate contains one.
-    Hosts with more than MAX_HOST_EDGES edges raise UserError at once:
-    their 2^e lattice is out of reach.  So do more than MAX_CANDIDATES
-    candidates, as soon as the set is closed: every candidate gets
-    several rows with one bit per candidate, so the rows grow with the
-    square of the count (one list of 2^14 rows of 2^14 bits is 32 MB).
-    Phase 1 of max_clique starts from the trivial family, so ``hifam
-    clique --host k1,14 --target k2`` (16,383 candidates, optimum 8,192)
-    takes about 0.16 s and 140 MB RSS (CPython 3.11), about the four
-    lists of rows.  Each frame of the solver's stack still keeps its colour
-    listing, so an instance whose optimum beats the trivial family can
-    still dive as deep as its clique and need far more.
+    ``has[b]`` is the candidates holding edge b; c's ``sup`` row is the AND
+    of ``has[b]`` over c's edges and its ``sub`` row the AND of their
+    complements over the edges c lacks.  Each AND, and each label (the OR
+    of c's host edge bits), splits over the low and high halves of the edge
+    bits: one entry from each half's table of 2^(e/2) entries (one table of
+    2^e would triple the peak at 16 edges).  Candidates a and b are
+    adjacent exactly when a & b holds a copy, so row a is the OR of
+    ``sup[t]`` over the copies t inside a, without a's own bit: each copy's
+    row is ORed into the entry of t | s for every subset s of the edges t
+    lacks, 2^(e-k) ORs per copy.
+
+    More than MAX_HOST_EDGES host edges raise UserError at once, and so do
+    more than MAX_CANDIDATES candidates, as soon as the set is closed: the
+    rows grow with the square of the count (2^14 rows of 2^14 bits are
+    32 MB a list; ``hifam clique --host k1,14 --target k2``, 16,383
+    candidates, takes about 0.16 s and 140 MB RSS under CPython 3.11).
     """
     e = host.edge_count
     if e > MAX_HOST_EDGES:
         raise UserError(f"compatibility graphs capped at {MAX_HOST_EDGES} host edges, got {e}")
     check = containment_check(target)
-    subsets = list(submasks(host.edges))
     pairs = host.edge_pairs()
     ends = [1 << i | 1 << j for i, j in pairs]
     cover = sum(1 for row in target.adjacency() if row)
-    cands = set()
+    copies = []
     for edges in combinations(range(e), target.edge_count):
         c = touched = 0
         for i in edges:
@@ -134,7 +122,8 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
                 rows[a] |= 1 << b
                 rows[b] |= 1 << a
             if check(rows):
-                cands.add(c)
+                copies.append(c)
+    cands = set(copies)
     for bit in [1 << i for i in range(e)]:
         cands.update([c | bit for c in cands])
     if len(cands) > MAX_CANDIDATES:
@@ -147,26 +136,31 @@ def build_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
     # their e-bit strings; leading zeros make a number of an empty slice
     bits = "0" * e + (f"{{:0{e}b}}" * len(cands)).format(*cands)[::-1]
     has = [int(bits[b::e], 2) for b in range(e)]
+    marks = [1 << b for b in iter_bits(host.edges)]
     half = e // 2
     tables = []
-    for part in has[:half], has[half:]:
-        sup = sub = [everyone]  # doubled by each bit: entry x for subset x
-        for row in part:
+    for lo, hi in (0, half), (half, e):
+        sup, sub, label = [everyone], [everyone], [0]  # doubled by each bit: entry x for subset x
+        for row, mark in zip(has[lo:hi], marks[lo:hi]):
             sup, sub = sup + [r & row for r in sup], [r & ~row for r in sub] + sub
-        tables += sup, sub
-    lo_sup, lo_sub, hi_sup, hi_sub = tables
+            label += [x | mark for x in label]
+        tables += sup, sub, label
+    lo_sup, lo_sub, lo_label, hi_sup, hi_sub, hi_label = tables
     low = (1 << half) - 1
     sup = [lo_sup[c & low] & hi_sup[c >> half] for c in cands]
     sub = [lo_sub[c & low] & hi_sub[c >> half] for c in cands]
-    up = [0] * len(subsets)
-    for c, row in zip(cands, sup):
-        up[c] = row
-    for bit in [1 << b for b in range(e)]:
-        for c in cands:
-            if c & bit:
-                up[c] |= up[c ^ bit]
+    up = [0] * (1 << e)
+    for t in copies:
+        row = lo_sup[t & low] & hi_sup[t >> half]
+        rest = s = (1 << e) - 1 ^ t
+        while True:  # every subset s of rest, descending
+            up[t | s] |= row
+            if not s:
+                break
+            s = (s - 1) & rest
     adjacency = [up[c] ^ 1 << i for i, c in enumerate(cands)]
-    return CompatibilityGraph([subsets[c] for c in cands], adjacency, sup, sub)
+    labels = [lo_label[c & low] | hi_label[c >> half] for c in cands]
+    return CompatibilityGraph(labels, adjacency, sup, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +299,15 @@ def _lex_min_clique(
     tested by _upset_search, which is exact here because every P_v is
     up-closed (a candidate's supersets come after it), and a hit is the
     next known clique.  Every step is proven before it is taken, so the
-    loop never backtracks.  Returns (witness, feasibility-search nodes).
+    loop never backtracks, and once P is the known clique its vertices end
+    the witness.  Returns (witness, feasibility-search nodes).
     """
     chosen: list[int] = []
     nodes = 0
     p_mask = (1 << n) - 1
     for need in range(k, 0, -1):
+        if clique and p_mask == clique:
+            return chosen + list(iter_bits(clique)), nodes
         q = p_mask
         while True:
             if not q:

@@ -10,6 +10,7 @@ then canonical key, so its output files are byte-identical across --jobs.
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections.abc import Iterable, Sequence
 
@@ -121,10 +122,12 @@ def search_hosts(hosts: Iterable[Graph], target: Graph, jobs: int = 1) -> list[S
     """Solve each host exactly; one record per host, in the order given.
 
     Hosts are solved in order in this process.  With ``jobs`` > 1 the hosts
-    left go to a worker pool once, at their mean time so far, they would take
-    more than twice ``POOL_COST_S``: a pool pays only for long searches.
+    left go to a pool of min(jobs, hosts left, CPUs) workers once, at their
+    mean time so far, they would take more than twice ``POOL_COST_S``: a
+    pool pays only for long searches.
     """
     hosts = list(hosts)
+    jobs = min(jobs, os.cpu_count() or 1)
     records: list[SearchRecord] = []
     start = time.perf_counter()
     for done, host in enumerate(hosts):

@@ -22,7 +22,7 @@ from hifam import (
     is_connected,
     verify_intersecting,
 )
-from hifam.clique import MAX_CANDIDATES, MAX_HOST_EDGES
+from hifam.clique import MAX_CANDIDATES, MAX_HOST_EDGES, _upset_search
 from hifam.graphs import (
     GRAPH6_HEADER,
     MAX_VERTICES,
@@ -160,6 +160,78 @@ def sweep_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
                 down[c] |= down[c ^ bit]
     adjacency = [up[c] ^ 1 << i for i, c in enumerate(cands)]
     sub = [down[c] for c in cands]
+    return CompatibilityGraph([subsets[c] for c in cands], adjacency, sup, sub)
+
+
+def lattice_sweep_compatibility(host: Graph, target: Graph) -> CompatibilityGraph:
+    """The compatibility graph with its adjacency rows from one subset
+    sweep over the edge-subset lattice, with the caps and messages of
+    clique.build_compatibility.
+
+    This is how build_compatibility worked before it ORed each copy's sup
+    row into the entries of the copy's supersets: it finds the copies the
+    same way and closes them upward in a set; ``has[b]``, the candidates
+    holding edge b, gives the sup and sub rows as the AND of one entry from
+    each of two half-tables over the edge bits.  A list of all 2^e subsets
+    gives the labels.  The sweep seeds ``up[c]`` with c's sup row, then, one
+    edge bit at a time, ORs ``up[c ^ bit]`` into ``up[c]`` for every
+    candidate c holding the bit, so ``up[c]`` ends as the OR of the sup rows
+    of every candidate inside c, and row a is a's entry without its own
+    bit.  Each of its e passes walks every candidate.
+    """
+    e = host.edge_count
+    if e > MAX_HOST_EDGES:
+        raise UserError(f"compatibility graphs capped at {MAX_HOST_EDGES} host edges, got {e}")
+    check = containment_check(target)
+    subsets = list(submasks(host.edges))
+    pairs = host.edge_pairs()
+    ends = [1 << i | 1 << j for i, j in pairs]
+    cover = sum(1 for row in target.adjacency() if row)
+    cands = set()
+    for edges in itertools.combinations(range(e), target.edge_count):
+        c = touched = 0
+        for i in edges:
+            c |= 1 << i
+            touched |= ends[i]
+        if touched.bit_count() == cover:
+            rows = [0] * host.n
+            for i in edges:
+                a, b = pairs[i]
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+            if check(rows):
+                cands.add(c)
+    for bit in [1 << i for i in range(e)]:
+        cands.update([c | bit for c in cands])
+    if len(cands) > MAX_CANDIDATES:
+        raise UserError(
+            f"compatibility graphs capped at {MAX_CANDIDATES} candidates, got {len(cands)}"
+        )
+    cands = sorted(cands)
+    everyone = (1 << len(cands)) - 1
+    # bit b of every candidate, last candidate first, is a strided slice of
+    # their e-bit strings; leading zeros make a number of an empty slice
+    bits = "0" * e + (f"{{:0{e}b}}" * len(cands)).format(*cands)[::-1]
+    has = [int(bits[b::e], 2) for b in range(e)]
+    half = e // 2
+    tables = []
+    for part in has[:half], has[half:]:
+        sup = sub = [everyone]  # doubled by each bit: entry x for subset x
+        for row in part:
+            sup, sub = sup + [r & row for r in sup], [r & ~row for r in sub] + sub
+        tables += sup, sub
+    lo_sup, lo_sub, hi_sup, hi_sub = tables
+    low = (1 << half) - 1
+    sup = [lo_sup[c & low] & hi_sup[c >> half] for c in cands]
+    sub = [lo_sub[c & low] & hi_sub[c >> half] for c in cands]
+    up = [0] * len(subsets)
+    for c, row in zip(cands, sup):
+        up[c] = row
+    for bit in [1 << b for b in range(e)]:
+        for c in cands:
+            if c & bit:
+                up[c] |= up[c ^ bit]
+    adjacency = [up[c] ^ 1 << i for i, c in enumerate(cands)]
     return CompatibilityGraph([subsets[c] for c in cands], adjacency, sup, sub)
 
 
@@ -317,6 +389,55 @@ def recursive_upset_search(
         # go with this call instead of waiting for the cycle collector
         del expand
     return best, found, nodes
+
+
+def stepwise_lex_min_clique(
+    excl: list[int],
+    sup: list[int],
+    sub: list[int],
+    n: int,
+    k: int,
+    clique: int,
+) -> tuple[list[int], int]:
+    """First clique of size k in lexicographic order of sorted vertex lists.
+
+    ``clique`` is a known clique of size k (or 0).  Each step takes the
+    lowest vertex v of the remaining set P such that P_v, the part of P
+    above v and adjacent to it, still holds a clique of the needed size,
+    and keeps a clique of that size inside P.  When v is that clique's
+    lowest vertex, the rest of it proves P_v feasible; any other v is
+    tested by _upset_search, which is exact here because every P_v is
+    up-closed (a candidate's supersets come after it), and a hit is the
+    next known clique.  Every step is proven before it is taken, so the
+    loop never backtracks.  Returns (witness, feasibility-search nodes).
+
+    This is how clique._lex_min_clique worked before it stopped once the
+    remaining set is the known clique: it takes that clique's vertices one
+    step at a time, each step a few bigint operations over all candidates.
+    """
+    chosen: list[int] = []
+    nodes = 0
+    p_mask = (1 << n) - 1
+    for need in range(k, 0, -1):
+        q = p_mask
+        while True:
+            if not q:
+                raise AssertionError("no clique of the optimum size found")
+            low = q & -q
+            v = low.bit_length() - 1
+            rest = p_mask & ~excl[v] & -(low << 1)
+            if low == clique & -clique:
+                clique ^= low
+                break
+            size, found, count = _upset_search(rest, need - 2, need - 1, excl, sup, sub)
+            nodes += count
+            if size >= need - 1:
+                clique = found
+                break
+            q ^= low
+        chosen.append(v)
+        p_mask = rest
+    return chosen, nodes
 
 
 def _top_first_coloring(p_mask: int, adj: list[int]) -> list[tuple[int, int]]:

@@ -1,6 +1,7 @@
 """Compatibility graph construction and the exact clique solver."""
 
 import gc
+import hashlib
 import random
 import sys
 import tracemalloc
@@ -41,10 +42,12 @@ from oracles import (
     coloring_max_clique,
     containment_rows,
     degree_ordered_clique_size,
+    lattice_sweep_compatibility,
     pairwise_compatibility,
     plain_instance,
     recursive_upset_search,
     rows_edges,
+    stepwise_lex_min_clique,
     sweep_compatibility,
     _top_first_coloring,
     validate_compatibility,
@@ -338,13 +341,18 @@ def _built_or_refused(build, host, target):
 
 
 def test_builder_matches_the_sweeps_it_replaced():
-    """Labels, adjacency, sup and sub rows, or the refusal, as the table's
-    shift closure and the two lattice sweeps gave them: every host with at most 6 vertices against
-    eight targets (only K6 passes the candidate cap, with each of them),
-    and three large instances."""
+    """Labels, adjacency, sup and sub rows, or the refusal, as the lattice
+    sweeps gave them: one subset sweep over the copies' closure and, before
+    it, the table's shift closure and two sweeps.  Every host with at most
+    6 vertices against nine targets: K2, P3 = K_{1,2}, P4, K3, C4, 2K2, the
+    paw, the edgeless target (k = 0: one copy, every subset a candidate)
+    and K5 (more edges than every host but K5 and K6); K6 passes the
+    candidate cap with K5 alone.  And three large instances: K5 with P4,
+    whose 60 copies overlap, K_{1,12} with K2 and K_{2,7} with K_{2,3}."""
     paw = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     two_k2 = from_edges(4, [(0, 1), (2, 3)])
-    targets = [complete(2), path(3), path(4), complete(3), cycle(4), two_k2, paw, Graph(3, 0)]
+    targets = [complete(2), path(3), path(4), complete(3), cycle(4), two_k2, paw, Graph(3, 0),
+               complete(5)]
     pairs = [(host, target) for n in range(1, 7) for host in _all_hosts(n) for target in targets]
     pairs += [
         (complete(5), path(4)),
@@ -354,9 +362,33 @@ def test_builder_matches_the_sweeps_it_replaced():
     refused = 0
     for host, target in pairs:
         new = _built_or_refused(build_compatibility, host, target)
+        assert new == _built_or_refused(lattice_sweep_compatibility, host, target), (host, target)
         assert new == _built_or_refused(sweep_compatibility, host, target), (host, target)
         refused += isinstance(new, str)
-    assert (len(pairs), refused) == (1667, 8)
+    assert (len(pairs), refused) == (1875, 8)
+    k5 = build_compatibility(complete(5), path(4))
+    assert (k5.size, sum(label.bit_count() == 3 for label in k5.labels)) == (893, 60)
+
+
+def _digest(cg):
+    """One hash of the labels and the three lists of rows, so that two
+    builds of a large host need not be held at once."""
+    digest = hashlib.sha256()
+    for rows in cg.labels, cg.adjacency, cg.sup, cg.sub:
+        width = (max(rows, default=0).bit_length() + 7) // 8
+        digest.update(b"%d %d;" % (len(rows), width))
+        for row in rows:
+            digest.update(row.to_bytes(width, "little"))
+    return digest.digest()
+
+
+def test_builder_matches_the_lattice_sweep_on_the_largest_star():
+    """K_{1,14} with K2: 14 one-edge copies, each ORed into 2^13 entries,
+    and 16,383 candidates, just under the cap."""
+    host = complete_multipartite([1, 14])
+    digests = [_digest(build(host, complete(2)))
+               for build in (build_compatibility, lattice_sweep_compatibility)]
+    assert digests[0] == digests[1]
 
 
 def test_builder_peak_memory_stays_at_the_sweeps():
@@ -648,6 +680,71 @@ def test_phase_two_fails_loudly_without_a_clique():
     assert _lex_min_clique(excl, own, own, 5, 2, 0)[0] == [0, 1]
     with pytest.raises(AssertionError, match="no clique of the optimum size"):
         _lex_min_clique(excl, own, own, 5, 3, 0)
+
+
+def _stepwise_phase_two(cg):
+    """max_clique's phase 1, then the stepwise oracle's phase 2: (witness,
+    phase-2 nodes)."""
+    n = cg.size
+    excl = _excl(cg.adjacency)
+    trivial = cg.sup[0] if n else 0
+    best, found, _ = clique._upset_search(
+        (1 << n) - 1, trivial.bit_count(), n + 1, excl, cg.sup, cg.sub
+    )
+    return stepwise_lex_min_clique(excl, cg.sup, cg.sub, n, best, found or trivial)
+
+
+def _stop_step(cg, witness):
+    """The first step of phase 2 at which the remaining set is exactly as
+    large as the clique still needed, so is that clique, or None."""
+    everyone = (1 << cg.size) - 1
+    p_mask = everyone
+    for step, v in enumerate(witness):
+        if p_mask.bit_count() == len(witness) - step:
+            return step
+        p_mask &= cg.adjacency[v] & everyone << v + 1
+    return None
+
+
+def test_phase_two_matches_the_stepwise_oracle():
+    """Witnesses and phase-2 node counts as the loop that took the known
+    clique one vertex at a time gave them: every host of the P4 and the
+    triangle searches the benchmark runs, where the stop comes at step 1
+    on every triangle host, whose optimum is the trivial 256; and three
+    optima that beat the trivial family, where it comes partway."""
+    paw = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    stops = Counter()
+    for hosts, target in ([g for m in (7, 8) for g in connected_graphs(6, m, True)], path(4)), \
+            (connected_graphs(6, 11, True), complete(3)):
+        for host in hosts:
+            cg = build_compatibility(host, target)
+            result = max_clique(cg)
+            assert (result.witness, result.phase2_nodes) == _stepwise_phase_two(cg), host
+            stops[target.edge_count, _stop_step(cg, result.witness), result.size] += 1
+    assert stops[3, 1, 256] == 9
+    assert sum(stops.values()) == 50
+    for host, target, step, size, trivial in [
+        (christofides_host(), path(4), 4, 17, 16),
+        (complete_multipartite([1, 1, 4]), complete_multipartite([1, 2]), 7, 160, 128),
+        (parse_graph6("E}q?"), paw, 5, 17, 16),
+        (complete(5), complete(3), 1, 128, 128),
+    ]:
+        cg = build_compatibility(host, target)
+        result = max_clique(cg)
+        assert (result.witness, result.phase2_nodes) == _stepwise_phase_two(cg)
+        assert (_stop_step(cg, result.witness), result.size) == (step, size)
+        assert cg.sup[0].bit_count() == trivial
+
+
+def test_phase_two_matches_the_stepwise_oracle_on_plain_instances():
+    rng = random.Random(331)
+    stopped = 0
+    for trial in range(300):
+        cg = _random_instance(rng, rng.randint(0, 16), rng.choice([0.2, 0.5, 0.8]))
+        result = max_clique(cg)
+        assert (result.witness, result.phase2_nodes) == _stepwise_phase_two(cg), trial
+        stopped += 0 < (_stop_step(cg, result.witness) or 0)
+    assert stopped > 100
 
 
 def test_node_counters():

@@ -85,10 +85,43 @@ def test_search_starts_no_more_workers_than_hosts(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
     monkeypatch.setattr(hifam.search, "POOL_COST_S", 0.0)  # hand off after the first host
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # more CPUs than hosts left
     hosts = [g for m in (3, 4) for g in connected_graphs(4, m)]
     records = search_hosts(hosts, path(4), jobs=8)
     assert started == [(3, 3)]  # three workers for the three hosts left
     assert records == search_hosts(hosts, path(4), jobs=1)
+
+
+def test_search_starts_no_more_workers_than_cpus(monkeypatch):
+    """--jobs 5000 starts one worker per CPU, and none with one CPU or an
+    unknown count.  The pool is an in-process fake that records its size."""
+    import multiprocessing
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, tasks):
+            return [func(*args) for args in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(hifam.search, "POOL_COST_S", 0.0)  # hand off after the first host
+    hosts = connected_graphs(5, 5)
+    serial = search_hosts(hosts, path(4), jobs=1)
+    assert len(hosts) == 5
+    for cpus, pools in (3, [3]), (64, [4]), (1, []), (None, []):
+        started.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert search_hosts(hosts, path(4), jobs=5000) == serial
+        assert started == pools, cpus
 
 
 def test_search_starts_no_pool_that_cannot_pay_for_itself(monkeypatch):
