@@ -8,10 +8,11 @@ matter.  Each test takes the tested graph as its adjacency rows, one
 neighbour bitmask per vertex as Graph.adjacency() gives them, n being
 their count, so a caller can build them from edges or rows it holds.
 
-One backtracking search serves the generic and the multipartite test.  It
-places the target's core, its non-isolated vertices, in an order planned
-once per target, each twin (graphs.twin_representatives) above the twin
-placed before it, since swapping twins is an automorphism.  A last run of
+One backtracking search serves all three tests: the generic one, the
+multipartite one and P4's, whose plan is built at import.  It places the
+target's core, its non-isolated vertices, in an order planned once per
+target, each twin (graphs.twin_representatives) above the twin placed
+before it, since swapping twins is an automorphism.  A last run of
 pairwise non-adjacent twins, such as a multipartite target's largest part,
 is counted, not placed: any vertices adjacent to all its neighbours will do.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from functools import lru_cache
 
-from .graphs import Graph, complete_multipartite, iter_bits, twin_representatives
+from .graphs import Graph, complete_multipartite, iter_bits, path, twin_representatives
 
 
 def contains_subgraph(adj: list[int], h: Graph) -> bool:
@@ -45,6 +46,12 @@ def contains_multipartite(adj: list[int], parts: Sequence[int]) -> bool:
     if sizes[0] >= 1 and sum(sizes) > len(adj):
         return False
     return _contains(adj, _multipartite_plan(sizes))
+
+
+def contains_p4(adj: list[int]) -> bool:
+    """True iff the graph with these adjacency rows contains a path on 4
+    vertices: the search on P4's plan, built once at import."""
+    return _contains(adj, _P4)
 
 
 @lru_cache(maxsize=None)
@@ -77,6 +84,9 @@ def _plan(h: Graph) -> tuple[tuple[tuple[int, ...], int, bool], ...]:
     return (*steps[:len(core) - run], (steps[-1][0], run, False)) if core else (((), 0, False),)
 
 
+_P4 = _plan(path(4))
+
+
 def _contains(adj: list[int], steps: tuple[tuple[tuple[int, ...], int, bool], ...]) -> bool:
     """Whether _plan's steps place in the graph with these rows; a core
     with more vertices than the graph is absent unsearched."""
@@ -104,33 +114,17 @@ def _place(p: int, free: int, mapping: list[int], steps: tuple, adj: list[int]) 
     return False
 
 
-def contains_p4(adj: list[int]) -> bool:
-    """True iff the graph with these adjacency rows contains a path on 4 vertices.
-
-    Scan each edge {i, j}, i < j, column j's lower neighbours i in turn, for
-    a neighbor of i besides j and a neighbor of j besides i that are not the
-    same single vertex; equivalent to the generic backtracking test on the
-    3-edge path.
-    """
-    for j, row in enumerate(adj):
-        for i in iter_bits(row & ((1 << j) - 1)):
-            a = adj[i] ^ 1 << j
-            b = row ^ 1 << i
-            if a and b and (a | b).bit_count() >= 2:
-                return True
-    return False
-
-
 def containment_check(target: Graph) -> Callable[[list[int]], bool]:
     """Containment predicate for one target over a graph's adjacency rows:
     the one dispatch to the tests above.
 
     Only the target's core, its non-isolated vertices, counts.  A core with
-    degrees 1, 1, 2, 2 (only P4 has them) goes to the contains_p4 scan.  A
-    core in which each vertex's part, itself plus its non-neighbours, is
-    also the part of every vertex in it is complete multipartite with those
-    parts: any such target (K3, K_{2,4}, a star, an edgeless graph) goes to
-    contains_multipartite.  Any other target goes to contains_subgraph.
+    degrees 1, 1, 2, 2 (only P4 has them) goes to contains_p4, the search on
+    P4's plan.  A core in which each vertex's part, itself plus its
+    non-neighbours, is also the part of every vertex in it is complete
+    multipartite with those parts: any such target (K3, K_{2,4}, a star, an
+    edgeless graph) goes to contains_multipartite.  Any other target goes to
+    contains_subgraph.
     The tests are looked up in this module's globals, so one replaced there
     (as perfbench's tracer does) is the one that runs.
     """

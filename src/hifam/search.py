@@ -23,13 +23,13 @@ RECORD_TYPES = {"host_graph6": str, "n": int, "m": int, "clique_size": int,
                 "density": str, "witness_hex": list}
 RECORD_FIELDS = tuple(RECORD_TYPES)
 
-# What a worker pool costs a search, from medians of 21 CLI runs on a shared
-# 2-vCPU Linux machine under Python 3.11: handing the last 8 of the 9 hosts of
-# `search -n 6 -m 11 --connected --target k3` (about 65 ms of solving) to 2
-# workers made the run 25 ms slower, and the last 19 of the 20 hosts of
-# `search -n 6 -m 9 --connected` (about 665 ms) 225 ms faster.  Both fit a
-# start-up of about 50 ms and a 1.7x speed-up, so a pool pays once the hosts
-# left would take more than 2 * 60 ms serially.
+# What a worker pool costs a search, from medians of 21 alternating CLI runs of
+# `--jobs 1` and `--jobs 2` (hand-off forced after the first host) on a shared
+# 2-vCPU Linux machine under Python 3.11: the last 8 of the 9 hosts of
+# `search -n 6 -m 11 --connected --target k3` (about 10 ms of solving) ran 16 ms
+# slower on 2 workers, the last 19 of the 20 of `search -n 6 -m 9 --connected`
+# (about 122 ms) 33 to 40 ms faster: a 20 ms start-up, a 1.8x to 2x speed-up and
+# a 45 ms break-even.  The constant keeps an earlier fit's 2 * 60 ms.
 POOL_COST_S = 0.06
 
 

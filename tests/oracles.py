@@ -945,6 +945,24 @@ def _place(
     return False
 
 
+def p4_column_scan(adj: list[int]) -> bool:
+    """True iff the graph with these adjacency rows contains a path on 4 vertices.
+
+    Scan each edge {i, j}, i < j, column j's lower neighbours i in turn, for
+    a neighbor of i besides j and a neighbor of j besides i that are not the
+    same single vertex; equivalent to the generic backtracking test on the
+    3-edge path.  This is how detect.contains_p4 worked before it became the
+    search on P4's plan.
+    """
+    for j, row in enumerate(adj):
+        for i in iter_bits(row & ((1 << j) - 1)):
+            a = adj[i] ^ 1 << j
+            b = row ^ 1 << i
+            if a and b and (a | b).bit_count() >= 2:
+                return True
+    return False
+
+
 def smallest_first_multipartite(adj: list[int], parts: Sequence[int]) -> bool:
     """True iff the graph with these adjacency rows contains the complete
     multipartite pattern with these part sizes.

@@ -41,6 +41,7 @@ from oracles import (
     construction_counts,
     construction_seeds,
     degree_ordered_subgraph,
+    p4_column_scan,
     plain_instance,
     smallest_first_multipartite,
 )
@@ -216,7 +217,9 @@ def test_criterion_9_property_suites():
         for n in range(1, 6):
             for edges in range(1 << pair_count(n)):
                 adj = Graph(n, edges).adjacency()
-                assert contains_p4(adj) == degree_ordered_subgraph(adj, p4)
+                found = p4_column_scan(adj)
+                assert found == degree_ordered_subgraph(adj, p4)
+                assert contains_p4(adj) == found
                 for parts, target_graph in targets:
                     found = smallest_first_multipartite(adj, parts)
                     assert contains_multipartite(adj, parts) == found

@@ -1,5 +1,5 @@
-"""Containment engines: the backtracking search (generic and multipartite)
-and the P4 scan."""
+"""Containment engines: the one backtracking search, run for generic
+targets, complete multipartite patterns and P4."""
 
 import random
 
@@ -32,6 +32,7 @@ from oracles import (
     construction_seeds,
     degree_ordered_subgraph,
     largest_first_multipartite,
+    p4_column_scan,
     rows_edges,
     smallest_first_multipartite,
 )
@@ -114,7 +115,7 @@ def test_containment_is_isomorphism_invariant():
 
 
 # ---------------------------------------------------------------------------
-# P4 fast path
+# P4
 # ---------------------------------------------------------------------------
 
 
@@ -124,6 +125,39 @@ def test_p4_basics():
     from hifam import christofides_host
 
     assert contains_p4(christofides_host().adjacency())
+    # P4-free graphs, where the search places most before it gives up:
+    # disjoint triangles and stars; one more edge, joining two triangles or
+    # two leaves, makes a P4
+    p4 = path(4)
+    for n in (30, 63):
+        triangles = [(v, v + d) for v in range(0, n, 3) for d in (1, 2)] + [
+            (v + 1, v + 2) for v in range(0, n, 3)]
+        star = [(0, v) for v in range(1, n)]
+        for edges, joining in ((triangles, (0, 3)), (star, (1, 2))):
+            for extra, found in (([], False), ([joining], True)):
+                adj = from_edges(n, edges + extra).adjacency()
+                assert degree_ordered_subgraph(adj, p4) == found
+                assert contains_p4(adj) == p4_column_scan(adj) == found
+
+
+def test_p4_plans_its_target_once(monkeypatch):
+    """contains_p4 plans P4 at import, never per call: over the rows of every
+    graph on 5 vertices it builds no plan and decodes no graph."""
+    rows = [Graph(5, edges).adjacency() for edges in range(1 << pair_count(5))]
+    calls = 0
+
+    def counting(f):
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return f(*args)
+        return counted
+
+    monkeypatch.setattr(detect, "_plan", counting(detect._plan))
+    monkeypatch.setattr(Graph, "adjacency", counting(Graph.adjacency))
+    hits = sum(contains_p4(r) for r in rows)
+    assert hits == sum(p4_column_scan(r) for r in rows) > 0
+    assert calls == 0
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +260,19 @@ def test_intersection_rows_are_the_rowwise_and():
 
 
 def test_specialized_engines_match_generic_exhaustively():
-    """Every graph on at most 5 vertices: the P4 scan, the multipartite test
-    and the generic test agree with the degree-ordered backtracking and the
-    smallest-first part search that the one twin-ordered search replaced."""
+    """Every graph on at most 5 vertices: the P4 test, the multipartite test
+    and the generic test agree with the column scan, the degree-ordered
+    backtracking and the smallest-first part search that the one
+    twin-ordered search replaced."""
     p4 = path(4)
     shapes = [(parts, complete_multipartite(parts)) for parts in SMALL_PART_LISTS]
     hits = 0
     for n in range(1, 6):
         for edges in range(1 << pair_count(n)):
             adj = Graph(n, edges).adjacency()
-            assert contains_p4(adj) == degree_ordered_subgraph(adj, p4)
+            found = p4_column_scan(adj)
+            assert found == degree_ordered_subgraph(adj, p4)
+            assert contains_p4(adj) == found
             for parts, shape in shapes:
                 found = smallest_first_multipartite(adj, parts)
                 assert found == degree_ordered_subgraph(adj, shape)
@@ -307,7 +344,7 @@ def test_predicate_plans_its_target_once(monkeypatch):
 
 
 def test_containment_check_dispatch():
-    # P4 in any labeling takes the scan; the other 4-vertex 3-edge graphs do not
+    # P4 in any labeling takes contains_p4; the other 4-vertex 3-edge graphs do not
     for perm in ([0, 1, 2, 3], [2, 0, 3, 1], [3, 1, 0, 2]):
         assert containment_check(apply_permutation(path(4), perm)) is contains_p4
     star = from_edges(4, [(0, 1), (0, 2), (0, 3)])

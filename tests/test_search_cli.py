@@ -436,6 +436,10 @@ def test_cli_verify_flags_bad_records(tmp_path, capsys):
     assert last == "FAIL: 9 records, 9 violations"
     assert len(problems) == 9
     assert all(p.endswith(": members (0, 0) lack the target intersection") for p in problems)
+    assert main(["verify", "--records", str(out), "--target", "k3", "--json"]) == 0
+    assert capsys.readouterr().out == '{"records": 9, "violations": []}\n'
+    assert main(["verify", "--records", str(out), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"records": 9, "violations": problems}
 
 
 @pytest.mark.parametrize("entry", ["3f", "0x3_f", "0X3F", " 0x3f"])
