@@ -207,24 +207,24 @@ def max_clique(cg: CompatibilityGraph) -> CliqueResult:
     ``sup[0]``, the up-set of the smallest candidate, and looks only for a
     larger clique: that candidate is a copy of the target, since a copy
     inside it comes no later, so its up-set is the trivial family.  Phase 2
-    builds the witness one vertex at a time in ascending order, taking the
-    first vertex whose remaining candidate set still holds a clique of the
-    needed size; see _lex_min_clique.  Both phases read the ``sup`` and
-    ``sub`` rows; with rows that hold only their own candidate (a plain
-    graph, not a lattice) they search every clique, and phase 1 starts
-    from vertex 0 alone.  Both read adjacency only
-    through the ``excl`` rows, each vertex's complement of its closed
-    neighbourhood, built here once.
+    walks from the clique phase 1 found (or the trivial family) to the
+    witness one vertex at a time in ascending order: the known clique's
+    lowest vertex is always a feasible step, so only the vertices below it
+    are tested, and a vertex whose remaining set still holds a clique of
+    the size needed brings that clique along as the next known one; see
+    _lex_min_clique.  Both phases read the ``sup`` and ``sub`` rows; with
+    rows that hold only their own candidate (a plain graph, not a lattice)
+    they search every clique, and phase 1 starts from vertex 0 alone.
+    Both read adjacency only through the ``excl`` rows, each vertex's
+    complement of its closed neighbourhood, built here once.
     """
     n = cg.size
     everyone = (1 << n) - 1
     excl = [everyone ^ (row | 1 << v) for v, row in enumerate(cg.adjacency)]
     sup, sub = cg.sup, cg.sub
     trivial = sup[0] if n else 0
-    best, clique, phase1_nodes = _upset_search(
-        everyone, trivial.bit_count(), n + 1, excl, sup, sub
-    )
-    witness, phase2_nodes = _lex_min_clique(excl, sup, sub, n, best, clique or trivial)
+    _, clique, phase1_nodes = _upset_search(everyone, trivial.bit_count(), n + 1, excl, sup, sub)
+    witness, phase2_nodes = _lex_min_clique(excl, sup, sub, n, clique or trivial)
     return CliqueResult(witness, phase1_nodes, phase2_nodes)
 
 
@@ -286,44 +286,38 @@ def _lex_min_clique(
     sup: list[int],
     sub: list[int],
     n: int,
-    k: int,
     clique: int,
 ) -> tuple[list[int], int]:
-    """First clique of size k in lexicographic order of sorted vertex lists.
+    """First clique as large as ``clique``, a maximum clique (or 0), in
+    lexicographic order of sorted vertex lists.
 
-    ``clique`` is a known clique of size k (or 0).  Each step takes the
-    lowest vertex v of the remaining set P such that P_v, the part of P
-    above v and adjacent to it, still holds a clique of the needed size,
-    and keeps a clique of that size inside P.  When v is that clique's
-    lowest vertex, the rest of it proves P_v feasible; any other v is
-    tested by _upset_search, which is exact here because every P_v is
-    up-closed (a candidate's supersets come after it), and a hit is the
-    next known clique.  Every step is proven before it is taken, so the
-    loop never backtracks, and once P is the known clique its vertices end
-    the witness.  Returns (witness, feasibility-search nodes).
+    Each step takes the lowest vertex v of the remaining set P such that
+    P_v, the part of P above v and adjacent to it, still holds a clique one
+    smaller than the known clique, and keeps such a clique inside P.  The
+    known clique's lowest vertex w always qualifies, the rest of the clique
+    lying in P_w, so only the vertices of P below w are tested, lowest
+    first, by _upset_search, which is exact here because every P_v is
+    up-closed (a candidate's supersets come after it).  A hit is the next
+    known clique; with none, w is taken.  Every step is proven before it is
+    taken, so the loop never backtracks, and once P is the known clique its
+    vertices end the witness.  Returns (witness, feasibility-search nodes).
     """
     chosen: list[int] = []
     nodes = 0
     p_mask = (1 << n) - 1
-    for need in range(k, 0, -1):
-        if clique and p_mask == clique:
-            return chosen + list(iter_bits(clique)), nodes
-        q = p_mask
-        while True:
-            if not q:
-                raise AssertionError("no clique of the optimum size found")
-            low = q & -q
-            v = low.bit_length() - 1
-            rest = p_mask & ~excl[v] & -(low << 1)
-            if low == clique & -clique:
-                clique ^= low
-                break
-            size, found, count = _upset_search(rest, need - 2, need - 1, excl, sup, sub)
+    while clique and p_mask != clique:
+        w = clique & -clique
+        need = clique.bit_count() - 1
+        for v in iter_bits(p_mask & (w - 1)):
+            rest = p_mask & ~excl[v] & -(2 << v)
+            size, found, count = _upset_search(rest, need - 1, need, excl, sup, sub)
             nodes += count
-            if size >= need - 1:
+            if size >= need:
                 clique = found
                 break
-            q ^= low
+        else:
+            v = w.bit_length() - 1
+            clique ^= w
         chosen.append(v)
-        p_mask = rest
-    return chosen, nodes
+        p_mask &= ~excl[v] & -(2 << v)
+    return chosen + list(iter_bits(clique)), nodes

@@ -29,7 +29,10 @@ RECORD_FIELDS = tuple(RECORD_TYPES)
 # `search -n 6 -m 11 --connected --target k3` (about 10 ms of solving) ran 16 ms
 # slower on 2 workers, the last 19 of the 20 of `search -n 6 -m 9 --connected`
 # (about 122 ms) 33 to 40 ms faster: a 20 ms start-up, a 1.8x to 2x speed-up and
-# a 45 ms break-even.  The constant keeps an earlier fit's 2 * 60 ms.
+# a 45 ms break-even.  The constant keeps an earlier fit's 2 * 60 ms: at 2 * 20 ms,
+# `search -n 7 -m 8 --connected --jobs 2` pooled and ran slower in 14 of 20
+# alternating runs, and the k3 search pooled in 7 of 10, its first host (a fifth
+# of its solving) making the hosts left look longer.
 POOL_COST_S = 0.06
 
 
@@ -122,9 +125,9 @@ def search_hosts(hosts: Iterable[Graph], target: Graph, jobs: int = 1) -> list[S
     """Solve each host exactly; one record per host, in the order given.
 
     Hosts are solved in order in this process.  With ``jobs`` > 1 the hosts
-    left go to a pool of min(jobs, hosts left, CPUs) workers once, at their
-    mean time so far, they would take more than twice ``POOL_COST_S``: a
-    pool pays only for long searches.
+    left, two or more, go to a pool of min(jobs, hosts left, CPUs) workers
+    once, at their mean time so far, they would take more than twice
+    ``POOL_COST_S`` (120 ms): a pool pays only for long searches.
     """
     hosts = list(hosts)
     jobs = min(jobs, os.cpu_count() or 1)

@@ -6,6 +6,8 @@ verdict per criterion.
 """
 
 import json
+import multiprocessing
+import os
 import random
 from contextlib import contextmanager
 
@@ -30,6 +32,7 @@ from hifam import (
     verify_records,
     load_records,
 )
+import hifam.search
 from hifam.cli import main
 from hifam.graphs import pair_count
 
@@ -242,7 +245,20 @@ def test_criterion_9_property_suites():
             assert parse_graph6(emit_graph6(g)) == g
 
 
-def test_criterion_10_output_determinism(tmp_path):
+def test_criterion_10_output_determinism(tmp_path, monkeypatch):
+    # a 19-host search solves in milliseconds, under the pool's hand-off;
+    # forcing the hand-off after the first host makes --jobs 4 start a
+    # real pool of four workers
+    started = []
+    real_pool = multiprocessing.Pool
+
+    def counting_pool(processes):
+        started.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    monkeypatch.setattr(hifam.search, "POOL_COST_S", 0.0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     with criterion(10, "search output files are byte-identical across jobs 1 and 4"):
         paths = []
         for jobs in (1, 4):
@@ -252,4 +268,5 @@ def test_criterion_10_output_determinism(tmp_path):
                 "--connected", "--jobs", str(jobs), "--out", str(out),
             ]) == 0
             paths.append(out)
+        assert started == [4]
         assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -673,13 +673,27 @@ def test_solver_restores_recursion_limit(monkeypatch):
     assert max_clique(plain_instance([0] * 300)).witness == [0]
 
 
-def test_phase_two_fails_loudly_without_a_clique():
+def test_phase_two_walks_from_the_known_clique(monkeypatch):
+    """Phase 2 tests only the vertices below the known clique's lowest: on
+    the 5-cycle, from {2, 3} one feasibility search (P_0 = {1, 4} holds a
+    vertex) reaches [0, 1]; from {0, 1} there is nothing below to test."""
     cg = _from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     own = [1 << v for v in range(5)]
     excl = _excl(cg.adjacency)
-    assert _lex_min_clique(excl, own, own, 5, 2, 0)[0] == [0, 1]
-    with pytest.raises(AssertionError, match="no clique of the optimum size"):
-        _lex_min_clique(excl, own, own, 5, 3, 0)
+    searched = []
+    search = clique._upset_search
+
+    def upset_search(p_mask, *args):
+        searched.append(p_mask)
+        return search(p_mask, *args)
+
+    monkeypatch.setattr(clique, "_upset_search", upset_search)
+    witness, nodes = _lex_min_clique(excl, own, own, 5, 0b01100)
+    assert (witness, searched) == ([0, 1], [0b10010])
+    assert nodes == search(0b10010, 0, 1, excl, own, own)[2]
+    searched.clear()
+    assert _lex_min_clique(excl, own, own, 5, 0b00011) == ([0, 1], 0)
+    assert searched == []
 
 
 def _stepwise_phase_two(cg):

@@ -459,7 +459,21 @@ def test_cli_verify_accepts_only_the_hex_that_search_writes(tmp_path, capsys, en
     )
 
 
-def test_cli_search_determinism_across_jobs(tmp_path):
+def test_cli_search_determinism_across_jobs(monkeypatch, tmp_path):
+    # the hand-off forced after the first host, --jobs 2 solves the other
+    # seven hosts on a real pool of two workers
+    import multiprocessing
+
+    started = []
+    real_pool = multiprocessing.Pool
+
+    def counting_pool(processes):
+        started.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    monkeypatch.setattr(hifam.search, "POOL_COST_S", 0.0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
     for out, jobs in ((a, "1"), (b, "2")):
@@ -467,6 +481,7 @@ def test_cli_search_determinism_across_jobs(tmp_path):
             "search", "-n", "5", "-m", "4,5", "--target", "p4",
             "--connected", "--jobs", jobs, "--out", str(out), "--json",
         ]) == 0
+    assert started == [2]
     assert a.read_bytes() == b.read_bytes()
 
 
