@@ -3,7 +3,8 @@
 Subcommands: enumerate (host classes as graph6 lines), clique (one host,
 exact solve), search (a whole host class, JSONL records plus summary),
 construct (multipartite family with density comparison), verify (re-check
-persisted search records).  Exit codes: 0 success, 1 property violation,
+persisted search records); each prints its text lines, or with --json one
+JSON object line instead.  Exit codes: 0 success, 1 property violation,
 2 usage, parse or cap error (a ``UserError``, or an ``OSError`` on a file),
 141 stdout closed early; any other exception is a bug and propagates.
 """
@@ -113,19 +114,20 @@ def _parse_int_list(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    graphs = connected_graphs(args.vertices, args.edges, args.connected)
+def _emit(args: argparse.Namespace, obj: dict, lines: list[str]) -> None:
+    """Print a subcommand's result: obj as one JSON line under --json, else
+    each text line (none for an empty list)."""
     if args.json:
-        print(json.dumps({
-            "n": args.vertices,
-            "m": args.edges,
-            "connected": args.connected,
-            "count": len(graphs),
-            "graphs": [emit_graph6(g) for g in graphs],
-        }))
+        print(json.dumps(obj))
     else:
-        for g in graphs:
-            print(emit_graph6(g))
+        for line in lines:
+            print(line)
+
+
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    graphs = [emit_graph6(g) for g in connected_graphs(args.vertices, args.edges, args.connected)]
+    _emit(args, {"n": args.vertices, "m": args.edges, "connected": args.connected,
+                 "count": len(graphs), "graphs": graphs}, graphs)
     return 0
 
 
@@ -134,22 +136,14 @@ def cmd_clique(args: argparse.Namespace) -> int:
     target = resolve_graph(args.target)
     cg = build_compatibility(host, target)
     rec = solve_host(host, cg)
-    if args.json:
-        print(json.dumps({
-            "host_graph6": rec.host_graph6,
-            "n": rec.n,
-            "m": rec.m,
-            "candidates": cg.size,
-            "size": rec.clique_size,
-            "density": rec.density,
-            "witness_hex": rec.witness_hex,
-        }))
-    else:
-        print(f"host: {rec.host_graph6} (n={rec.n}, m={rec.m})")
-        print(f"candidates: {cg.size}")
-        print(f"size: {rec.clique_size}")
-        print(f"density: {rec.density}")
-        print(f"witness: {' '.join(rec.witness_hex)}")
+    _emit(args, {"host_graph6": rec.host_graph6, "n": rec.n, "m": rec.m, "candidates": cg.size,
+                 "size": rec.clique_size, "density": rec.density, "witness_hex": rec.witness_hex}, [
+        f"host: {rec.host_graph6} (n={rec.n}, m={rec.m})",
+        f"candidates: {cg.size}",
+        f"size: {rec.clique_size}",
+        f"density: {rec.density}",
+        "witness: " + " ".join(rec.witness_hex),
+    ])
     return 0
 
 
@@ -186,27 +180,21 @@ def cmd_search(args: argparse.Namespace) -> int:
         os.remove(partial)
         raise
     summary = summarize(records)
-    if args.json:
-        print(json.dumps({
-            "hosts": len(records),
-            "max_clique": summary.max_clique_size,
-            "max_density": summary.max_density,
-            "argmax_hosts": summary.argmax_hosts,
-            "out": args.out,
-        }))
-    else:
-        print(f"hosts: {len(records)}")
-        print(f"max clique: {summary.max_clique_size}")
-        print(f"max density: {summary.max_density}")
-        print(f"argmax hosts: {' '.join(summary.argmax_hosts) if summary.argmax_hosts else '-'}")
-        print(f"wrote {len(records)} records to {args.out}")
+    _emit(args, {"hosts": len(records), "max_clique": summary.max_clique_size,
+                 "max_density": summary.max_density, "argmax_hosts": summary.argmax_hosts,
+                 "out": args.out}, [
+        f"hosts: {len(records)}",
+        f"max clique: {summary.max_clique_size}",
+        f"max density: {summary.max_density}",
+        "argmax hosts: " + (" ".join(summary.argmax_hosts) or "-"),
+        f"wrote {len(records)} records to {args.out}",
+    ])
     return 0
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
     built = multipartite_family(_parse_int_list(args.parts), args.t)
-    target = built.target
-    host = built.host
+    target, host = built.target, built.host
     e_host = host.edge_count
     # over 2^e_host: the family's count, and the trivial family's (one target copy's supergraphs)
     size = len(built.family)
@@ -215,60 +203,39 @@ def cmd_construct(args: argparse.Namespace) -> int:
     trivial_str = density_string(trivial, e_host)
     improved = size > trivial
     op = ">" if improved else ("=" if size == trivial else "<")
-    verdict = f"{family_str} {op} {trivial_str}: {'improved' if improved else 'not improved'}"
-
-    verify_failure = None
+    lifted = lifted_count_string(size, e_host, host.n)
+    obj = {"parts": list(built.parts), "t": built.t, "host_parts": list(built.host_parts),
+           "host_graph6": emit_graph6(host), "n": host.n, "m": e_host, "family_size": size,
+           "density": family_str, "trivial_density": trivial_str, "margin": [size, trivial],
+           "improved": improved, "lifted": lifted}
+    host_name = "K_{" + ",".join(str(p) for p in built.host_parts) + "}"
+    lines = [
+        f"host: {host_name} = {obj['host_graph6']} (n={host.n}, m={e_host})",
+        f"family size: {size}",
+        f"density: {family_str}",
+        f"trivial density: 1/2^{target.edge_count} = {trivial_str}",
+        f"lifted count at n={host.n}: {lifted}",
+        f"{family_str} {op} {trivial_str}: {'improved' if improved else 'not improved'}",
+    ]
+    failure = None
     if args.verify:
-        verify_failure = verify_intersecting(built.family, target)
-
-    if args.json:
-        obj = {
-            "parts": list(built.parts),
-            "t": built.t,
-            "host_parts": list(built.host_parts),
-            "host_graph6": emit_graph6(host),
-            "n": host.n,
-            "m": e_host,
-            "family_size": size,
-            "density": family_str,
-            "trivial_density": trivial_str,
-            "margin": [size, trivial],
-            "improved": improved,
-            "lifted": lifted_count_string(size, e_host, host.n),
-        }
-        if args.verify:
-            obj["verified"] = verify_failure is None
-        print(json.dumps(obj))
-    else:
-        host_name = "K_{" + ",".join(str(p) for p in built.host_parts) + "}"
-        print(f"host: {host_name} = {emit_graph6(host)} (n={host.n}, m={e_host})")
-        print(f"family size: {size}")
-        print(f"density: {family_str}")
-        print(f"trivial density: 1/2^{target.edge_count} = {trivial_str}")
-        print(f"lifted count at n={host.n}: {lifted_count_string(size, e_host, host.n)}")
-        print(verdict)
-        if args.verify:
-            target_name = "K_{" + ",".join(str(p) for p in built.parts + (built.t,)) + "}"
-            if verify_failure is None:
-                print(f"verified: every pair intersection contains {target_name}")
-            else:
-                print(f"VIOLATION: members {verify_failure} lack a {target_name} intersection")
-    return 1 if args.verify and verify_failure is not None else 0
+        failure = verify_intersecting(built.family, target)
+        obj["verified"] = failure is None
+        target_name = "K_{" + ",".join(str(p) for p in built.parts + (built.t,)) + "}"
+        lines.append(f"verified: every pair intersection contains {target_name}" if failure is None
+                     else f"VIOLATION: members {failure} lack a {target_name} intersection")
+    _emit(args, obj, lines)
+    return 0 if failure is None else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     target = resolve_graph(args.target)
     records = load_records(args.records)
     problems = verify_records(records, target)
-    if args.json:
-        print(json.dumps({
-            "records": len(records),
-            "violations": problems,
-        }))
-    else:
-        for p in problems:
-            print(p)
-        print(f"{'FAIL' if problems else 'ok'}: {len(records)} records, {len(problems)} violations")
+    _emit(args, {"records": len(records), "violations": problems}, [
+        *problems,
+        f"{'FAIL' if problems else 'ok'}: {len(records)} records, {len(problems)} violations",
+    ])
     return 1 if problems else 0
 
 
@@ -285,14 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--edges", "-m", type=int, required=True)
     p_enum.add_argument("--connected", action="store_true",
                         help="keep only connected hosts")
-    p_enum.add_argument("--json", action="store_true")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_clique = sub.add_parser("clique", help="exact maximum clique on one host")
     p_clique.add_argument("--host", required=True,
                           help="builtin name, shape (p4/c5/k6/k2,4), graph6, @file, or -")
     p_clique.add_argument("--target", default="p4", help="target pattern (default p4)")
-    p_clique.add_argument("--json", action="store_true")
     p_clique.set_defaults(func=cmd_clique)
 
     p_search = sub.add_parser("search", help="solve every host in a class")
@@ -305,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="at most this many worker processes, one per CPU at most, "
                                "started once a search is long enough to pay for them (default 1)")
     p_search.add_argument("--out", "-o", required=True, help="JSONL output path")
-    p_search.add_argument("--json", action="store_true")
     p_search.set_defaults(func=cmd_search)
 
     p_construct = sub.add_parser("construct", help="multipartite family and density")
@@ -315,15 +279,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("--verify", action="store_true",
                              help="check that every pair intersection contains the "
                                   "target (pairs of minimal members)")
-    p_construct.add_argument("--json", action="store_true")
     p_construct.set_defaults(func=cmd_construct)
 
     p_verify = sub.add_parser("verify", help="re-check persisted search records")
     p_verify.add_argument("--records", required=True, help="JSONL file from search")
     p_verify.add_argument("--target", default="p4")
-    p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from functools import lru_cache
 
-from .graphs import Graph, complete_multipartite, iter_bits, path, twin_representatives
+from .graphs import Graph, UserError, complete_multipartite, iter_bits, path, twin_representatives
 
 
 def contains_subgraph(adj: list[int], h: Graph) -> bool:
@@ -37,13 +37,15 @@ def contains_multipartite(adj: list[int], parts: Sequence[int]) -> bool:
 
     The sizes may come in any order; one part, or none, is an edgeless
     pattern, which every graph contains.  A pattern larger than the graph
-    is absent unbuilt; a part size below 1 is complete_multipartite's
-    UserError.
+    is absent unbuilt; a part size below 1 is a UserError naming the sizes
+    in the order given.
     """
+    if any(p < 1 for p in parts):
+        raise UserError(f"part sizes must all be >= 1, got {list(parts)}")
     sizes = tuple(sorted(parts))
     if len(sizes) <= 1:
         return True  # edgeless pattern
-    if sizes[0] >= 1 and sum(sizes) > len(adj):
+    if sum(sizes) > len(adj):
         return False
     return _contains(adj, _multipartite_plan(sizes))
 

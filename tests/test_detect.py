@@ -202,10 +202,12 @@ def test_pattern_larger_than_the_graph_is_absent_unbuilt():
 
 def test_part_size_below_one_is_refused():
     isolated = Graph(2, 0).adjacency()
-    assert contains_multipartite(isolated, [3])
-    for parts in ([0, 3], [3, 0], [-1, 1], [0, 1, 1]):
+    assert contains_multipartite(isolated, [3]) and contains_multipartite(isolated, [])
+    for parts in ([0], [-1], [0, 3], [3, 0], [-1, 1], [0, 1, 1]):
         with pytest.raises(UserError, match="part sizes must all be >= 1"):
             contains_multipartite(isolated, parts)
+    with pytest.raises(UserError, match=r"^part sizes must all be >= 1, got \[3, 0\]$"):
+        contains_multipartite(isolated, [3, 0])
 
 
 def test_multipartite_matches_largest_first_oracle_on_random_graphs():
