@@ -90,12 +90,15 @@ def _graph_from_text(text: str) -> Graph:
     stripped = text.strip()
     if not stripped:
         raise UserError("empty graph input")
-    first = stripped.splitlines()[0].strip()
+    lines = stripped.splitlines()
+    first = lines[0].strip()
     if " " in first or "\t" in first:
         try:
             return parse_edge_list(stripped)
         except UserError as exc:
             raise UserError(f"bad edge list: {exc}") from exc
+    if len(lines) > 1:
+        raise UserError(f"bad graph6: expected one line, got {len(lines)}")
     try:
         return parse_graph6(first)
     except UserError as exc:

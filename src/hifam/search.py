@@ -14,7 +14,7 @@ import os
 import time
 from collections.abc import Iterable, Sequence
 
-from .clique import CompatibilityGraph, build_compatibility, max_clique
+from .clique import MAX_HOST_EDGES, CompatibilityGraph, build_compatibility, max_clique
 from .construct import SubgraphFamily, verify_intersecting
 from .graphs import Graph, Record, UserError, emit_graph6, parse_graph6
 
@@ -127,9 +127,14 @@ def search_hosts(hosts: Iterable[Graph], target: Graph, jobs: int = 1) -> list[S
     Hosts are solved in order in this process.  With ``jobs`` > 1 the hosts
     left, two or more, go to a pool of min(jobs, hosts left, CPUs) workers
     once, at their mean time so far, they would take more than twice
-    ``POOL_COST_S`` (120 ms): a pool pays only for long searches.
+    ``POOL_COST_S`` (120 ms): a pool pays only for long searches.  A host
+    past the host-edge cap raises build_compatibility's UserError before
+    any host is solved.
     """
     hosts = list(hosts)
+    for host in hosts:
+        if host.edge_count > MAX_HOST_EDGES:
+            build_compatibility(host, target)  # refuses it first thing
     jobs = min(jobs, os.cpu_count() or 1)
     records: list[SearchRecord] = []
     start = time.perf_counter()

@@ -1,8 +1,29 @@
+import pytest
+
 ACCEPTANCE_RESULTS: list[tuple[int, str, str]] = []
 
 
 def record_acceptance(number: int, description: str, status: str) -> None:
     ACCEPTANCE_RESULTS.append((number, description, status))
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """spy(owner, name) replaces owner.name, for this test, with a
+    pass-through that appends each call's arguments to a list (keyword
+    values after the positional ones) and returns that list."""
+    def install(owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def passthrough(*args, **kwargs):
+            calls.append(args + tuple(kwargs.values()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, passthrough)
+        return calls
+
+    return install
 
 
 def pytest_addoption(parser):

@@ -3,7 +3,8 @@
 Each one is the plain, slow way to compute something the library computes
 another way; tests compare the two.  This module also holds checks that no
 command runs (relabeling a graph, the general seed recipe's conditions),
-which tests use to state what the library's results mean.
+which tests use to state what the library's results mean, and the random
+graphs several test modules draw.
 """
 
 import itertools
@@ -1033,6 +1034,16 @@ def construction_seeds(built: MultipartiteFamily) -> list[int]:
     are its seeds, the host minus the edges at one final-part vertex.
     """
     return quadratic_minimal_members(built.family)
+
+
+def random_graph(rng, n: int, p: float = 0.5) -> Graph:
+    """A graph on n vertices with each pair an edge with probability p,
+    the pairs drawn from rng in edge-index order."""
+    mask = 0
+    for b in range(pair_count(n)):
+        if rng.random() < p:
+            mask |= 1 << b
+    return Graph(n, mask)
 
 
 def apply_permutation(g: Graph, perm: Sequence[int]) -> Graph:

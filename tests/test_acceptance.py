@@ -46,6 +46,7 @@ from oracles import (
     degree_ordered_subgraph,
     p4_column_scan,
     plain_instance,
+    random_graph,
     smallest_first_multipartite,
 )
 
@@ -60,14 +61,6 @@ def criterion(number: int, description: str):
         raise
     record_acceptance(number, description, "PASS")
     print(f"[PASS] criterion {number}: {description}")
-
-
-def _random_graph(rng, n, p=0.5):
-    mask = 0
-    for b in range(pair_count(n)):
-        if rng.random() < p:
-            mask |= 1 << b
-    return Graph(n, mask)
 
 
 def test_criterion_1_christofides_fixture(capsys):
@@ -234,29 +227,22 @@ def test_criterion_9_property_suites():
         # canonical key permutation invariance, 1000 randomized cases
         for _ in range(1000):
             n = rng.randint(2, 6)
-            g = _random_graph(rng, n)
+            g = random_graph(rng, n)
             perm = list(range(n))
             rng.shuffle(perm)
             assert canonical_key(apply_permutation(g, perm)) == canonical_key(g)
 
         # graph6 round trip, 1000 randomized cases
         for _ in range(1000):
-            g = _random_graph(rng, rng.randint(1, 16))
+            g = random_graph(rng, rng.randint(1, 16))
             assert parse_graph6(emit_graph6(g)) == g
 
 
-def test_criterion_10_output_determinism(tmp_path, monkeypatch):
+def test_criterion_10_output_determinism(tmp_path, monkeypatch, spy):
     # a 19-host search solves in milliseconds, under the pool's hand-off;
     # forcing the hand-off after the first host makes --jobs 4 start a
     # real pool of four workers
-    started = []
-    real_pool = multiprocessing.Pool
-
-    def counting_pool(processes):
-        started.append(processes)
-        return real_pool(processes)
-
-    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    started = spy(multiprocessing, "Pool")
     monkeypatch.setattr(hifam.search, "POOL_COST_S", 0.0)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     with criterion(10, "search output files are byte-identical across jobs 1 and 4"):
@@ -268,5 +254,5 @@ def test_criterion_10_output_determinism(tmp_path, monkeypatch):
                 "--connected", "--jobs", str(jobs), "--out", str(out),
             ]) == 0
             paths.append(out)
-        assert started == [4]
+        assert started == [(4,)]
         assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -32,7 +32,7 @@ from hifam import (
     solve_host,
     summarize,
 )
-from hifam import clique
+from hifam import clique, detect
 from hifam.clique import MAX_CANDIDATES, MAX_HOST_EDGES, _color_sort, _lex_min_clique
 from hifam.graphs import UserError, iter_bits, submasks
 
@@ -290,20 +290,11 @@ def test_seven_vertex_ten_edge_p4_row(ten_edge_records):
     (christofides_host(), path(4), 20),  # of 35 three-edge subsets
     (complete(4), complete(3), 4),  # of 20 three-edge subsets
 ])
-def test_containment_calls_only_on_copies(monkeypatch, host, target, calls):
-    made = []
-
-    def counting_check(pattern):
-        check = containment_check(pattern)
-
-        def counted(rows):
-            made.append(rows_edges(rows))
-            return check(rows)
-
-        return counted
-
-    monkeypatch.setattr(clique, "containment_check", counting_check)
+def test_containment_calls_only_on_copies(spy, host, target, calls):
+    tests = [spy(detect, name)
+             for name in ("contains_p4", "contains_multipartite", "contains_subgraph")]
     cg = build_compatibility(host, target)
+    made = [rows_edges(args[0]) for called in tests for args in called]
     # only subsets with the target's edge and non-isolated vertex counts
     assert len(made) == len(set(made)) == calls
     assert all(s.bit_count() == target.edge_count for s in made)
@@ -553,7 +544,7 @@ def test_solver_matches_oracle_on_random_upset_instances():
             assert result.size == brute_force_clique(cg), trial
 
 
-def test_upset_loop_matches_the_recursion_it_replaced(monkeypatch):
+def test_upset_loop_matches_the_recursion_it_replaced(spy):
     """The stack loop returns what the recursive search returned, (size,
     mask, nodes), on random up-set instances with phase 1's and phase 2's
     floor and stop, and on every call both phases make for the connected
@@ -569,14 +560,8 @@ def test_upset_loop_matches_the_recursion_it_replaced(monkeypatch):
             expected = recursive_upset_search(*_oracle_args(args))
             assert clique._upset_search(*args) == expected, trial
 
-    calls = []
     loop = clique._upset_search
-
-    def recording(*args):
-        calls.append(args)
-        return loop(*args)
-
-    monkeypatch.setattr(clique, "_upset_search", recording)
+    calls = spy(clique, "_upset_search")
     for m in (7, 8, 9):
         for host in connected_graphs(6, m, True):
             max_clique(build_compatibility(host, path(4)))
@@ -673,23 +658,17 @@ def test_solver_restores_recursion_limit(monkeypatch):
     assert max_clique(plain_instance([0] * 300)).witness == [0]
 
 
-def test_phase_two_walks_from_the_known_clique(monkeypatch):
+def test_phase_two_walks_from_the_known_clique(spy):
     """Phase 2 tests only the vertices below the known clique's lowest: on
     the 5-cycle, from {2, 3} one feasibility search (P_0 = {1, 4} holds a
     vertex) reaches [0, 1]; from {0, 1} there is nothing below to test."""
     cg = _from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     own = [1 << v for v in range(5)]
     excl = _excl(cg.adjacency)
-    searched = []
     search = clique._upset_search
-
-    def upset_search(p_mask, *args):
-        searched.append(p_mask)
-        return search(p_mask, *args)
-
-    monkeypatch.setattr(clique, "_upset_search", upset_search)
+    searched = spy(clique, "_upset_search")
     witness, nodes = _lex_min_clique(excl, own, own, 5, 0b01100)
-    assert (witness, searched) == ([0, 1], [0b10010])
+    assert (witness, [args[0] for args in searched]) == ([0, 1], [0b10010])
     assert nodes == search(0b10010, 0, 1, excl, own, own)[2]
     searched.clear()
     assert _lex_min_clique(excl, own, own, 5, 0b00011) == ([0, 1], 0)

@@ -14,8 +14,6 @@ from hifam import (
     complete,
     complete_multipartite,
     connected_graphs,
-    containment_check,
-    contains_multipartite,
     density_string,
     from_edges,
     lifted_count_string,
@@ -285,15 +283,9 @@ def test_intersecting_property_on_large_hosts(request, parts, t):
         assert verify_pairwise(built.family, target, require_self=True) == failure
 
 
-def test_up_closed_verification_checks_only_minimal_pairs(monkeypatch):
+def test_up_closed_verification_checks_only_minimal_pairs(spy):
     # the t + 2 seeds are the minimal members: (t+2)(t+3)/2 pairs i <= j
-    calls = []
-
-    def counting(adj, parts):
-        calls.append(adj)
-        return contains_multipartite(adj, parts)
-
-    monkeypatch.setattr(detect, "contains_multipartite", counting)
+    calls = spy(detect, "contains_multipartite")
     built = multipartite_family((4,), 16)
     assert verify_intersecting(built.family, complete_multipartite((4, 16))) is None
     assert len(calls) == 18 * 19 // 2
@@ -311,8 +303,6 @@ def test_construction_caps():
 
 
 def test_member_cap_is_checked_on_the_closed_form(monkeypatch):
-    from hifam import construct
-
     # --parts 20 --t 2 is the largest single part under the cap, 21 is over it
     assert construction_counts((20,), 2)[0] <= construct.MAX_MEMBERS
     assert construction_counts((21,), 2)[0] > construct.MAX_MEMBERS
@@ -366,15 +356,9 @@ def test_verify_reports_first_failing_pair():
     assert verify_intersecting(family, path(2)) == (0, 1)
 
 
-def test_family_that_is_not_up_closed_is_decided_by_its_minimal_pairs(monkeypatch):
-    calls = []
-
-    def counting(adj, parts):
-        calls.append(adj)
-        return contains_multipartite(adj, parts)
-
+def test_family_that_is_not_up_closed_is_decided_by_its_minimal_pairs(spy):
     # path(2), one edge, is K_{1,1}: the multipartite test decides it
-    monkeypatch.setattr(detect, "contains_multipartite", counting)
+    calls = spy(detect, "contains_multipartite")
     host = complete(4)
     triangle = from_edges(4, [(0, 1), (0, 2), (1, 2)]).edges
     matching = from_edges(4, [(0, 1), (2, 3)]).edges
@@ -469,36 +453,26 @@ def test_up_closure_path_matches_quadratic_oracle():
     assert seen == cases | {(True, True, 0)}
 
 
-def _record_checked_pairs(monkeypatch):
-    """Route the verifier's containment tests through a recorder; returns
-    the list that collects the edge sets it is asked about."""
-    checked = []
-
-    def recording(target):
-        check = containment_check(target)
-
-        def record(rows):
-            checked.append(rows_edges(rows))
-            return check(rows)
-
-        return record
-
-    monkeypatch.setattr(construct, "containment_check", recording)
-    return checked
+def _spy_containment_tests(spy):
+    """Spies on the three containment tests the verifier's predicate runs."""
+    return [spy(detect, name)
+            for name in ("contains_p4", "contains_multipartite", "contains_subgraph")]
 
 
-def _assert_checks_minimal_pairs(checked, family, target):
+def _assert_checks_minimal_pairs(tests, family, target):
     """A passing family costs one containment test per pair i <= j of its
     minimal members by the quadratic rule, and no other."""
-    checked.clear()
+    for called in tests:
+        called.clear()
     assert verify_intersecting(family, target) is None
+    checked = [rows_edges(args[0]) for called in tests for args in called]
     minimal = quadratic_minimal_members(family)
     pairs = [a & b for i, a in enumerate(minimal) for b in minimal[i:]]
     assert sorted(checked) == sorted(pairs), family
     return len(pairs)
 
 
-def test_minimal_members_are_kept_by_the_one_edge_rule(monkeypatch):
+def test_minimal_members_are_kept_by_the_one_edge_rule(spy):
     """On random families, up-closed or not, the minimal members come in
     member order, each has no member one edge smaller, and every member
     contains one of them; on up-closed families the two rules agree.  On
@@ -522,13 +496,12 @@ def test_minimal_members_are_kept_by_the_one_edge_rule(monkeypatch):
     assert len(passing) >= 100
     assert not all(_is_up_closed(family) for family, _ in passing)
 
-    checked = _record_checked_pairs(monkeypatch)
+    tests = _spy_containment_tests(spy)
     for family, target in passing:
-        _assert_checks_minimal_pairs(checked, family, target)
+        _assert_checks_minimal_pairs(tests, family, target)
 
 
-def test_minimal_members_match_the_one_edge_rule_on_witnesses_and_the_construction(
-        monkeypatch):
+def test_minimal_members_match_the_one_edge_rule_on_witnesses_and_the_construction(spy):
     """Search witnesses and the construction are up-closed, so there the
     two rules keep the same members, in the same order; K_{4,24}'s are its
     26 seeds.  The verifier checks exactly the pairs of them."""
@@ -548,8 +521,8 @@ def test_minimal_members_match_the_one_edge_rule_on_witnesses_and_the_constructi
         assert _is_up_closed(family)
         assert quadratic_minimal_members(family) == one_edge_minimal_members(family)
 
-    checked = _record_checked_pairs(monkeypatch)
-    counts = [_assert_checks_minimal_pairs(checked, family, target)
+    tests = _spy_containment_tests(spy)
+    counts = [_assert_checks_minimal_pairs(tests, family, target)
               for family, target in families]
     assert counts[50] == 351  # K_{4,24}'s 26 seeds
 

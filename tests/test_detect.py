@@ -24,7 +24,7 @@ from hifam import (
     multipartite_family,
     path,
 )
-from hifam import clique, detect
+from hifam import detect
 from hifam.graphs import pair_count
 
 from oracles import (
@@ -33,6 +33,7 @@ from oracles import (
     degree_ordered_subgraph,
     largest_first_multipartite,
     p4_column_scan,
+    random_graph,
     rows_edges,
     smallest_first_multipartite,
 )
@@ -59,14 +60,6 @@ GENERIC_TARGETS = [
 ]
 
 
-def _random_graph(rng, n, p=0.5):
-    mask = 0
-    for b in range(pair_count(n)):
-        if rng.random() < p:
-            mask |= 1 << b
-    return Graph(n, mask)
-
-
 # ---------------------------------------------------------------------------
 # generic containment
 # ---------------------------------------------------------------------------
@@ -91,10 +84,10 @@ def test_containment_monotone_under_edge_addition():
     rng = random.Random(31)
     for _ in range(200):
         n = rng.randint(2, 6)
-        g = _random_graph(rng, n, 0.4)
-        extra = _random_graph(rng, n, 0.3)
+        g = random_graph(rng, n, 0.4)
+        extra = random_graph(rng, n, 0.3)
         bigger = Graph(n, g.edges | extra.edges)
-        h = _random_graph(rng, rng.randint(2, 4), 0.5)
+        h = random_graph(rng, rng.randint(2, 4), 0.5)
         if contains_subgraph(g.adjacency(), h):
             assert contains_subgraph(bigger.adjacency(), h)
 
@@ -103,8 +96,8 @@ def test_containment_is_isomorphism_invariant():
     rng = random.Random(37)
     for _ in range(200):
         n = rng.randint(2, 6)
-        g = _random_graph(rng, n, 0.5)
-        h = _random_graph(rng, rng.randint(2, 4), 0.5)
+        g = random_graph(rng, n, 0.5)
+        h = random_graph(rng, rng.randint(2, 4), 0.5)
         pg = list(range(g.n))
         ph = list(range(h.n))
         rng.shuffle(pg)
@@ -140,24 +133,14 @@ def test_p4_basics():
                 assert contains_p4(adj) == p4_column_scan(adj) == found
 
 
-def test_p4_plans_its_target_once(monkeypatch):
+def test_p4_plans_its_target_once(spy):
     """contains_p4 plans P4 at import, never per call: over the rows of every
     graph on 5 vertices it builds no plan and decodes no graph."""
     rows = [Graph(5, edges).adjacency() for edges in range(1 << pair_count(5))]
-    calls = 0
-
-    def counting(f):
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return f(*args)
-        return counted
-
-    monkeypatch.setattr(detect, "_plan", counting(detect._plan))
-    monkeypatch.setattr(Graph, "adjacency", counting(Graph.adjacency))
+    plans, decodes = spy(detect, "_plan"), spy(Graph, "adjacency")
     hits = sum(contains_p4(r) for r in rows)
     assert hits == sum(p4_column_scan(r) for r in rows) > 0
-    assert calls == 0
+    assert plans == decodes == []
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +197,7 @@ def test_multipartite_matches_largest_first_oracle_on_random_graphs():
     rng = random.Random(31)
     for _ in range(400):
         n = rng.randint(1, 30)
-        g = _random_graph(rng, n, rng.choice([0.3, 0.6, 0.9]))
+        g = random_graph(rng, n, rng.choice([0.3, 0.6, 0.9]))
         parts = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
         found = contains_multipartite(g.adjacency(), parts)
         assert found == largest_first_multipartite(g, parts)
@@ -246,7 +229,7 @@ def test_intersection_rows_are_the_rowwise_and():
     for _ in range(300):
         n = rng.randint(1, 30)
         p = rng.choice([0.3, 0.6, 0.9])
-        pairs.append((n, _random_graph(rng, n, p).edges, _random_graph(rng, n, p).edges))
+        pairs.append((n, random_graph(rng, n, p).edges, random_graph(rng, n, p).edges))
     built = multipartite_family((4,), 24)
     seeds = construction_seeds(built)
     pairs += [(built.host.n, a, b) for i, a in enumerate(seeds) for b in seeds[i:]]
@@ -299,9 +282,9 @@ def test_containment_matches_networkx_on_random_graphs():
     rng = random.Random(43)
     outcomes = set()
     for _ in range(300):
-        g = _random_graph(rng, rng.randint(1, 9), rng.choice([0.3, 0.5, 0.7, 0.9]))
+        g = random_graph(rng, rng.randint(1, 9), rng.choice([0.3, 0.5, 0.7, 0.9]))
         adj = g.adjacency()
-        h = rng.choice(GENERIC_TARGETS + [_random_graph(rng, rng.randint(2, 5), 0.6)])
+        h = rng.choice(GENERIC_TARGETS + [random_graph(rng, rng.randint(2, 5), 0.6)])
         found = contains_subgraph(adj, h)
         assert found == _nx_contains(g, h.edge_pairs()), (g, h)
         outcomes.add(found)
@@ -312,37 +295,20 @@ def test_containment_matches_networkx_on_random_graphs():
     assert outcomes == {True, False}
 
 
-def test_predicate_plans_its_target_once(monkeypatch):
+def test_predicate_plans_its_target_once(spy):
     """A predicate decodes its target a fixed number of times, however many
     rows it tests: the paw over the rows of the 61 builds of a paw search."""
-    rows = []
-
-    def recording(target):
-        check = containment_check(target)
-
-        def check_and_record(r):
-            rows.append(r)
-            return check(r)
-        return check_and_record
-
-    monkeypatch.setattr(clique, "containment_check", recording)
+    tested = spy(detect, "contains_subgraph")  # the paw's test
     for m in (7, 8, 9):
         for host in connected_graphs(6, m):
             build_compatibility(host, PAW)
-    decodes = 0
-    adjacency = Graph.adjacency
-
-    def counted(self):
-        nonlocal decodes
-        decodes += 1
-        return adjacency(self)
-
-    monkeypatch.setattr(Graph, "adjacency", counted)
+    rows = [args[0] for args in tested]  # a copy: the test below runs the spy again
+    decodes = spy(Graph, "adjacency")
     check = containment_check(from_edges(4, [(3, 1), (3, 2), (1, 2), (2, 0)]))
-    decodes = 0
+    decodes.clear()
     hits = sum(check(r) for r in rows)
     assert (len(rows), hits) == (745, 581)
-    assert decodes <= 1
+    assert len(decodes) <= 1
 
 
 def test_containment_check_dispatch():
@@ -356,7 +322,7 @@ def test_containment_check_dispatch():
         check = containment_check(target)
         assert check is not contains_p4
         for _ in range(50):
-            g = _random_graph(rng, 5)
+            g = random_graph(rng, 5)
             assert check(g.adjacency()) == contains_subgraph(g.adjacency(), target)
     check = containment_check(complete_multipartite([1, 2]))
     assert check(path(3).adjacency()) and not check(Graph(3, 1).adjacency())
@@ -366,17 +332,10 @@ ROUTES = ("contains_multipartite", "contains_p4", "contains_subgraph")
 
 
 @pytest.fixture
-def routes(monkeypatch):
-    """(test name, arguments after the graph) of every containment test
-    called through detect's module globals."""
-    calls = []
-    for name in ROUTES:
-        def counted(adj, *rest, name=name, test=getattr(detect, name)):
-            calls.append((name, rest))
-            return test(adj, *rest)
-
-        monkeypatch.setattr(detect, name, counted)
-    return calls
+def routes(spy):
+    """The calls of each containment test through detect's module globals,
+    by test name."""
+    return {name: spy(detect, name) for name in ROUTES}
 
 
 @pytest.mark.parametrize("target, route, parts", [
@@ -397,11 +356,11 @@ def test_containment_check_route(routes, target, route, parts):
     check = containment_check(target)
     rng = random.Random(11)
     for _ in range(30):
-        g = _random_graph(rng, 6)
+        g = random_graph(rng, 6)
         assert check(g.adjacency()) == contains_subgraph(g.adjacency(), target)
-    assert {name for name, _ in routes} == {route}
+    assert {name for name, calls in routes.items() if calls} == {route}
     if parts is not None:
-        assert all(sorted(rest[0]) == parts for _, rest in routes)
+        assert all(sorted(args[1]) == parts for args in routes[route])
 
 
 def _core_key(g):
@@ -431,14 +390,15 @@ def test_containment_check_agrees_with_generic_on_every_small_target(routes):
                     for n in range(1, 6) for parts in _partitions(n)}
     p4 = _core_key(path(4))
     rng = random.Random(5)
-    hosts = [_random_graph(rng, 6, p) for p in (0.3, 0.5, 0.7, 0.9) for _ in range(4)]
+    hosts = [random_graph(rng, 6, p) for p in (0.3, 0.5, 0.7, 0.9) for _ in range(4)]
     targets = 0
     outcomes = set()
     for n in range(1, 6):
         for edges in range(1 << pair_count(n)):
             target = Graph(n, edges)
             key = _core_key(target)
-            routes.clear()
+            for calls in routes.values():
+                calls.clear()
             check = containment_check(target)
             for g in hosts:
                 found = check(g.adjacency())
@@ -446,6 +406,6 @@ def test_containment_check_agrees_with_generic_on_every_small_target(routes):
                 outcomes.add(found)
             expected = ("contains_p4" if key == p4 else
                         "contains_multipartite" if key in multipartite else "contains_subgraph")
-            assert {name for name, _ in routes} == {expected}, target
+            assert {name for name, calls in routes.items() if calls} == {expected}, target
             targets += 1
     assert targets == 1099 and outcomes == {True, False}

@@ -107,22 +107,15 @@ def test_classes_match_labeled_oracle():
 KEY_CALLS = [((6, [8]), 281, 526), ((6, [7, 8]), 281, 526), ((6, [11]), 40, 121)]
 
 
-def _counting_key_calls(monkeypatch, module=hifam.enumeration):
+def _counting_key_calls(spy, module=hifam.enumeration):
     """Record every graph module passes to canonical_key, from cold caches."""
-    calls = []
-    original = module.canonical_key
-
-    def counting(g):
-        calls.append(g)
-        return original(g)
-
-    monkeypatch.setattr(module, "canonical_key", counting)
+    calls = spy(module, "canonical_key")
     connected_graphs.cache_clear()
     _class_keys.cache_clear()
     return calls
 
 
-def test_augmentation_key_calls(monkeypatch):
+def test_augmentation_key_calls(spy):
     # one canonical key per distinct child of each level up to half the 15
     # pairs, not one per labeled edge set (C(15, 8) = 6435), plus one per
     # complement above half, so m = 7 comes free with m = 8.  The oracle
@@ -131,8 +124,8 @@ def test_augmentation_key_calls(monkeypatch):
     # children of levels 1..4 and the 9 complements of level 4.  The
     # enumerator adds one edge per orbit of twin swaps, which leaves 257
     # and 31 children.
-    calls = _counting_key_calls(monkeypatch)
-    oracle_calls = _counting_key_calls(monkeypatch, oracles)
+    calls = _counting_key_calls(spy)
+    oracle_calls = _counting_key_calls(spy, oracles)
     try:
         for (n, edge_counts), expected, oracle_expected in KEY_CALLS:
             calls.clear()
@@ -159,10 +152,10 @@ def test_levels_match_all_children_oracle():
             assert _class_keys(n, m) == all_children_class_keys(n, m), (n, m)
 
 
-def test_no_labeled_graph_is_keyed_twice(monkeypatch):
+def test_no_labeled_graph_is_keyed_twice(spy):
     # duplicate children within a level are merged before keying, so no
     # canonical key is computed twice in one enumeration
-    calls = _counting_key_calls(monkeypatch)
+    calls = _counting_key_calls(spy)
     try:
         for n in range(1, 7):
             for m in range(pair_count(n) + 1):

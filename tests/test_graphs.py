@@ -33,16 +33,9 @@ from oracles import (
     edge_pair,
     incident_edge_mask_by_edges,
     pairwise_adjacency,
+    random_graph,
     tied_state_canonical_edges,
 )
-
-
-def _random_graph(rng, n, p=0.5):
-    mask = 0
-    for b in range(pair_count(n)):
-        if rng.random() < p:
-            mask |= 1 << b
-    return Graph(n, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +138,7 @@ def test_shape_builders_up_to_the_cap():
 def test_adjacency_matches_pairwise_oracle(n):
     rng = random.Random(n)
     graphs = [Graph(n, 0), complete(n)]
-    graphs += [_random_graph(rng, n, p) for p in (0.1, 0.5, 0.9) for _ in range(5)]
+    graphs += [random_graph(rng, n, p) for p in (0.1, 0.5, 0.9) for _ in range(5)]
     for g in graphs:
         assert g.adjacency() == pairwise_adjacency(g)
         assert g.edge_pairs() == [edge_pair(b, n) for b in iter_bits(g.edges)]
@@ -157,7 +150,7 @@ def test_incident_edge_mask_matches_per_edge_oracle(n):
     # encoded back by from_edges
     rng = random.Random(n)
     graphs = [Graph(n, 0), complete(n)]
-    graphs += [_random_graph(rng, n, p) for p in (0.1, 0.5, 0.9) for _ in range(3)]
+    graphs += [random_graph(rng, n, p) for p in (0.1, 0.5, 0.9) for _ in range(3)]
     for g in graphs:
         adj = g.adjacency()
         for v in range(n):
@@ -222,7 +215,7 @@ def test_key_invariance_small_random():
     rng = random.Random(11)
     for _ in range(200):
         n = rng.randint(2, 6)
-        g = _random_graph(rng, n)
+        g = random_graph(rng, n)
         perm = list(range(n))
         rng.shuffle(perm)
         assert canonical_key(apply_permutation(g, perm)) == canonical_key(g)
@@ -244,8 +237,8 @@ def test_canonical_key_matches_exhaustive_oracle():
                from_edges(7, [(v, (v + d) % 7) for v in range(7) for d in (1, 2)])]
     # seeded random graphs at every density
     rng = random.Random(20261018)
-    randoms = [_random_graph(rng, 6, rng.random()) for _ in range(2000)]
-    randoms += [_random_graph(rng, 7, rng.random()) for _ in range(200)]
+    randoms = [random_graph(rng, 6, rng.random()) for _ in range(2000)]
+    randoms += [random_graph(rng, 7, rng.random()) for _ in range(200)]
     for g in special + randoms:
         assert canonical_key(g).edges == canonical_edges(g.n, g.edges), (g.n, g.edges)
 
@@ -262,7 +255,7 @@ def test_column_first_key_matches_tied_state_oracle():
     for n, count in ((7, 300), (8, 150)):
         for p in (0.15, 0.5, 0.85):
             for _ in range(count):
-                g = _random_graph(rng, n, p)
+                g = random_graph(rng, n, p)
                 assert canonical_key(g).edges == tied_state_canonical_edges(n, g.edges), (
                     n, g.edges)
 
@@ -368,7 +361,7 @@ def test_parse_errors(bad):
 def test_round_trip_random():
     rng = random.Random(3)
     for _ in range(300):
-        g = _random_graph(rng, rng.randint(1, 16))
+        g = random_graph(rng, rng.randint(1, 16))
         assert parse_graph6(emit_graph6(g)) == g
 
 
@@ -376,7 +369,7 @@ def test_emit_agrees_with_networkx():
     rng = random.Random(5)
     for _ in range(100):
         n = rng.randint(1, 12)
-        g = _random_graph(rng, n)
+        g = random_graph(rng, n)
         G = nx.Graph()
         G.add_nodes_from(range(n))
         G.add_edges_from(g.edge_pairs())
@@ -400,7 +393,7 @@ def test_codec_matches_the_bitwise_oracle():
     graphs = [g for n in range(1, 8) for m in range(pair_count(n) + 1)
               for g in connected_graphs(n, m, False)]
     rng = random.Random(6)
-    graphs += [g for n in range(1, 65) for g in (Graph(n, 0), complete(n), _random_graph(rng, n))]
+    graphs += [g for n in range(1, 65) for g in (Graph(n, 0), complete(n), random_graph(rng, n))]
     assert len(graphs) == 1252 + 3 * 64  # every class on 1..7 vertices, then 3 graphs per n
     strings = [emit_graph6(g) for g in graphs]
     assert strings == [bitwise_emit_graph6(g) for g in graphs]
@@ -430,7 +423,7 @@ def test_emit_four_byte_size_form_round_trips():
     # n = 63 and n = 64 need the '~' + 3-byte size form
     rng = random.Random(63)
     for n in (63, 64):
-        for g in (Graph(n, 0), complete(n), _random_graph(rng, n)):
+        for g in (Graph(n, 0), complete(n), random_graph(rng, n)):
             G = nx.Graph()
             G.add_nodes_from(range(n))
             G.add_edges_from(g.edge_pairs())

@@ -1,7 +1,9 @@
 """Search driver, JSONL persistence, and the command-line surface."""
 
 import importlib
+import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -68,75 +70,42 @@ def test_small_search_matches_hand_results(tmp_path):
     assert [r.to_json() for r in reloaded] == [r.to_json() for r in records]
 
 
-def test_search_starts_no_more_workers_than_hosts(monkeypatch):
-    import multiprocessing
-    from multiprocessing.pool import Pool
-
-    started = []
-
-    class CountingPool(Pool):
-        def __init__(self, processes):
-            super().__init__(processes)
-            self.processes = processes
-
-        def starmap(self, func, tasks, chunksize=None):
-            started.append((self.processes, len(tasks)))
-            return super().starmap(func, tasks, chunksize)
-
-    monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
+def test_search_starts_no_more_workers_than_hosts(monkeypatch, spy):
+    started = spy(multiprocessing, "Pool")
+    solved = spy(hifam.search, "solve_host")  # in this process
     monkeypatch.setattr(hifam.search, "POOL_COST_S", 0.0)  # hand off after the first host
     monkeypatch.setattr(os, "cpu_count", lambda: 8)  # more CPUs than hosts left
     hosts = [g for m in (3, 4) for g in connected_graphs(4, m)]
     records = search_hosts(hosts, path(4), jobs=8)
-    assert started == [(3, 3)]  # three workers for the three hosts left
+    # one host solved here, then three workers for the three hosts left
+    assert (len(solved), started) == (1, [(3,)])
     assert records == search_hosts(hosts, path(4), jobs=1)
 
 
-def test_search_starts_no_more_workers_than_cpus(monkeypatch):
+def test_search_starts_no_more_workers_than_cpus(monkeypatch, spy):
     """--jobs 5000 starts one worker per CPU, and none with one CPU or an
-    unknown count.  The pool is an in-process fake that records its size."""
-    import multiprocessing
-
-    started = []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, func, tasks):
-            return [func(*args) for args in tasks]
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    unknown count."""
+    started = spy(multiprocessing, "Pool")
     monkeypatch.setattr(hifam.search, "POOL_COST_S", 0.0)  # hand off after the first host
     hosts = connected_graphs(5, 5)
     serial = search_hosts(hosts, path(4), jobs=1)
     assert len(hosts) == 5
-    for cpus, pools in (3, [3]), (64, [4]), (1, []), (None, []):
+    for cpus, pools in (3, [(3,)]), (8, [(4,)]), (1, []), (None, []):
         started.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert search_hosts(hosts, path(4), jobs=5000) == serial
         assert started == pools, cpus
 
 
-def test_search_starts_no_pool_that_cannot_pay_for_itself(monkeypatch):
-    import multiprocessing
-
-    def no_pool(processes):
-        raise AssertionError(f"a pool of {processes} started")
-
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+def test_search_starts_no_pool_that_cannot_pay_for_itself(monkeypatch, spy):
+    started = spy(multiprocessing, "Pool")
     monkeypatch.setattr(hifam.search, "POOL_COST_S", float("inf"))
     hosts = [g for m in (3, 4) for g in connected_graphs(4, m)]
     assert search_hosts(hosts, path(4), jobs=8) == search_hosts(hosts, path(4), jobs=1)
     # one host left never goes to a pool, whatever the cost
     monkeypatch.setattr(hifam.search, "POOL_COST_S", 0.0)
     assert len(search_hosts(connected_graphs(4, 3), path(4), jobs=8)) == 2
+    assert started == []
 
 
 def test_search_returns_records_in_the_order_given():
@@ -223,8 +192,6 @@ def test_resolve_graph6_and_edge_list(tmp_path):
 
 
 def test_resolve_stdin(monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(emit_graph6(path(4)) + "\n"))
     assert resolve_graph("-") == path(4)
 
@@ -459,19 +426,10 @@ def test_cli_verify_accepts_only_the_hex_that_search_writes(tmp_path, capsys, en
     )
 
 
-def test_cli_search_determinism_across_jobs(monkeypatch, tmp_path):
+def test_cli_search_determinism_across_jobs(monkeypatch, spy, tmp_path):
     # the hand-off forced after the first host, --jobs 2 solves the other
     # seven hosts on a real pool of two workers
-    import multiprocessing
-
-    started = []
-    real_pool = multiprocessing.Pool
-
-    def counting_pool(processes):
-        started.append(processes)
-        return real_pool(processes)
-
-    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    started = spy(multiprocessing, "Pool")
     monkeypatch.setattr(hifam.search, "POOL_COST_S", 0.0)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     a = tmp_path / "a.jsonl"
@@ -481,7 +439,7 @@ def test_cli_search_determinism_across_jobs(monkeypatch, tmp_path):
             "search", "-n", "5", "-m", "4,5", "--target", "p4",
             "--connected", "--jobs", jobs, "--out", str(out), "--json",
         ]) == 0
-    assert started == [2]
+    assert started == [(2,)]
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -577,20 +535,53 @@ def test_user_errors_share_one_class():
     (["search", "-n", "6", "-m", "7,x", "--out", "OUT"],
      "expected comma-separated integers, got '7,x'"),
     (["construct", "--parts", "2,x", "--t", "4"], "expected comma-separated integers, got '2,x'"),
+    # refused before any of the 107 nine-edge hosts is solved
+    (["search", "-n", "7", "-m", "9,17", "--connected", "--out", "OUT"],
+     "compatibility graphs capped at 16 host edges, got 17"),
 ])
-def test_cli_caps_and_bad_sizes_exit_2(tmp_path, monkeypatch, capsys, argv, message):
+def test_cli_caps_and_bad_sizes_exit_2(tmp_path, monkeypatch, spy, capsys, argv, message):
     # a cap that let a construction through would build its members here and
     # fail at once, not exhaust memory
     def no_members(mask):
         raise AssertionError("a member was built past the caps")
 
     monkeypatch.setattr(hifam.construct, "submasks", no_members)
+    solved = spy(hifam.search, "solve_host")
     out = tmp_path / "records.jsonl"
     assert main([str(out) if a == "OUT" else a for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert os.listdir(tmp_path) == []  # neither the records nor a partial file
+    assert solved == []
+
+
+CLASSES_6_7 = "".join(emit_graph6(g) + "\n" for g in connected_graphs(6, 7, True))
+
+
+@pytest.mark.parametrize("host,data,message", [
+    ("Bx", None, "bad graph6: nonzero padding bits"),
+    ("@", b"", "empty graph input"),
+    # a graph6 argument, file or stdin holds one graph: not the first of
+    # `hifam enumerate -n 6 -m 7 --connected`'s 19 lines, nor E}q? and junk
+    ("@", CLASSES_6_7.encode(), "bad graph6: expected one line, got 19"),
+    ("-", b"E}q?\nnot a graph\n", "bad graph6: expected one line, got 2"),
+    ("-", b"\xff\n", "cannot read the graph on stdin: 'ascii' codec can't decode byte 0xff "
+                    "in position 0: ordinal not in range(128)"),
+], ids=["padding", "empty-file", "19-line-file", "2-line-stdin", "undecodable-stdin"])
+def test_cli_graph_text_refusals_exit_2(tmp_path, monkeypatch, capsys, host, data, message):
+    """The graph read from an argument, an @file (data) or stdin (data,
+    read as ASCII) is refused with exit 2."""
+    if host == "@":
+        graph = tmp_path / "graph.txt"
+        graph.write_bytes(data)
+        host += str(graph)
+    elif host == "-":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="ascii"))
+    assert main(["clique", "--host", host]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("where,reason", [
