@@ -170,14 +170,16 @@ def cmd_search(args: argparse.Namespace) -> int:
     # renamed onto out once every record is in it
     partial = f"{out}.{os.getpid()}.tmp"
     try:
+        if os.path.exists(out):  # refused as open(args.out, "w") would refuse it
+            os.close(os.open(out, os.O_WRONLY))
         os.close(os.open(partial, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666))
     except OSError as exc:
         raise UserError(f"cannot write {args.out}: {exc.strerror}") from exc
     try:
-        if os.path.exists(out):  # whose mode open(args.out, "w") keeps
-            os.chmod(partial, os.stat(out).st_mode)
         records = search_hosts(hosts, target, jobs=args.jobs)
         write_records(records, partial)
+        if os.path.exists(out):  # whose mode open(args.out, "w") keeps
+            os.chmod(partial, os.stat(out).st_mode)
         os.replace(partial, out)
     except BaseException:
         os.remove(partial)

@@ -3,14 +3,18 @@
 Each one is the plain, slow way to compute something the library computes
 another way; tests compare the two.  This module also holds checks that no
 command runs (relabeling a graph, the general seed recipe's conditions),
-which tests use to state what the library's results mean, and the random
-graphs several test modules draw.
+which tests use to state what the library's results mean, and what several
+test modules share: the small patterns, the host lists, the random inputs,
+the networkx view, and the checks that two or more tests run.
 """
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
+
+import networkx as nx
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from hifam import (
     CliqueResult,
@@ -19,8 +23,17 @@ from hifam import (
     MultipartiteFamily,
     SubgraphFamily,
     canonical_key,
+    complete,
+    complete_multipartite,
+    connected_graphs,
     containment_check,
+    contains_multipartite,
+    contains_p4,
+    contains_subgraph,
+    cycle,
+    from_edges,
     is_connected,
+    path,
     verify_intersecting,
 )
 from hifam.clique import MAX_CANDIDATES, MAX_HOST_EDGES, _upset_search
@@ -1044,6 +1057,130 @@ def random_graph(rng, n: int, p: float = 0.5) -> Graph:
         if rng.random() < p:
             mask |= 1 << b
     return Graph(n, mask)
+
+
+def pairs_instance(size: int, pairs: Iterable[tuple[int, int]]) -> CompatibilityGraph:
+    """The plain instance on size vertices whose adjacent pairs are pairs."""
+    adjacency = [0] * size
+    for i, j in pairs:
+        adjacency[i] |= 1 << j
+        adjacency[j] |= 1 << i
+    return plain_instance(adjacency)
+
+
+def random_instance(rng, size: int, p: float) -> CompatibilityGraph:
+    """pairs_instance with each pair (i, j), i < j, adjacent with
+    probability p, drawn from rng row by row."""
+    return pairs_instance(size, [(i, j) for i in range(size) for j in range(i + 1, size)
+                                 if rng.random() < p])
+
+
+def every_host(ns: Iterable[int], max_m: float = math.inf) -> list[Graph]:
+    """Every host class, connected or not, for each vertex count in ns and
+    each edge count up to max_m, in connected_graphs' order."""
+    return [g for n in ns for m in range(min(pair_count(n), max_m) + 1)
+            for g in connected_graphs(n, m, False)]
+
+
+PAW = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])  # a triangle with a pendant edge
+TWO_K2 = from_edges(4, [(0, 1), (2, 3)])
+
+# every complete multipartite shape on at most 4 non-isolated vertices
+SMALL_PART_LISTS = [
+    (1, 1), (1, 2), (1, 3), (2, 2),
+    (1, 1, 1), (1, 1, 2), (1, 1, 1, 1),
+]
+
+# targets the generic test takes: the paw (one adjacent twin pair), 2K2 (two),
+# the diamond (an adjacent and a non-adjacent pair, the latter counted), the
+# star K_{1,3} as a graph (three non-adjacent twins, counted), and P5 and C5,
+# which have none
+GENERIC_TARGETS = [
+    PAW,
+    TWO_K2,
+    from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+    from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+    path(5),
+    cycle(5),
+]
+
+# the 10 patterns with at most 4 vertices and no isolated vertex
+PATTERNS = {
+    "K2": complete(2),
+    "P3": path(3),
+    "K3": complete(3),
+    "2K2": TWO_K2,
+    "P4": path(4),
+    "K_{1,3}": complete_multipartite((1, 3)),
+    "C4": cycle(4),
+    "paw": PAW,
+    "diamond": complete_multipartite((1, 1, 2)),
+    "K4": complete(4),
+}
+
+
+def nx_graph(g: Graph) -> nx.Graph:
+    """g as a networkx graph on the vertices 0 .. n - 1, added in order."""
+    view = nx.Graph()
+    view.add_nodes_from(range(g.n))
+    view.add_edges_from(g.edge_pairs())
+    return view
+
+
+def nx_contains(host: nx.Graph, pattern: Graph) -> bool:
+    """Whether host holds pattern's edges as a subgraph (isolated pattern
+    vertices ignored), by networkx's monomorphism test."""
+    return GraphMatcher(host, nx.Graph(pattern.edge_pairs())).subgraph_is_monomorphic()
+
+
+def check_trivial_bound(records, pattern: Graph, holds=None) -> tuple[int, dict[str, int]]:
+    """Assert 2^(m - e(pattern)) or more on every record whose host holds
+    the pattern, and 0 on every other record; return the holder count and
+    the counts above 2^(m - e(pattern)) by host graph6, which the test pins.
+
+    holds(host) is asked of the host as networkx reads its graph6, and
+    defaults to nx_contains.
+    """
+    holds = holds or (lambda host: nx_contains(host, pattern))
+    e = pattern.edge_count
+    holders, above = 0, {}
+    for record in records:
+        if not holds(nx.from_graph6_bytes(record.host_graph6.encode())):
+            assert record.clique_size == 0, record.host_graph6
+            continue
+        holders += 1
+        trivial = 1 << (record.m - e)
+        assert record.clique_size >= trivial, record.host_graph6
+        if record.clique_size > trivial:
+            above[record.host_graph6] = record.clique_size
+    return holders, above
+
+
+def check_engines_exhaustively() -> int:
+    """Assert on every labelled graph with at most 5 vertices that the
+    containment tests agree with the searches they replaced: the column scan
+    for P4, the smallest-first part search for SMALL_PART_LISTS, and
+    degree-ordered backtracking for both and for GENERIC_TARGETS.  Returns
+    how often a generic target was found."""
+    p4 = path(4)
+    shapes = [(parts, complete_multipartite(parts)) for parts in SMALL_PART_LISTS]
+    hits = 0
+    for n in range(1, 6):
+        for edges in range(1 << pair_count(n)):
+            adj = Graph(n, edges).adjacency()
+            found = p4_column_scan(adj)
+            assert found == degree_ordered_subgraph(adj, p4)
+            assert contains_p4(adj) == found
+            for parts, shape in shapes:
+                found = smallest_first_multipartite(adj, parts)
+                assert found == degree_ordered_subgraph(adj, shape)
+                assert contains_multipartite(adj, parts) == found
+                assert contains_subgraph(adj, shape) == found
+            for target in GENERIC_TARGETS:
+                found = degree_ordered_subgraph(adj, target)
+                assert contains_subgraph(adj, target) == found, (n, edges, target)
+                hits += found
+    return hits
 
 
 def apply_permutation(g: Graph, perm: Sequence[int]) -> Graph:

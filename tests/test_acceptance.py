@@ -14,16 +14,10 @@ from contextlib import contextmanager
 import pytest
 
 from hifam import (
-    Graph,
     canonical_key,
     christofides_host,
     complete_multipartite,
-    contains_multipartite,
-    contains_p4,
-    contains_subgraph,
-    cycle,
     emit_graph6,
-    from_edges,
     max_clique,
     multipartite_family,
     parse_graph6,
@@ -34,20 +28,17 @@ from hifam import (
 )
 import hifam.search
 from hifam.cli import main
-from hifam.graphs import pair_count
 
 from conftest import record_acceptance
 from oracles import (
     apply_permutation,
     brute_force_clique,
+    check_engines_exhaustively,
     check_seeds,
     construction_counts,
     construction_seeds,
-    degree_ordered_subgraph,
-    p4_column_scan,
-    plain_instance,
     random_graph,
-    smallest_first_multipartite,
+    random_instance,
 )
 
 
@@ -187,42 +178,11 @@ def test_criterion_9_property_suites():
         # exact solver vs independent clique enumeration, 100 random instances
         rng = random.Random(20250808)
         for _ in range(100):
-            size = rng.randint(1, 20)
-            p = rng.choice([0.2, 0.5, 0.8])
-            adjacency = [0] * size
-            for i in range(size):
-                for j in range(i + 1, size):
-                    if rng.random() < p:
-                        adjacency[i] |= 1 << j
-                        adjacency[j] |= 1 << i
-            cg = plain_instance(adjacency)
+            cg = random_instance(rng, rng.randint(1, 20), rng.choice([0.2, 0.5, 0.8]))
             assert max_clique(cg).size == brute_force_clique(cg)
 
         # containment engines vs the searches they replaced, exhaustively
-        p4 = path(4)
-        shapes = [(1, 1), (1, 2), (1, 3), (2, 2), (1, 1, 1), (1, 1, 2), (1, 1, 1, 1)]
-        targets = [(s, complete_multipartite(s)) for s in shapes]
-        generic = [  # paw, 2K2, diamond, K_{1,3} as a graph, P5, C5
-            from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
-            from_edges(4, [(0, 1), (2, 3)]),
-            from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
-            from_edges(4, [(0, 1), (0, 2), (0, 3)]),
-            path(5),
-            cycle(5),
-        ]
-        for n in range(1, 6):
-            for edges in range(1 << pair_count(n)):
-                adj = Graph(n, edges).adjacency()
-                found = p4_column_scan(adj)
-                assert found == degree_ordered_subgraph(adj, p4)
-                assert contains_p4(adj) == found
-                for parts, target_graph in targets:
-                    found = smallest_first_multipartite(adj, parts)
-                    assert contains_multipartite(adj, parts) == found
-                    assert contains_subgraph(adj, target_graph) == found
-                for target in generic:
-                    found = degree_ordered_subgraph(adj, target)
-                    assert contains_subgraph(adj, target) == found
+        assert check_engines_exhaustively() > 0
 
         # canonical key permutation invariance, 1000 randomized cases
         for _ in range(1000):

@@ -37,14 +37,19 @@ from hifam.clique import MAX_CANDIDATES, MAX_HOST_EDGES, _color_sort, _lex_min_c
 from hifam.graphs import UserError, iter_bits, submasks
 
 from oracles import (
+    PAW,
+    TWO_K2,
     brute_force_clique,
     certify_clique_bound,
     coloring_max_clique,
     containment_rows,
     degree_ordered_clique_size,
+    every_host,
     lattice_sweep_compatibility,
+    pairs_instance,
     pairwise_compatibility,
     plain_instance,
+    random_instance,
     recursive_upset_search,
     rows_edges,
     stepwise_lex_min_clique,
@@ -53,16 +58,6 @@ from oracles import (
     validate_compatibility,
     verify_pairwise,
 )
-
-
-def _random_instance(rng, size, p):
-    adjacency = [0] * size
-    for i in range(size):
-        for j in range(i + 1, size):
-            if rng.random() < p:
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
-    return plain_instance(adjacency)
 
 
 def _random_upset_instance(rng, e):
@@ -94,14 +89,6 @@ def _oracle_args(args):
     p_mask, floor, stop, excl, sup, sub = args
     everyone = (1 << len(excl)) - 1
     return p_mask, floor, stop, [everyone ^ row ^ 1 << v for v, row in enumerate(excl)], sup, sub
-
-
-def _from_pairs(size, pairs):
-    adjacency = [0] * size
-    for i, j in pairs:
-        adjacency[i] |= 1 << j
-        adjacency[j] |= 1 << i
-    return plain_instance(adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +127,6 @@ def test_christofides_compatibility_structure():
             assert bool(cg.adjacency[i] >> j & 1) == expected
 
 
-def _all_hosts(n):
-    return [g for m in range(n * (n - 1) // 2 + 1) for g in connected_graphs(n, m, False)]
-
-
 @pytest.mark.parametrize("hosts, target", [
     (lambda: connected_graphs(6, 7, True), path(4)),
     (lambda: connected_graphs(6, 8, True), path(4)),
@@ -155,8 +138,8 @@ def _all_hosts(n):
     (lambda: [christofides_host(), complete(4), complete_multipartite([2, 3])],
      complete_multipartite([1, 2])),
     # K5 has 893 P4 candidates: minutes for the old solver
-    (lambda: [g for g in _all_hosts(5) if g.edge_count < 10], path(4)),
-    (lambda: _all_hosts(5), complete(3)),
+    (lambda: every_host([5], 9), path(4)),
+    (lambda: every_host([5]), complete(3)),
 ], ids=["p4-m7", "p4-m8", "k3-m11", "p4-n7-m6", "p4-n7-m7", "p4-n7-m8", "christofides", "k12",
         "p4-n5", "k3-n5"])
 def test_builder_and_solver_match_oracles(hosts, target):
@@ -317,7 +300,7 @@ def test_builder_matches_oracle_on_edge_case_targets(target):
     """Edgeless targets (every subset a candidate), isolated target vertices,
     targets sharing P4's vertex or edge count and more edges than most hosts,
     against the per-subset table on every 5-vertex host."""
-    for host in _all_hosts(5):
+    for host in every_host([5]):
         cg = build_compatibility(host, target)
         old = pairwise_compatibility(host, target)
         assert (cg.labels, cg.adjacency) == (old.labels, old.adjacency)
@@ -340,11 +323,9 @@ def test_builder_matches_the_sweeps_it_replaced():
     and K5 (more edges than every host but K5 and K6); K6 passes the
     candidate cap with K5 alone.  And three large instances: K5 with P4,
     whose 60 copies overlap, K_{1,12} with K2 and K_{2,7} with K_{2,3}."""
-    paw = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    two_k2 = from_edges(4, [(0, 1), (2, 3)])
-    targets = [complete(2), path(3), path(4), complete(3), cycle(4), two_k2, paw, Graph(3, 0),
+    targets = [complete(2), path(3), path(4), complete(3), cycle(4), TWO_K2, PAW, Graph(3, 0),
                complete(5)]
-    pairs = [(host, target) for n in range(1, 7) for host in _all_hosts(n) for target in targets]
+    pairs = [(host, target) for host in every_host(range(1, 7)) for target in targets]
     pairs += [
         (complete(5), path(4)),
         (complete_multipartite([1, 12]), complete(2)),
@@ -423,7 +404,7 @@ def test_phase_one_starts_from_the_trivial_family():
 
 @pytest.mark.parametrize("target, size", [
     (complete(3), 256),  # contains_multipartite
-    (from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), 128),  # the paw: contains_subgraph
+    (PAW, 128),  # contains_subgraph
 ], ids=["k3", "paw"])
 def test_solving_a_host_leaves_no_reference_cycles(target, size):
     """The recursive closures of the solver and the containment tests must
@@ -506,7 +487,7 @@ def test_complete_instance():
 
 
 def test_five_cycle_instance():
-    cg = _from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    cg = pairs_instance(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert max_clique(cg).size == 2
     assert brute_force_clique(cg) == 2
 
@@ -516,7 +497,7 @@ def test_solver_agrees_with_brute_force():
     for trial in range(100):
         size = rng.randint(1, 20)
         p = rng.choice([0.2, 0.5, 0.8])
-        cg = _random_instance(rng, size, p)
+        cg = random_instance(rng, size, p)
         assert max_clique(cg).size == brute_force_clique(cg), (trial, size, p)
 
 
@@ -525,7 +506,7 @@ def test_solver_matches_degree_ordered_oracle():
     for trial in range(100):
         size = rng.randint(1, 60)
         p = rng.choice([0.2, 0.5, 0.8, 0.9])
-        cg = _random_instance(rng, size, p)
+        cg = random_instance(rng, size, p)
         result = max_clique(cg)
         assert result.size == degree_ordered_clique_size(cg), (trial, size, p)
         expected = coloring_max_clique(cg)
@@ -574,7 +555,7 @@ def test_adding_edges_never_shrinks_clique():
     rng = random.Random(101)
     for _ in range(30):
         size = rng.randint(3, 14)
-        cg = _random_instance(rng, size, 0.4)
+        cg = random_instance(rng, size, 0.4)
         before = max_clique(cg).size
         missing = [
             (i, j)
@@ -594,7 +575,7 @@ def test_root_coloring_bound_is_sound():
     rng = random.Random(103)
     for _ in range(20):
         size = rng.randint(2, 16)
-        cg = _random_instance(rng, size, 0.5)
+        cg = random_instance(rng, size, 0.5)
         bound = _color_sort((1 << size) - 1, _excl(cg.adjacency), 0)[-1][1]
         assert bound >= max_clique(cg).size
 
@@ -602,7 +583,7 @@ def test_root_coloring_bound_is_sound():
 def test_coloring_fills_each_class_from_the_top():
     # path 0 - 1 - 2 and an isolated 3: both orders find two classes,
     # but the top-first one places 3 and 2 before 0
-    cg = _from_pairs(4, [(0, 1), (1, 2)])
+    cg = pairs_instance(4, [(0, 1), (1, 2)])
     assert _color_sort(0b1111, _excl(cg.adjacency), 0) == [(3, 1), (2, 1), (0, 1), (1, 2)]
 
 
@@ -613,7 +594,7 @@ def test_coloring_lists_exactly_the_classes_above_the_cut_off():
     rng = random.Random(109)
     for trial in range(200):
         size = rng.randint(1, 24)
-        adjacency = _random_instance(rng, size, rng.random()).adjacency
+        adjacency = random_instance(rng, size, rng.random()).adjacency
         excl = _excl(adjacency)
         p_mask = rng.getrandbits(size)
         full = _top_first_coloring(p_mask, adjacency)
@@ -627,7 +608,7 @@ def test_witness_is_lexicographically_smallest():
     rng = random.Random(107)
     for _ in range(40):
         size = rng.randint(2, 12)
-        cg = _random_instance(rng, size, 0.5)
+        cg = random_instance(rng, size, 0.5)
         result = max_clique(cg)
         # enumerate every maximum clique independently
         best: list[list[int]] = []
@@ -662,7 +643,7 @@ def test_phase_two_walks_from_the_known_clique(spy):
     """Phase 2 tests only the vertices below the known clique's lowest: on
     the 5-cycle, from {2, 3} one feasibility search (P_0 = {1, 4} holds a
     vertex) reaches [0, 1]; from {0, 1} there is nothing below to test."""
-    cg = _from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    cg = pairs_instance(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     own = [1 << v for v in range(5)]
     excl = _excl(cg.adjacency)
     search = clique._upset_search
@@ -705,7 +686,6 @@ def test_phase_two_matches_the_stepwise_oracle():
     triangle searches the benchmark runs, where the stop comes at step 1
     on every triangle host, whose optimum is the trivial 256; and three
     optima that beat the trivial family, where it comes partway."""
-    paw = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     stops = Counter()
     for hosts, target in ([g for m in (7, 8) for g in connected_graphs(6, m, True)], path(4)), \
             (connected_graphs(6, 11, True), complete(3)):
@@ -719,7 +699,7 @@ def test_phase_two_matches_the_stepwise_oracle():
     for host, target, step, size, trivial in [
         (christofides_host(), path(4), 4, 17, 16),
         (complete_multipartite([1, 1, 4]), complete_multipartite([1, 2]), 7, 160, 128),
-        (parse_graph6("E}q?"), paw, 5, 17, 16),
+        (parse_graph6("E}q?"), PAW, 5, 17, 16),
         (complete(5), complete(3), 1, 128, 128),
     ]:
         cg = build_compatibility(host, target)
@@ -733,7 +713,7 @@ def test_phase_two_matches_the_stepwise_oracle_on_plain_instances():
     rng = random.Random(331)
     stopped = 0
     for trial in range(300):
-        cg = _random_instance(rng, rng.randint(0, 16), rng.choice([0.2, 0.5, 0.8]))
+        cg = random_instance(rng, rng.randint(0, 16), rng.choice([0.2, 0.5, 0.8]))
         result = max_clique(cg)
         assert (result.witness, result.phase2_nodes) == _stepwise_phase_two(cg), trial
         stopped += 0 < (_stop_step(cg, result.witness) or 0)

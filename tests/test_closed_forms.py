@@ -9,14 +9,9 @@ from math import comb
 import networkx as nx
 import pytest
 
-from hifam import complete, complete_multipartite, connected_graphs, search_hosts
+from hifam import complete, complete_multipartite, search_hosts
 
-
-def every_host(max_n, max_m):
-    """Every host class, connected or not, with at most max_n vertices and
-    max_m edges."""
-    return [g for n in range(1, max_n + 1) for m in range(min(comb(n, 2), max_m) + 1)
-            for g in connected_graphs(n, m, False)]
+from oracles import check_trivial_bound, every_host
 
 
 def katona(n, t):
@@ -46,16 +41,11 @@ def test_triangle_records_meet_the_ellis_filmus_friedgut_bound():
     supergraphs of one triangle reach it: every host with a triangle has
     optimum 2^(m-3), and a triangle-free host has none.  Every host with at
     most 5 vertices, and every 6-vertex host with at most 12 edges."""
-    hosts = every_host(6, 12)
-    with_triangle = 0
-    for record in search_hosts(hosts, complete(3)):
-        host = nx.from_graph6_bytes(record.host_graph6.encode())
-        if any(nx.triangles(host).values()):
-            with_triangle += 1
-            assert record.clique_size == 1 << (record.m - 3), record.host_graph6
-        else:
-            assert record.clique_size == 0, record.host_graph6
-    assert (len(hosts), with_triangle) == (204, 139)
+    hosts = every_host(range(1, 7), 12)
+    records = search_hosts(hosts, complete(3))
+    holders, above = check_trivial_bound(
+        records, complete(3), lambda host: any(nx.triangles(host).values()))
+    assert (len(hosts), holders, above) == (204, 139, {})
 
 
 def test_edge_records_are_half_of_every_host():
@@ -64,15 +54,11 @@ def test_edge_records_are_half_of_every_host():
     1/2, reached by the supergraphs of one edge.  Every host with an edge has
     optimum 2^(m-1), and the edgeless hosts have none.  Every host with at
     most 6 vertices and at most 10 edges."""
-    hosts = every_host(6, 10)
-    with_edge = 0
-    for record in search_hosts(hosts, complete(2)):
-        if record.m:
-            with_edge += 1
-            assert record.clique_size == 1 << (record.m - 1), record.host_graph6
-        else:
-            assert record.clique_size == 0, record.host_graph6
-    assert (len(hosts), with_edge) == (190, 184)
+    hosts = every_host(range(1, 7), 10)
+    records = search_hosts(hosts, complete(2))
+    holders, above = check_trivial_bound(
+        records, complete(2), lambda host: host.number_of_edges() > 0)
+    assert (len(hosts), holders, above) == (190, 184, {})
 
 
 def test_k4_records_meet_the_berger_zhao_bound():
@@ -81,13 +67,8 @@ def test_k4_records_meet_the_berger_zhao_bound():
     from any host as the triangle bound does, and the supergraphs of one K4
     reach it: every host with a K4 has optimum 2^(m-6), and any other host
     has none.  Every host with at most 7 vertices and at most 16 edges."""
-    hosts = every_host(7, 16)
-    with_k4 = 0
-    for record in search_hosts(hosts, complete(4)):
-        host = nx.from_graph6_bytes(record.host_graph6.encode())
-        if any(len(clique) >= 4 for clique in nx.find_cliques(host)):
-            with_k4 += 1
-            assert record.clique_size == 1 << (record.m - 6), record.host_graph6
-        else:
-            assert record.clique_size == 0, record.host_graph6
-    assert (len(hosts), with_k4) == (1233, 382)
+    hosts = every_host(range(1, 8), 16)
+    records = search_hosts(hosts, complete(4))
+    holders, above = check_trivial_bound(
+        records, complete(4), lambda host: any(len(c) >= 4 for c in nx.find_cliques(host)))
+    assert (len(hosts), holders, above) == (1233, 382, {})

@@ -31,6 +31,7 @@ from hifam.graphs import UserError, edge_index, iter_bits
 from oracles import (
     certify_clique_bound,
     check_seeds,
+    compact_subsets,
     construction_counts,
     construction_seeds,
     first_failing_minimal_pair,
@@ -398,11 +399,6 @@ def test_verify_self_check_catches_weak_members():
         assert (verify_pairwise(family, path(4), require_self=True) is None) == (pair is None)
 
 
-def _host_subsets(host):
-    positions = list(iter_bits(host.edges))
-    return [sum(1 << positions[i] for i in iter_bits(c)) for c in range(1 << len(positions))]
-
-
 def _random_host(rng):
     """A host on 3 to 6 vertices with 2 to 7 edges."""
     n = rng.randint(3, 6)
@@ -413,7 +409,7 @@ def _random_host(rng):
 
 
 def _random_family(rng, host, kind):
-    subsets = _host_subsets(host)
+    subsets = compact_subsets(host.edges)
     if kind == "up-closed":
         gens = rng.sample(subsets, rng.randint(1, 3))
         members = [x for x in subsets if any(x & g == g for g in gens)]

@@ -3,9 +3,7 @@ targets, complete multipartite patterns and P4."""
 
 import random
 
-import networkx as nx
 import pytest
-from networkx.algorithms.isomorphism import GraphMatcher
 
 from hifam import (
     Graph,
@@ -28,36 +26,19 @@ from hifam import detect
 from hifam.graphs import pair_count
 
 from oracles import (
+    GENERIC_TARGETS,
+    PAW,
     apply_permutation,
+    check_engines_exhaustively,
     construction_seeds,
     degree_ordered_subgraph,
     largest_first_multipartite,
+    nx_contains,
+    nx_graph,
     p4_column_scan,
     random_graph,
     rows_edges,
-    smallest_first_multipartite,
 )
-
-# every complete multipartite shape on at most 4 non-isolated vertices
-SMALL_PART_LISTS = [
-    (1, 1), (1, 2), (1, 3), (2, 2),
-    (1, 1, 1), (1, 1, 2), (1, 1, 1, 1),
-]
-
-PAW = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-
-# targets the generic test takes: the paw (one adjacent twin pair), 2K2 (two),
-# the diamond (an adjacent and a non-adjacent pair, the latter counted), the
-# star K_{1,3} as a graph (three non-adjacent twins, counted), and P5 and C5,
-# which have none
-GENERIC_TARGETS = [
-    PAW,
-    from_edges(4, [(0, 1), (2, 3)]),
-    from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
-    from_edges(4, [(0, 1), (0, 2), (0, 3)]),
-    path(5),
-    cycle(5),
-]
 
 
 # ---------------------------------------------------------------------------
@@ -249,33 +230,7 @@ def test_specialized_engines_match_generic_exhaustively():
     and the generic test agree with the column scan, the degree-ordered
     backtracking and the smallest-first part search that the one
     twin-ordered search replaced."""
-    p4 = path(4)
-    shapes = [(parts, complete_multipartite(parts)) for parts in SMALL_PART_LISTS]
-    hits = 0
-    for n in range(1, 6):
-        for edges in range(1 << pair_count(n)):
-            adj = Graph(n, edges).adjacency()
-            found = p4_column_scan(adj)
-            assert found == degree_ordered_subgraph(adj, p4)
-            assert contains_p4(adj) == found
-            for parts, shape in shapes:
-                found = smallest_first_multipartite(adj, parts)
-                assert found == degree_ordered_subgraph(adj, shape)
-                assert contains_multipartite(adj, parts) == found
-                assert contains_subgraph(adj, shape) == found
-            for target in GENERIC_TARGETS:
-                found = degree_ordered_subgraph(adj, target)
-                assert contains_subgraph(adj, target) == found, (n, edges, target)
-                hits += found
-    assert 0 < hits < 6 * 1099
-
-
-def _nx_contains(g, edges):
-    """Whether g holds a subgraph monomorphic to the graph on these edges,
-    by networkx."""
-    host = nx.Graph(g.edge_pairs())
-    host.add_nodes_from(range(g.n))
-    return GraphMatcher(host, nx.Graph(edges)).subgraph_is_monomorphic()
+    assert 0 < check_engines_exhaustively() < 6 * 1099
 
 
 def test_containment_matches_networkx_on_random_graphs():
@@ -286,12 +241,12 @@ def test_containment_matches_networkx_on_random_graphs():
         adj = g.adjacency()
         h = rng.choice(GENERIC_TARGETS + [random_graph(rng, rng.randint(2, 5), 0.6)])
         found = contains_subgraph(adj, h)
-        assert found == _nx_contains(g, h.edge_pairs()), (g, h)
+        assert found == nx_contains(nx_graph(g), h), (g, h)
         outcomes.add(found)
         parts = [rng.randint(1, 4) for _ in range(rng.randint(2, 3))]
         if sum(parts) <= g.n:
             pattern = complete_multipartite(parts)
-            assert contains_multipartite(adj, parts) == _nx_contains(g, pattern.edge_pairs())
+            assert contains_multipartite(adj, parts) == nx_contains(nx_graph(g), pattern)
     assert outcomes == {True, False}
 
 
@@ -349,7 +304,7 @@ def routes(spy):
     (from_edges(5, [(4, 2), (2, 0), (0, 3)]), "contains_p4", None),
     (cycle(5), "contains_subgraph", None),
     (path(5), "contains_subgraph", None),
-    (from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), "contains_subgraph", None),
+    (PAW, "contains_subgraph", None),
 ], ids=["k3", "k22", "k13", "k11", "k112", "k3+isolated", "p4", "p4+isolated", "c5", "p5",
         "paw"])
 def test_containment_check_route(routes, target, route, parts):

@@ -1,5 +1,6 @@
 """Search driver, JSONL persistence, and the command-line surface."""
 
+import errno
 import importlib
 import io
 import json
@@ -620,6 +621,30 @@ def test_cli_search_refuses_an_output_that_is_not_a_regular_file(tmp_path, monke
         assert captured.err == f"error: cannot write {out}: not a regular file\n"
     assert pipe.is_fifo() and link.is_symlink()
     assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "pipe"]
+
+
+def test_cli_search_refuses_an_existing_output_it_cannot_write(tmp_path, monkeypatch, capsys,
+                                                               spy):
+    # the refusal a user without write permission meets, injected, since
+    # root ignores the mode
+    out = tmp_path / "records.jsonl"
+    out.write_text("old\n")
+    out.chmod(0o444)
+    real_open = os.open
+
+    def refuse(path, flags, *args):
+        if path == os.path.realpath(out) and flags & os.O_WRONLY:
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+        return real_open(path, flags, *args)
+
+    monkeypatch.setattr(os, "open", refuse)
+    solved = spy(hifam.search, "solve_host")
+    assert main(["search", "-n", "4", "-m", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: Permission denied\n"
+    assert solved == []
+    assert os.listdir(tmp_path) == ["records.jsonl"] and out.read_text() == "old\n"
 
 
 def test_cli_search_writes_through_a_symlink(tmp_path, capsys):

@@ -4,16 +4,16 @@ The supergraphs of one copy of H in a host with m edges are an
 H-intersecting family of 2^(m - e(H)) members: density 1/2^e(H).  Over
 every connected host with 4 or 5 vertices, each of the 10 patterns with at
 most 4 vertices and no isolated vertex peaks at exactly that density,
-except P3 = K_{1,2}, which reaches 5/2^4 on 5 vertices.  Whether a host
-holds the pattern at all is read off networkx, not off the solver.
+except P3 = K_{1,2}, which reaches 5/2^4 on 5 vertices.  On 6 vertices
+P3, K_{1,3} and the paw beat it, reaching 5/2^4, 3/2^4 and 17/2^8, and
+2K2, C4 and the diamond do not.  Whether a host holds the pattern at all is
+read off networkx, not off the solver.
 """
 
 from fractions import Fraction
 from math import comb
 
-import networkx as nx
 import pytest
-from networkx.algorithms.isomorphism import GraphMatcher
 
 from hifam import (
     Graph,
@@ -21,11 +21,8 @@ from hifam import (
     canonical_key,
     christofides_host,
     complete,
-    complete_multipartite,
     connected_graphs,
-    cycle,
     emit_graph6,
-    from_edges,
     max_clique,
     parse_graph6,
     path,
@@ -33,20 +30,7 @@ from hifam import (
 )
 from hifam.graphs import edge_index, pair_count
 
-PAW = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])  # a triangle with a pendant edge
-
-PATTERNS = {
-    "K2": complete(2),
-    "P3": path(3),
-    "K3": complete(3),
-    "2K2": from_edges(4, [(0, 1), (2, 3)]),
-    "P4": path(4),
-    "K_{1,3}": complete_multipartite((1, 3)),
-    "C4": cycle(4),
-    "paw": PAW,
-    "diamond": complete_multipartite((1, 1, 2)),
-    "K4": complete(4),
-}
+from oracles import PATTERNS, PAW, check_trivial_bound
 
 # (pattern, n): the connected hosts that hold the pattern, and the best density
 TABLE = {
@@ -70,24 +54,18 @@ P3_BEATEN = {
     "D^o": 33, "D~o": 80, "Dvw": 80, "D~w": 160, "D~{": 320,
 }
 
-
-def _holds(host_graph6, pattern):
-    host = nx.from_graph6_bytes(host_graph6.encode())
-    return GraphMatcher(host, nx.Graph(pattern.edge_pairs())).subgraph_is_monomorphic()
-
-
-def _check(records, name):
-    """Assert the trivial count on every host that holds the pattern, apart
-    from P3_BEATEN for P3, and 0 on every other; return the records."""
-    pattern = PATTERNS[name]
-    beaten = P3_BEATEN if name == "P3" else {}
-    for record in records:
-        if not _holds(record.host_graph6, pattern):
-            assert record.clique_size == 0, record.host_graph6
-        else:
-            trivial = 1 << (record.m - pattern.edge_count)
-            assert record.clique_size == beaten.get(record.host_graph6, trivial), record.host_graph6
-    return records
+# pattern: on the connected 6-vertex hosts with 5 to top edges, the hosts,
+# the holders, the best density, the hosts at it and the hosts above the
+# trivial count.  K2, K3 and K4 are pinned at n = 6 by the closed forms,
+# and P4 by test_clique.
+TABLE_N6 = {
+    "P3": (9, 80, 80, Fraction(5, 16), 51, 52),
+    "2K2": (9, 80, 79, Fraction(1, 4), 79, 0),
+    "K_{1,3}": (11, 103, 101, Fraction(3, 16), 26, 26),
+    "C4": (11, 103, 84, Fraction(1, 16), 84, 0),
+    "paw": (10, 94, 75, Fraction(17, 256), 9, 9),
+    "diamond": (11, 103, 64, Fraction(1, 32), 64, 0),
+}
 
 
 @pytest.mark.parametrize("name,n", list(TABLE), ids=[f"{name}-n{n}" for name, n in TABLE])
@@ -95,17 +73,43 @@ def test_trivial_bound_table(name, n):
     # P3 on K5 takes about 10 s: test_p3_on_k5_beats_the_trivial_bound
     top = comb(n, 2) - (name == "P3" and n == 5)
     hosts = [g for m in range(n - 1, top + 1) for g in connected_graphs(n, m)]
-    records = _check(search_hosts(hosts, PATTERNS[name]), name)
+    records = search_hosts(hosts, PATTERNS[name])
+    holders, above = check_trivial_bound(records, PATTERNS[name])
+    beaten = P3_BEATEN if name == "P3" else {}
+    assert above == {r.host_graph6: beaten[r.host_graph6]
+                     for r in records if r.host_graph6 in beaten}
     holding, best = TABLE[name, n]
-    assert sum(r.clique_size > 0 for r in records) == holding - (top < comb(n, 2))
+    assert holders == holding - (top < comb(n, 2))
     assert max(Fraction(r.clique_size, 1 << r.m) for r in records) == best
 
 
 def test_p3_on_k5_beats_the_trivial_bound(request):
     if not request.config.getoption("--run-large-verify"):
         pytest.skip("needs --run-large-verify")
-    [record] = _check(search_hosts([complete(5)], PATTERNS["P3"]), "P3")
-    assert (record.host_graph6, record.clique_size) == ("D~{", 320)
+    records = search_hosts([complete(5)], PATTERNS["P3"])
+    assert check_trivial_bound(records, PATTERNS["P3"]) == (1, {"D~{": 320})
+
+
+@pytest.mark.parametrize("name", list(TABLE_N6), ids=[f"{name}-n6" for name in TABLE_N6])
+def test_trivial_bound_table_on_six_vertices(name):
+    # 2K2 and P3 with 10 edges take about a minute each, and the paw with 11
+    # edges several seconds: test_paw_on_six_vertices_and_eleven_edges
+    top, *row = TABLE_N6[name]
+    hosts = [g for m in range(5, top + 1) for g in connected_graphs(6, m)]
+    records = search_hosts(hosts, PATTERNS[name])
+    holders, above = check_trivial_bound(records, PATTERNS[name])
+    best = max(Fraction(r.clique_size, 1 << r.m) for r in records)
+    at_best = sum(Fraction(r.clique_size, 1 << r.m) == best for r in records)
+    assert [len(hosts), holders, best, at_best, len(above)] == row
+
+
+def test_paw_on_six_vertices_and_eleven_edges(request):
+    """Six of the nine hosts reach the paw's best density 17/2^8 again."""
+    if not request.config.getoption("--run-large-verify"):
+        pytest.skip("needs --run-large-verify")
+    records = search_hosts(connected_graphs(6, 11), PAW)
+    assert check_trivial_bound(records, PAW) == (
+        9, dict.fromkeys(["Evz_", "E|v_", "E}v_", "E~n?", "E~z?", "E~}?"], 136))
 
 
 # (P4 host, paw host, P4 candidates, paw candidates, optimum): the paw
